@@ -14,12 +14,25 @@ is convex and is minimized by projected first-order descent on the box
 [0, 1]^vertices with equality pins. Exact oracles (LP for the trace-norm
 case, sparse harmonic solve for the Frobenius case) live alongside for
 cross-checking.
+
+All of them read the difference structure from one sparse incidence
+operator per ball (``CayleyBall.incidence``): the generators' difference
+matrices D_j stacked into one CSR matrix D, so that one product D @ u gives
+every d_j(u), together with each D_j's transpose restricted to the free
+(unpinned) vertices. Every row of D has at most two entries, +1 and -1, and
+every column of a D_j has exactly two, so each entry of D @ u and of
+D_j^T @ w is one exactly rounded sum of two terms: the same number the
+gather / scatter formulation computes. Results are therefore bit-identical
+to that formulation, which matters because the solves are not run to
+convergence and are sensitive to roundoff.
 """
 
 import itertools
+import logging
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.optimize
@@ -27,10 +40,19 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from ._solvers import fit_loglog, parallel_map, projected_subgradient, projected_descent
-from .condenser_solver import SolveOptions, SolveReport, solve_condenser
+from .condenser_solver import SolveOptions, SolveReport, _tail_converged, solve_condenser
 from .errors import ValidationError
-from .operator_core import OperatorTuple, make_condenser
+from .operator_core import (
+    ContractionVariable,
+    OperatorTuple,
+    embed,
+    make_condenser,
+    objective,
+    project_middle,
+)
 from .ri_norms import NormSpec, vector_norm, vector_norm_subgradient
+
+logger = logging.getLogger("qcmod")
 
 
 @dataclass(frozen=True)
@@ -132,6 +154,11 @@ class CayleyBall:
             return self.vertices.index(key)
         except ValueError:
             raise ValidationError(f"vertex {key!r} is not inside the ball")
+
+    @cached_property
+    def incidence(self):
+        """The ball's difference operator, built once (see IncidenceOperator)."""
+        return IncidenceOperator.of(self)
 
 
 def _zd_vertices(d, R):
@@ -273,36 +300,63 @@ def build_ball(group, R, X1=None, X2=None):
 # -- difference structure -------------------------------------------------------------
 
 
-def _difference_rows(ball):
-    """Per generator: (head, tail) index arrays with -1 meaning "outside, value 0".
+@dataclass(frozen=True)
+class IncidenceOperator:
+    """The group difference function of a ball as one sparse matrix.
 
-    Rows cover every h in the ball (difference u(g_j h) - u(h), head possibly
-    outside) plus one row per vertex whose g_j-preimage is outside (difference
-    u(v) - 0). Together these are exactly the nonzero entries of the group
-    difference function for a potential supported in the ball.
+    Block j of ``D`` (rows ``offsets[j]:offsets[j + 1]``) is the generator's
+    difference matrix D_j: row h < n_vertices gives u(g_j h) - u(h) (the first
+    term is 0 when g_j h lies outside the ball), and one further row per
+    vertex v whose g_j-preimage lies outside gives u(v) - 0. Together these
+    are exactly the nonzero entries of the difference function of a
+    potential supported in the ball. ``free`` lists the unpinned vertices
+    (outside X1 and X2), ``D_free`` is D restricted to their columns and
+    ``Dt_free[j]`` is D_j^T restricted to them.
     """
-    rows = []
-    nv = ball.n_vertices
-    for j in range(ball.n_generators):
-        head = list(ball.sigma[j])
-        tail = list(range(nv))
-        for v in range(nv):
-            if ball.sigma_inv[j][v] < 0:
-                head.append(v)
-                tail.append(-1)
-        rows.append((np.asarray(head, dtype=int), np.asarray(tail, dtype=int)))
-    return rows
 
+    D: scipy.sparse.csr_array
+    offsets: tuple
+    free: np.ndarray
+    D_free: scipy.sparse.csr_array
+    Dt_free: tuple
 
-def _diff_values(u, head, tail):
-    hv = np.where(head >= 0, u[np.clip(head, 0, None)], 0.0)
-    tv = np.where(tail >= 0, u[np.clip(tail, 0, None)], 0.0)
-    return hv - tv
+    @staticmethod
+    def of(ball):
+        nv = ball.n_vertices
+        h = np.arange(nv)
+        rows, cols, vals, offsets = [], [], [], [0]
+        for fwd, bwd in zip(ball.sigma, ball.sigma_inv):
+            r0 = offsets[-1]
+            inside = np.flatnonzero(fwd >= 0)
+            entering = np.flatnonzero(bwd < 0)
+            rows += [r0 + inside, r0 + h, r0 + nv + np.arange(entering.size)]
+            cols += [fwd[inside], h, entering]
+            vals += [np.ones(inside.size), -np.ones(nv), np.ones(entering.size)]
+            offsets.append(r0 + nv + entering.size)
+        D = scipy.sparse.csr_array(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(offsets[-1], nv),
+        )
+        pinned = np.zeros(nv, dtype=bool)
+        pinned[ball.X1] = True
+        pinned[ball.X2] = True
+        free = np.flatnonzero(~pinned)
+        D_free = D[:, free]
+        Dt_free = tuple(D_free[a:b].T.tocsr() for a, b in zip(offsets[:-1], offsets[1:]))
+        return IncidenceOperator(D, tuple(offsets), free, D_free, Dt_free)
 
+    def diffs(self, u):
+        """Per generator the difference function d_j(u), from one product D @ u."""
+        d = self.D @ u
+        return [d[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
 
-def _scatter_add(g, idx, vals):
-    mask = idx >= 0
-    np.add.at(g, idx[mask], vals[mask])
+    def max_norm(self, u, spec):
+        """max_j |d_j(u)|_J, the capacity objective at the full potential u."""
+        return max(vector_norm(d, spec) for d in self.diffs(u))
+
+    def laplacian(self):
+        """sum_j D_j^T D_j on the free vertices (the Dirichlet energy's matrix)."""
+        return (self.D_free.T @ self.D_free).tocsr()
 
 
 def graph_capacity(ball, spec, opts=None):
@@ -315,13 +369,10 @@ def graph_capacity(ball, spec, opts=None):
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
     nv = ball.n_vertices
-    rows = _difference_rows(ball)
+    op = ball.incidence
     u = np.zeros(nv)
     u[ball.X1] = 1.0
-    pinned = np.zeros(nv, dtype=bool)
-    pinned[ball.X1] = True
-    pinned[ball.X2] = True
-    free = np.flatnonzero(~pinned)
+    free = op.free
 
     flags = {}
     if ball.X1.size == 0:
@@ -340,7 +391,7 @@ def graph_capacity(ball, spec, opts=None):
         )
     if free.size == 0:
         # every vertex pinned: the single feasible potential is the pin pattern
-        value = max(vector_norm(_diff_values(u, h, t), spec) for h, t in rows)
+        value = op.max_norm(u, spec)
         return SolveReport(
             value=value,
             minimizer=u,
@@ -358,19 +409,10 @@ def graph_capacity(ball, spec, opts=None):
         return full
 
     def fg(x):
-        full = assemble(x)
-        vals, diffs = [], []
-        for head, tail in rows:
-            d = _diff_values(full, head, tail)
-            diffs.append(d)
-            vals.append(vector_norm(d, spec))
+        diffs = op.diffs(assemble(x))
+        vals = [vector_norm(d, spec) for d in diffs]
         jstar = int(np.argmax(vals))
-        gd = vector_norm_subgradient(diffs[jstar], spec)
-        grad = np.zeros(nv)
-        head, tail = rows[jstar]
-        _scatter_add(grad, head, gd)
-        _scatter_add(grad, tail, -gd)
-        return vals[jstar], grad[free]
+        return vals[jstar], op.Dt_free[jstar] @ vector_norm_subgradient(diffs[jstar], spec)
 
     proj = lambda x: np.clip(x, 0.0, 1.0)
 
@@ -396,7 +438,7 @@ def graph_capacity(ball, spec, opts=None):
         r_best_f, r_best_x, r_conv = bf, bx, conv
         if opts.refine and spec.kind == "schatten":
             x_ref, f_ref, it_ref, conv_ref = _smooth_graph_refine(
-                ball, spec, rows, u, free, bx, opts, history, offset
+                op, spec, u, bx, history, offset
             )
             offset += it_ref
             if f_ref < r_best_f:
@@ -419,18 +461,17 @@ def graph_capacity(ball, spec, opts=None):
             best_f, best_x = r_best_f, r_best_x
 
     full = assemble(proj(best_x))
-    value = max(vector_norm(_diff_values(full, h, t), spec) for h, t in rows)
+    value = op.max_norm(full, spec)
     history.append((offset, value, 0.0))
     offset += 1
-    from .condenser_solver import _tail_converged
-
     converged = converged or _tail_converged(history, opts.tol)
     extra = dict(flags, restart_values=restart_values, n_vertices=nv)
     if spec.kind == "schatten" and spec.p == 1 and nv <= 400:
         try:
             extra["lp_crosscheck"] = total_variation_capacity_lp(ball)
-        except Exception:
-            pass
+        except Exception as exc:
+            logger.warning("LP cross-check of the trace-norm capacity failed: %s", exc, exc_info=True)
+            extra["lp_crosscheck_error"] = f"{type(exc).__name__}: {exc}"
     return SolveReport(
         value=value,
         minimizer=full,
@@ -447,19 +488,16 @@ def graph_capacity(ball, spec, opts=None):
     )
 
 
-def _smooth_graph_refine(ball, spec, rows, u_template, free, x0, opts, history, offset):
+def _smooth_graph_refine(op, spec, u_template, x0, history, offset):
     """L-BFGS-B on the smoothed max-of-norms objective, mu-homotopy with warm starts."""
     p = spec.p
-    n = len(rows)
+    n = len(op.Dt_free)
+    free = op.free
     u0 = u_template.copy()
     u0[free] = x0
 
-    f_scale = max(
-        max(vector_norm(_diff_values(u0, h, t), spec) for h, t in rows), 1e-300
-    )
-    d_scale = max(
-        max(float(np.abs(_diff_values(u0, h, t)).max(initial=0.0)) for h, t in rows), 1e-300
-    )
+    f_scale = max(op.max_norm(u0, spec), 1e-300)
+    d_scale = max(max(float(np.abs(d).max(initial=0.0)) for d in op.diffs(u0)), 1e-300)
 
     def make_obj(eps):
         mu = eps * d_scale
@@ -469,8 +507,7 @@ def _smooth_graph_refine(ball, spec, rows, u_template, free, x0, opts, history, 
             full = u_template.copy()
             full[free] = x
             fs, grads = [], []
-            for head, tail in rows:
-                d = _diff_values(full, head, tail)
+            for d, Dt in zip(op.diffs(full), op.Dt_free):
                 if p == 1:
                     r = np.sqrt(d * d + mu * mu)
                     fj = float(r.sum())
@@ -482,11 +519,8 @@ def _smooth_graph_refine(ball, spec, rows, u_template, free, x0, opts, history, 
                     a = np.abs(d)
                     fj = float(np.sum(a ** p) ** (1.0 / p)) if a.size else 0.0
                     dd = np.sign(d) * (a / fj) ** (p - 1.0) if fj > 0 else np.zeros_like(d)
-                g = np.zeros(len(full))
-                _scatter_add(g, head, dd)
-                _scatter_add(g, tail, -dd)
                 fs.append(fj)
-                grads.append(g[free])
+                grads.append(Dt @ dd)
             if n == 1:
                 return fs[0], grads[0]
             fmax = max(fs)
@@ -511,7 +545,7 @@ def _smooth_graph_refine(ball, spec, rows, u_template, free, x0, opts, history, 
         total_it += int(res.nit)
     full = u_template.copy()
     full[free] = np.clip(x, 0.0, 1.0)
-    f_exact = max(vector_norm(_diff_values(full, h, t), spec) for h, t in rows)
+    f_exact = op.max_norm(full, spec)
     if history is not None:
         history.append((offset + total_it, f_exact, 0.0))
     return np.clip(x, 0.0, 1.0), f_exact, total_it + 1, True
@@ -525,63 +559,33 @@ def total_variation_capacity_lp(ball):
 
     min z  s.t.  z >= sum_e t_{j,e},  t_{j,e} >= +/- d_{j,e}(u),  u in [0,1],
     pins on X1/X2 substituted. Used as an independent oracle for p = 1.
+    With c = D u_pins the pinned part of every difference, each row e of D
+    gives the pair [D_free, -I] (u, t) <= -c_e and [-D_free, -I] (u, t) <= c_e.
     """
-    rows = _difference_rows(ball)
-    nv = ball.n_vertices
-    pinned_val = np.full(nv, np.nan)
-    pinned_val[ball.X1] = 1.0
-    pinned_val[ball.X2] = 0.0
-    free = np.flatnonzero(np.isnan(pinned_val))
-    fmap = {v: i for i, v in enumerate(free)}
-    nfree = free.size
-    nt = sum(len(h) for h, _ in rows)
+    op = ball.incidence
+    u_pins = np.zeros(ball.n_vertices)
+    u_pins[ball.X1] = 1.0
+    const = op.D @ u_pins
+    nfree, nt, n = op.free.size, op.D.shape[0], len(op.Dt_free)
     # variable layout: [u_free (nfree), t (nt), z (1)]
     nvar = nfree + nt + 1
     c = np.zeros(nvar)
     c[-1] = 1.0
 
-    A_rows, A_cols, A_vals, b_ub = [], [], [], []
-    r = 0
-
-    def coeff_of(v):
-        """Return (column, coefficient, constant) for u[v]; v may be -1 (outside)."""
-        if v < 0:
-            return None, 0.0, 0.0
-        if np.isnan(pinned_val[v]):
-            return fmap[v], 1.0, 0.0
-        return None, 0.0, float(pinned_val[v])
-
-    t_off = nfree
-    t_idx = 0
-    per_gen_t = []
-    for head, tail in rows:
-        gen_ts = []
-        for hh, tt in zip(head, tail):
-            hcol, hcf, hconst = coeff_of(int(hh))
-            tcol, tcf, tconst = coeff_of(int(tt))
-            const = hconst - tconst
-            # d = u[h] - u[t] + const ; need t_var >= d and t_var >= -d
-            for sgn in (1.0, -1.0):
-                if hcol is not None:
-                    A_rows.append(r); A_cols.append(hcol); A_vals.append(sgn * 1.0)
-                if tcol is not None:
-                    A_rows.append(r); A_cols.append(tcol); A_vals.append(sgn * -1.0)
-                A_rows.append(r); A_cols.append(t_off + t_idx); A_vals.append(-1.0)
-                b_ub.append(-sgn * const)
-                r += 1
-            gen_ts.append(t_off + t_idx)
-            t_idx += 1
-        per_gen_t.append(gen_ts)
-    for gen_ts in per_gen_t:
-        for col in gen_ts:
-            A_rows.append(r); A_cols.append(col); A_vals.append(1.0)
-        A_rows.append(r); A_cols.append(nvar - 1); A_vals.append(-1.0)
-        b_ub.append(0.0)
-        r += 1
-
-    A_ub = scipy.sparse.coo_matrix((A_vals, (A_rows, A_cols)), shape=(r, nvar)).tocsc()
+    sp = scipy.sparse
+    minus_I = -sp.eye_array(nt, format="csr")
+    no_z = sp.csr_array((nt, 1))
+    pm = sp.vstack([sp.hstack([op.D_free, minus_I, no_z]),
+                    sp.hstack([-op.D_free, minus_I, no_z])], format="csr")
+    # the two rows of one difference stay adjacent: +d_e, -d_e, +d_(e+1), ...
+    pm = pm[np.arange(2 * nt).reshape(2, nt).T.ravel()]
+    # one row per generator: the sum of its t's minus z
+    per_gen = sp.block_diag([np.ones((1, b - a)) for a, b in zip(op.offsets[:-1], op.offsets[1:])])
+    sums = sp.hstack([sp.csr_array((n, nfree)), per_gen, sp.csr_array(-np.ones((n, 1)))])
+    A_ub = sp.vstack([pm, sums], format="csc")
+    b_ub = np.concatenate([np.column_stack([-const, const]).ravel(), np.zeros(n)])
     bounds = [(0.0, 1.0)] * nfree + [(0.0, None)] * nt + [(0.0, None)]
-    res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=np.asarray(b_ub), bounds=bounds, method="highs")
+    res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         raise ValidationError(f"LP oracle failed: {res.message}")
     return float(res.fun)
@@ -593,49 +597,18 @@ def harmonic_capacity_oracle(ball):
     Minimizes the Dirichlet energy E(u) = sum_j ||d_j(u)||_2^2 subject to the
     pins, then reports (energy, u*, max_j ||d_j(u*)||_2). On instances whose
     symmetry group permutes the generators, that last quantity equals the
-    capacity inf max_j ||d_j(u)||_2 (= sqrt(E/n) there).
+    capacity inf max_j ||d_j(u)||_2 (= sqrt(E/n) there). The system matrix
+    is the Laplacian sum_j D_j^T D_j on the free vertices.
     """
-    rows = _difference_rows(ball)
-    nv = ball.n_vertices
-    pinned_val = np.full(nv, np.nan)
-    pinned_val[ball.X1] = 1.0
-    pinned_val[ball.X2] = 0.0
-    free = np.flatnonzero(np.isnan(pinned_val))
-    fmap = np.full(nv, -1, dtype=int)
-    fmap[free] = np.arange(free.size)
-
-    L_rows, L_cols, L_vals = [], [], []
-    rhs = np.zeros(free.size)
-
-    def add(i, j, v):
-        L_rows.append(i); L_cols.append(j); L_vals.append(v)
-
-    for head, tail in rows:
-        for hh, tt in zip(head, tail):
-            ends = []
-            const = 0.0
-            for v, sgn in ((int(hh), 1.0), (int(tt), -1.0)):
-                if v < 0:
-                    continue
-                if np.isnan(pinned_val[v]):
-                    ends.append((fmap[v], sgn))
-                else:
-                    const += sgn * pinned_val[v]
-            # term (sum sgn*u_free + const)^2
-            for i, si in ends:
-                for j, sj in ends:
-                    add(i, j, si * sj)
-                rhs[i] -= si * const
-    L = scipy.sparse.coo_matrix((L_vals, (L_rows, L_cols)), shape=(free.size, free.size)).tocsr()
-    u = np.full(nv, 0.0)
+    op = ball.incidence
+    u = np.full(ball.n_vertices, 0.0)
     u[ball.X1] = 1.0
-    if free.size:
-        sol = scipy.sparse.linalg.spsolve(L, rhs)
-        u[free] = sol
+    if op.free.size:
+        rhs = op.D_free.T @ -(op.D @ u)
+        u[op.free] = scipy.sparse.linalg.spsolve(op.laplacian(), rhs)
     energy = 0.0
     per_gen = []
-    for head, tail in rows:
-        d = _diff_values(u, head, tail)
+    for d in op.diffs(u):
         e = float(np.sum(d * d))
         energy += e
         per_gen.append(np.sqrt(e))
@@ -672,43 +645,27 @@ def verify_transfer(ball, spec, opts=None):
     reported upper bounds as well. The remaining gap is reported.
     """
     opts = opts or SolveOptions()
-    if ball.X1.size == 0 or ball.X2.size == 0:
-        cap_report = graph_capacity(ball, spec, opts)
-        tau = truncated_regular_rep(ball)
-        cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
-        k_report = solve_condenser(tau, cond, spec, opts)
-        return {
-            "cap": cap_report.value,
-            "k": k_report.value,
-            "gap": cap_report.value - k_report.value,
-            "cap_report": cap_report,
-            "k_report": k_report,
-            "inequality_ok": k_report.value <= cap_report.value + 1e-9 * max(1.0, cap_report.value),
-        }
-
     cap_report = graph_capacity(ball, spec, opts)
     tau = truncated_regular_rep(ball)
     cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
     k_report = solve_condenser(tau, cond, spec, opts)
-
-    # Feasible diagonal candidate from the graph minimizer.
-    u = np.asarray(cap_report.minimizer, dtype=float)
-    B_cand = cond.compress_middle(multiplication_operator(ball, u))
-    from .operator_core import ContractionVariable, embed, objective, project_middle
-
-    var = ContractionVariable(cond, project_middle(cond, B_cand))
-    cand_val = objective(tau, embed(var), spec)
     k_value = k_report.value
-    if cand_val < k_value:
-        k_value = cand_val
-        k_report.value = cand_val
-        k_report.minimizer = var
-        k_report.extra["diagonal_candidate_used"] = True
-    gap = cap_report.value - k_value
+
+    if ball.X1.size and ball.X2.size:
+        # Feasible diagonal candidate from the graph minimizer.
+        u = np.asarray(cap_report.minimizer, dtype=float)
+        B_cand = cond.compress_middle(multiplication_operator(ball, u))
+        var = ContractionVariable(cond, project_middle(cond, B_cand))
+        cand_val = objective(tau, embed(var), spec)
+        if cand_val < k_value:
+            k_value = cand_val
+            k_report.value = cand_val
+            k_report.minimizer = var
+            k_report.extra["diagonal_candidate_used"] = True
     return {
         "cap": cap_report.value,
         "k": k_value,
-        "gap": gap,
+        "gap": cap_report.value - k_value,
         "cap_report": cap_report,
         "k_report": k_report,
         "inequality_ok": k_value <= cap_report.value + 1e-9 * max(1.0, cap_report.value),

@@ -21,7 +21,7 @@ from ._solvers import (
 )
 from .errors import ValidationError
 from .jsonio import matrix_to_json
-from .operator_core import ContractionVariable, embed, project_middle
+from .operator_core import ContractionVariable, commutator, embed, project_middle
 from .ri_norms import matrix_norm, norm_subgradient, spec_list
 
 _STEP_RULES = ("diminishing", "polyak_with_estimate")
@@ -98,19 +98,16 @@ def _exact_fg(tau, cond, specs):
     """Exact objective and a subgradient with respect to the middle block."""
     Vm = cond.basis_mid
     Tcs = [T.conj().T for T in tau.components]
+    diags = tau.diagonals
 
     def fg(B):
         A = cond.embed_middle(B)
-        vals = []
-        comms = []
-        for T, sp in zip(tau.components, specs):
-            C = A @ T - T @ A
-            comms.append(C)
-            vals.append(matrix_norm(C, sp))
+        comms = [commutator(A, T, t) for T, t in zip(tau.components, diags)]
+        vals = [matrix_norm(C, sp, hermitian=False) for C, sp in zip(comms, specs)]
         jstar = int(np.argmax(vals))
         f = vals[jstar]
         G = norm_subgradient(comms[jstar], specs[jstar])
-        W = G @ Tcs[jstar] - Tcs[jstar] @ G
+        W = commutator(G, Tcs[jstar], diags[jstar])
         g = _herm(Vm.conj().T @ W @ Vm)
         return f, g
 
@@ -122,6 +119,7 @@ def _smooth_fg(tau, cond, specs, eps, sref, fref):
     log-sum-exp across components. Upper-bounds the exact objective."""
     Vm = cond.basis_mid
     Tcs = [T.conj().T for T in tau.components]
+    diags = tau.diagonals
     n = len(specs)
     nu = eps * max(fref, 1e-300) / np.log(n + 1.0) if n > 1 else None
 
@@ -129,7 +127,7 @@ def _smooth_fg(tau, cond, specs, eps, sref, fref):
         A = cond.embed_middle(B)
         fs, Gs = [], []
         for j, (T, sp) in enumerate(zip(tau.components, specs)):
-            C = A @ T - T @ A
+            C = commutator(A, T, diags[j])
             U, s, Vh = np.linalg.svd(C, full_matrices=False)
             p = sp.p
             if p == 1:
@@ -145,7 +143,7 @@ def _smooth_fg(tau, cond, specs, eps, sref, fref):
                     ds = np.zeros_like(s)
             G = (U * ds) @ Vh
             fs.append(fj)
-            Gs.append(G @ Tcs[j] - Tcs[j] @ G)
+            Gs.append(commutator(G, Tcs[j], diags[j]))
         if n == 1:
             f, W = fs[0], Gs[0]
         else:
@@ -244,9 +242,8 @@ def solve_condenser(tau, cond, specs, opts=None):
             if all_schatten:
                 A0 = cond.embed_middle(bx)
                 sref = []
-                for T in tau.components:
-                    C = A0 @ T - T @ A0
-                    sv = np.linalg.svd(C, compute_uv=False)
+                for T, t in zip(tau.components, tau.diagonals):
+                    sv = np.linalg.svd(commutator(A0, T, t), compute_uv=False)
                     sref.append(float(sv[0]) if sv.size else 0.0)
                 x_cur = bx
                 stages = ((1e-2, 150), (1e-4, 150), (1e-6, 300), (1e-9, max(300, opts.max_iters // 2)))

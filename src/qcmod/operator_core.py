@@ -11,6 +11,7 @@ feasible and the dimension drops from d^2 to m0^2.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import null_space
@@ -50,6 +51,16 @@ class OperatorTuple:
     @property
     def n(self):
         return len(self.components)
+
+    @cached_property
+    def diagonals(self):
+        """Per component: its diagonal if it is a real diagonal matrix, else None."""
+        out = []
+        for T in self.components:
+            t = np.diagonal(T)
+            real_diag = not np.iscomplexobj(T) and np.count_nonzero(T) == np.count_nonzero(t)
+            out.append(t.copy() if real_diag else None)
+        return tuple(out)
 
     @staticmethod
     def of(matrices, selfadjoint=None):
@@ -136,30 +147,36 @@ class Condenser:
     def m0(self):
         return self.basis_mid.shape[1]
 
-    @property
+    @cached_property
     def P(self):
-        return self.basis_p @ self.basis_p.conj().T
+        """The projection onto ran(P), computed once and read-only."""
+        return _readonly(self.basis_p @ self.basis_p.conj().T)
 
-    @property
+    @cached_property
     def Q(self):
-        return self.basis_q @ self.basis_q.conj().T
+        """The projection onto ran(Q), computed once and read-only."""
+        return _readonly(self.basis_q @ self.basis_q.conj().T)
 
     @property
     def is_complex(self):
         return any(np.iscomplexobj(b) for b in (self.basis_p, self.basis_q, self.basis_mid))
 
     def embed_middle(self, B0):
-        """A = P (+) B0 (+) 0 as a full d x d matrix."""
-        A = self.P
+        """A = P (+) B0 (+) 0 as a full d x d matrix (a new, writable array)."""
         if self.m0:
-            A = A + self.basis_mid @ B0 @ self.basis_mid.conj().T
-        return A
+            return self.P + self.basis_mid @ B0 @ self.basis_mid.conj().T
+        return self.P.copy()
 
     def compress_middle(self, A):
         return self.basis_mid.conj().T @ A @ self.basis_mid
 
     def to_json(self):
         return {"P": matrix_to_json(self.P), "Q": matrix_to_json(self.Q)}
+
+
+def _readonly(M):
+    M.flags.writeable = False
+    return M
 
 
 def _as_basis(source, dim, dtype):
@@ -305,9 +322,22 @@ def project_to_feasible(condenser, A_raw):
     return ContractionVariable(condenser, B)
 
 
+def commutator(A, T, t):
+    """[A, T] = A T - T A.
+
+    When T is the real diagonal matrix diag(t) and A is real, the products
+    are formed by broadcasting in O(d^2). Each entry is then the one product
+    the dense matmul adds to exact zeros, so both forms agree bit for bit
+    (up to the sign of a zero entry).
+    """
+    if t is not None and not np.iscomplexobj(A):
+        return A * t - t[:, None] * A
+    return A @ T - T @ A
+
+
 def commutators(tau, A):
     """Per-component commutators [A, T_j] = A T_j - T_j A."""
-    return [A @ T - T @ A for T in tau.components]
+    return [commutator(A, T, t) for T, t in zip(tau.components, tau.diagonals)]
 
 
 def commutator_column(tau, A):
@@ -318,4 +348,4 @@ def commutator_column(tau, A):
 def objective(tau, A, specs):
     """max_j of the J_j-norm of [A, T_j]; a single spec is broadcast."""
     specs = spec_list(specs, tau.n)
-    return max(matrix_norm(C, sp) for C, sp in zip(commutators(tau, A), specs))
+    return max(matrix_norm(C, sp, hermitian=False) for C, sp in zip(commutators(tau, A), specs))

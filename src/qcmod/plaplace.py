@@ -11,10 +11,10 @@ Euclidean gradient is -(p/2) * Theta(A) with
 
 the matrix analogue of div(|grad u|^(p-2) grad u) with the multiplication
 replaced by a Jordan-type symmetrization. Minimizers over the condenser's
-feasible set satisfy sign conditions on compressions of Theta by enlarged
-level-set projections (P1, Q1); those are checked numerically here, and the
-proportionality constant -p/2 is validated by finite differences in the test
-suite before the certificates are trusted.
+feasible set satisfy sign conditions on compressions of the gradient
+direction -Theta by enlarged level-set projections (P1, Q1); those are
+checked numerically here, and the proportionality constant -p/2 is validated
+by finite differences in the test suite before the certificates are trusted.
 """
 
 import time
@@ -202,12 +202,14 @@ def euler_lagrange_report(prob, X, eps1=1e-6, delta=None):
     """Sign-condition certificates at a converged minimizer.
 
     P1 / Q1 are the maximal spectral projections of X for eigenvalues within
-    eps1 of 1 / 0; they contain P / Q and are mutually orthogonal. The three
-    compressions of Theta must satisfy
+    eps1 of 1 / 0; they contain P / Q and are mutually orthogonal. The
+    gradient of I is -(p/2) Theta and X may only decrease on ran(P1 - P) and
+    only increase on ran(Q1 - Q), so X is optimal when the compressions of
+    -Theta (whose spectra ``compression_eigs`` holds) satisfy
 
-        (I - P - Q1) Theta (I - P - Q1)  <= +delta,
-        (I - P1 - Q) Theta (I - P1 - Q)  >= -delta,
-        spectral radius of (I - P1 - Q1) Theta (I - P1 - Q1) <= delta,
+        (I - P - Q1) (-Theta) (I - P - Q1)  <= +delta,
+        (I - P1 - Q) (-Theta) (I - P1 - Q)  >= -delta,
+        spectral radius of (I - P1 - Q1) (-Theta) (I - P1 - Q1) <= delta,
 
     with delta defaulting to 1e-6 * ||Theta||_op. Eigenvalues of X falling in
     (eps1, 2 eps1) or (1 - 2 eps1, 1 - eps1) make the level-set extraction
@@ -234,9 +236,10 @@ def euler_lagrange_report(prob, X, eps1=1e-6, delta=None):
 
     I = np.eye(d, dtype=Th.dtype)
     P, Q = prob.condenser.P, prob.condenser.Q
-    R1 = _herm((I - P - Q1) @ Th @ (I - P - Q1))
-    R2 = _herm((I - P1 - Q) @ Th @ (I - P1 - Q))
-    R3 = _herm((I - P1 - Q1) @ Th @ (I - P1 - Q1))
+    grad_dir = -Th  # the gradient of I divided by p/2
+    R1 = _herm((I - P - Q1) @ grad_dir @ (I - P - Q1))
+    R2 = _herm((I - P1 - Q) @ grad_dir @ (I - P1 - Q))
+    R3 = _herm((I - P1 - Q1) @ grad_dir @ (I - P1 - Q1))
     e1 = np.linalg.eigvalsh(R1)
     e2 = np.linalg.eigvalsh(R2)
     e3 = np.linalg.eigvalsh(R3)

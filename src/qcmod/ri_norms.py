@@ -16,6 +16,7 @@ every N
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,14 +122,16 @@ def induced_weights(spec, n):
     return np.asarray(spec.weights[:n], dtype=float)
 
 
+@lru_cache(maxsize=64)
 def _eval_weights(spec, n):
-    """Weights used when evaluating a length-n sorted sequence (hint-capped)."""
+    """Weights for a length-n sorted sequence (hint-capped); cached, read-only."""
     m = min(n, spec.length_hint)
     if spec.kind == "weights":
         m = min(m, len(spec.weights))
     w = np.zeros(n)
     if m > 0:
         w[:m] = induced_weights(spec, m)
+    w.flags.writeable = False
     return w
 
 
@@ -174,16 +177,20 @@ def matrix_norm(M, spec, hermitian=None):
 def _tie_averaged(values_sorted, w):
     """Average weights over groups of exactly equal sorted values."""
     out = np.array(w, dtype=float)
-    i = 0
-    n = len(values_sorted)
-    while i < n:
-        j = i + 1
-        while j < n and values_sorted[j] == values_sorted[i]:
-            j += 1
-        if j - i > 1:
-            out[i:j] = out[i:j].mean()
-        i = j
+    v = np.asarray(values_sorted)
+    # group boundaries: 0, every index where the value changes, n
+    bounds = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1], [True])))
+    for i in np.flatnonzero(np.diff(bounds) > 1):
+        lo, hi = bounds[i], bounds[i + 1]
+        out[lo:hi] = out[lo:hi].mean()
     return out
+
+
+def _schatten_gauge(s, spec):
+    """Schatten gauge subgradient at s >= 0, s != 0; entrywise, so s needs no sorting."""
+    if spec.p == 1:
+        return np.ones(s.size)
+    return (s / vector_norm(s, spec)) ** (spec.p - 1.0)
 
 
 def _gauge_subgradient(s_sorted, spec):
@@ -192,12 +199,8 @@ def _gauge_subgradient(s_sorted, spec):
     if n == 0 or s_sorted[0] == 0.0:
         return np.zeros(n)
     if spec.kind == "schatten":
-        if spec.p == 1:
-            return np.ones(n)
-        denom = vector_norm(s_sorted, spec)
-        return (s_sorted / denom) ** (spec.p - 1.0)
-    w = _eval_weights(spec, n)
-    return _tie_averaged(s_sorted, w)
+        return _schatten_gauge(s_sorted, spec)
+    return _tie_averaged(s_sorted, _eval_weights(spec, n))
 
 
 def norm_subgradient(M, spec):
@@ -223,10 +226,12 @@ def vector_norm_subgradient(v, spec):
     a = np.abs(v)
     if a.size == 0 or a.max() == 0.0:
         return np.zeros_like(v, dtype=float if not np.iscomplexobj(v) else complex)
-    order = np.argsort(-a, kind="stable")
-    d_sorted = _gauge_subgradient(a[order], spec)
-    d = np.empty(a.size)
-    d[order] = d_sorted
+    if spec.kind == "schatten":
+        d = _schatten_gauge(a, spec)
+    else:
+        order = np.argsort(-a, kind="stable")
+        d = np.empty(a.size)
+        d[order] = _gauge_subgradient(a[order], spec)
     with np.errstate(invalid="ignore", divide="ignore"):
         phase = np.where(a > 0, v / np.where(a > 0, a, 1.0), 0.0)
     return d * phase

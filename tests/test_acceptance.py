@@ -47,7 +47,6 @@ Z2 = GroupSpec("zd", d=2)
 Z3 = GroupSpec("zd", d=3)
 F2 = GroupSpec("free", k=2)
 
-ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "_artifacts")
 
 
 def report(line):
@@ -360,7 +359,7 @@ def test_criterion_9_invariant_suites():
 # ----------------------------------------------------------------------------------
 
 
-def test_criterion_10_gamma1_report_archived():
+def test_criterion_10_gamma1_report_archived(tmp_path):
     t0 = time.perf_counter()
     opts = SolveOptions(max_iters=500, tol=1e-7, seed=0, restarts=1)
     out = gamma1_experiment([64, 128, 256], opts=opts, variant="sawtooth")
@@ -375,7 +374,6 @@ def test_criterion_10_gamma1_report_archived():
     # seam-free cross-check (secondary diagnostic, small scale)
     tri = gamma1_experiment([64], opts=opts, variant="triangle")
 
-    os.makedirs(ARTIFACT_DIR, exist_ok=True)
     archive = {
         "primary": {k: v for k, v in out.items() if k != "reports"},
         "seam_free_crosscheck": {k: v for k, v in tri.items() if k != "reports"},
@@ -385,7 +383,7 @@ def test_criterion_10_gamma1_report_archived():
             "The continuous (triangle) embedding is seam-free and lands on the reference."
         ),
     }
-    path = os.path.join(ARTIFACT_DIR, "gamma1_report.json")
+    path = os.path.join(tmp_path, "gamma1_report.json")
     write_json(path, archive)
     assert os.path.exists(path)
 

@@ -1,5 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qcmod.cayley import (
     CayleyBall,
@@ -104,6 +107,89 @@ class TestTruncatedRep:
             assert nz == {(b.index_of((j,)), e), (e, b.index_of((-j,)))}
 
 
+def _edge_rows(ball):
+    """Edge-by-edge reference encoding: per generator (head, tail) vertex
+    lists, -1 meaning "outside the ball, value 0"; rows h = 0..nv-1 are
+    u(g_j h) - u(h), then one row u(v) - 0 per v with g_j^{-1} v outside."""
+    nv = ball.n_vertices
+    out = []
+    for fwd, bwd in zip(ball.sigma, ball.sigma_inv):
+        head, tail = [int(x) for x in fwd], list(range(nv))
+        for v in range(nv):
+            if bwd[v] < 0:
+                head.append(v)
+                tail.append(-1)
+        out.append((head, tail))
+    return out
+
+
+def _pinned_balls():
+    fixed_point = GroupSpec("custom", tables=((1, 0, 2, 4, 3), (2, 3, 4, 0, 1)))
+    return [
+        build_ball(Z, 6, X1="origin", X2={"radius_at_least": 5}),
+        build_ball(Z2, 4, X1="origin", X2={"sphere": 4}),
+        build_ball(Z3, 3, X1="origin", X2={"sphere": 3}),
+        build_ball(F2, 3, X1="origin", X2={"sphere": 3}),
+        build_ball(fixed_point, 0, X1=[0], X2=[3]),
+    ]
+
+
+class TestIncidenceOperator:
+    @pytest.mark.parametrize("ball", _pinned_balls(), ids=["Z", "Z2", "Z3", "F2", "custom"])
+    def test_matvec_is_the_edge_by_edge_difference(self, ball):
+        rng = np.random.default_rng(ball.n_vertices)
+        op = ball.incidence
+        u = rng.uniform(0.0, 1.0, ball.n_vertices)
+        u[ball.X1], u[ball.X2] = 1.0, 0.0
+        for d, (head, tail) in zip(op.diffs(u), _edge_rows(ball)):
+            expected = [(u[h] if h >= 0 else 0.0) - (u[t] if t >= 0 else 0.0)
+                        for h, t in zip(head, tail)]
+            np.testing.assert_array_equal(d, expected)
+
+    @pytest.mark.parametrize("ball", _pinned_balls(), ids=["Z", "Z2", "Z3", "F2", "custom"])
+    def test_transpose_is_the_adjoint_and_the_scatter(self, ball):
+        rng = np.random.default_rng(ball.n_vertices + 1)
+        op = ball.incidence
+        u = rng.standard_normal(ball.n_vertices)
+        w = rng.standard_normal(op.D.shape[0])
+        assert float(np.dot(op.D @ u, w)) == pytest.approx(float(np.dot(u, op.D.T @ w)), rel=1e-12)
+        for j, (head, tail) in enumerate(_edge_rows(ball)):
+            wj = w[op.offsets[j]:op.offsets[j + 1]]
+            head, tail = np.asarray(head), np.asarray(tail)
+            grad = np.zeros(ball.n_vertices)
+            np.add.at(grad, head[head >= 0], wj[head >= 0])
+            np.add.at(grad, tail[tail >= 0], -wj[tail >= 0])
+            np.testing.assert_array_equal((op.Dt_free[j] @ wj).view(np.uint64),
+                                          grad[op.free].view(np.uint64))
+
+    def test_laplacian_matches_loop_built_one(self):
+        ball = build_ball(Z2, 3, X1="origin", X2={"sphere": 3})
+        nv = ball.n_vertices
+        pinned_val = np.full(nv, np.nan)
+        pinned_val[ball.X1], pinned_val[ball.X2] = 1.0, 0.0
+        free = np.flatnonzero(np.isnan(pinned_val))
+        fmap = {int(v): i for i, v in enumerate(free)}
+        L = np.zeros((free.size, free.size))
+        rhs = np.zeros(free.size)
+        for head, tail in _edge_rows(ball):
+            for h, t in zip(head, tail):
+                ends, const = [], 0.0
+                for v, sgn in ((h, 1.0), (t, -1.0)):
+                    if v >= 0 and np.isnan(pinned_val[v]):
+                        ends.append((fmap[v], sgn))
+                    elif v >= 0:
+                        const += sgn * pinned_val[v]
+                for i, si in ends:
+                    for k, sk in ends:
+                        L[i, k] += si * sk
+                    rhs[i] -= si * const
+        op = ball.incidence
+        np.testing.assert_array_equal(op.free, free)
+        np.testing.assert_array_equal(op.laplacian().toarray(), L)
+        orc = harmonic_capacity_oracle(ball)
+        np.testing.assert_allclose(orc["u"][free], np.linalg.solve(L, rhs), rtol=1e-12, atol=1e-14)
+
+
 class TestGraphCapacity:
     def test_trace_norm_line_vs_lp(self):
         b = build_ball(Z, 5, X1="origin")
@@ -111,6 +197,21 @@ class TestGraphCapacity:
         assert lp == pytest.approx(2.0, abs=1e-9)
         rep = graph_capacity(b, NormSpec.schatten(1), OPTS)
         assert rep.value == pytest.approx(lp, rel=1e-7)
+
+    def test_lp_crosscheck_failure_is_logged(self, monkeypatch, caplog):
+        b = build_ball(Z, 3, X1="origin")
+        fast = SolveOptions(max_iters=50, tol=1e-6, seed=0, restarts=1)
+        assert "lp_crosscheck_error" not in graph_capacity(b, NormSpec.schatten(1), fast).extra
+
+        def failing_linprog(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(success=False, message="solver unavailable")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
+        with caplog.at_level(logging.WARNING, logger="qcmod"):
+            rep = graph_capacity(b, NormSpec.schatten(1), fast)
+        assert "lp_crosscheck" not in rep.extra
+        assert "solver unavailable" in rep.extra["lp_crosscheck_error"]
+        assert any(r.name == "qcmod" and "LP cross-check" in r.getMessage() for r in caplog.records)
 
     def test_lorentz_ramp_upper_bound(self):
         R = 8

@@ -5,6 +5,7 @@ from qcmod.errors import CondenserError, ValidationError
 from qcmod.operator_core import (
     ContractionVariable,
     OperatorTuple,
+    commutator,
     commutator_column,
     commutators,
     embed,
@@ -82,6 +83,26 @@ class TestCondenser:
             rq = int(rng.integers(0, d - rp + 1))
             c = make_condenser(list(idx[:rp]), list(idx[rp : rp + rq]), dim=d)
             assert c.rank_p + c.rank_q + c.m0 == d
+
+
+class TestCachedProjections:
+    def test_P_and_Q_cached_read_only(self):
+        c = make_condenser([0, 1], [3], dim=5)
+        assert c.P is c.P and c.Q is c.Q
+        np.testing.assert_array_equal(c.P, np.diag([1.0, 1, 0, 0, 0]))
+        np.testing.assert_array_equal(c.Q, np.diag([0.0, 0, 0, 1, 0]))
+        for M in (c.P, c.Q):
+            assert not M.flags.writeable
+            with pytest.raises(ValueError):
+                M[0, 0] = 5.0
+
+    def test_embed_without_middle_hands_out_a_copy(self):
+        c = make_condenser([0, 1], [2], dim=3)
+        assert c.m0 == 0
+        A = c.embed_middle(np.zeros((0, 0)))
+        assert A.flags.writeable and not np.shares_memory(A, c.P)
+        A[0, 0] = 7.0
+        assert c.P[0, 0] == 1.0
 
 
 class TestEmbedProject:
@@ -164,6 +185,33 @@ class TestCommutators:
         expected = A @ T - T @ A
         assert np.allclose(C, expected)
         assert expected[0, 1] == 1.0  # (A T)_{12} - (T A)_{12} = 2 - 1
+
+    def test_diagonal_detection(self):
+        rng = np.random.default_rng(8)
+        D = np.diag(rng.standard_normal(4))
+        H = rand_hermitian(rng, 4)
+        tau = OperatorTuple.of([D, H, np.diag(rng.standard_normal(4) + 0j)])
+        t, none_h, none_c = tau.diagonals
+        np.testing.assert_array_equal(t, np.diagonal(D))
+        assert none_h is None and none_c is None
+
+    @pytest.mark.parametrize("d", [1, 3, 58, 128])
+    def test_broadcast_equals_matmul_for_real_diagonal(self, d):
+        rng = np.random.default_rng(d)
+        for trial in range(20):
+            t = rng.standard_normal(d)
+            if trial % 4 == 0:
+                t[rng.integers(0, d, size=d // 2 + 1)] = 0.0
+            T = np.diag(t)
+            A = rand_hermitian(rng, d) if trial % 2 else rng.standard_normal((d, d))
+            np.testing.assert_array_equal(commutator(A, T, t), A @ T - T @ A)
+            assert commutators(OperatorTuple.of([T]), A)[0].shape == (d, d)
+
+    def test_complex_variable_takes_the_matmul_path(self):
+        rng = np.random.default_rng(9)
+        t = rng.standard_normal(5)
+        A = rand_hermitian(rng, 5, complex_=True)
+        np.testing.assert_array_equal(commutator(A, np.diag(t), t), A @ np.diag(t) - np.diag(t) @ A)
 
     def test_column_shape(self):
         rng = np.random.default_rng(6)

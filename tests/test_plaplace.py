@@ -215,6 +215,66 @@ class TestEulerLagrange:
         el = euler_lagrange_report(prob, X_bad)
         assert not el.passed
 
+    @staticmethod
+    def _face_instance():
+        """p = 4, 8-dim two-tuple whose minimizer has eigenvalue 1 twice while
+        P = e1 has rank 1: the third pair of 0.5 (W + W^T) tuples drawn from
+        default_rng(1050896091), solved with the plaplace CLI's defaults."""
+        rng = np.random.default_rng(1050896091)
+        pairs = []
+        for _ in range(3):
+            Ts = []
+            for _ in range(2):
+                W = rng.standard_normal((8, 8))
+                Ts.append(0.5 * (W + W.T))
+            pairs.append(Ts)
+        prob = SmoothProblem(OperatorTuple.of(pairs[2], selfadjoint=[True, True]),
+                             make_condenser([0], [7], dim=8), 4.0)
+        rep = minimize_smooth(prob, SolveOptions(max_iters=20000, tol=1e-10,
+                                                 seed=1050896091, restarts=2))
+        X = embed(rep.minimizer)
+        w, V = np.linalg.eigh(X)
+        V1 = V[:, w >= 1.0 - 1e-6]
+        extra = V1 - np.outer(prob.condenser.P[:, 0], prob.condenser.P[0] @ V1)
+        u = extra[:, np.argmax(np.linalg.norm(extra, axis=0))]
+        return prob, rep, X, u / np.linalg.norm(u)
+
+    def test_minimizer_on_the_eigenvalue_one_face_passes(self):
+        prob, rep, X, u = self._face_instance()
+        assert rep.converged
+        el = euler_lagrange_report(prob, rep.minimizer)
+        assert el.passed, el.checks
+        assert np.trace(el.P1).real == pytest.approx(2.0, abs=1e-8)
+        # the compressions are those of -Theta (gradient / (p/2))
+        Th = el.Theta
+        assert float(u @ Th @ u) > 1e-2
+        assert max(el.compression_eigs["upper"]) <= el.tolerances["delta"]
+
+    def test_face_minimizer_confirmed_by_finite_differences(self):
+        prob, rep, X, u = self._face_instance()
+        f0 = smooth_objective(prob, X)
+        # lowering X along u, the only move off the face, raises I at the
+        # rate (p/2) u* Theta u that the gradient -(p/2) Theta predicts
+        rate = 0.5 * prob.p * float(u @ theta(prob, X).Theta @ u)
+        t = 1e-6
+        fd = (smooth_objective(prob, X - t * np.outer(u, u)) - f0) / t
+        assert fd > 0 and fd == pytest.approx(rate, rel=1e-3)
+        # no feasible chord X + t (Y - X) decreases I to first order
+        rng = np.random.default_rng(5)
+        cond = prob.condenser
+        for _ in range(20):
+            Y = cond.embed_middle(project_middle(cond, rand_hermitian(rng, cond.m0) + 0.5 * np.eye(cond.m0)))
+            slope = (smooth_objective(prob, X + t * (Y - X)) - f0) / t
+            assert slope >= -1e-4 * max(1.0, f0)
+
+    def test_feasible_perturbation_of_face_minimizer_fails(self):
+        prob, rep, X, u = self._face_instance()
+        X_off = X - 1e-3 * np.outer(u, u)  # feasible: eigenvalue 1 -> 0.999
+        assert np.linalg.eigvalsh(X_off).min() >= -1e-12
+        el = euler_lagrange_report(prob, X_off)
+        assert not el.passed
+        assert not el.checks["middle_compression_zero"]
+
     def test_boundary_ambiguity_flag(self):
         prob = _tridiag_problem(2.0)
         X = np.diag([1.0, 1.5e-6, 0.0])  # eigenvalue inside (eps1, 2 eps1)

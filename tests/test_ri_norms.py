@@ -4,6 +4,9 @@ import pytest
 from qcmod.errors import ValidationError
 from qcmod.ri_norms import (
     NormSpec,
+    _eval_weights,
+    _gauge_subgradient,
+    _tie_averaged,
     induced_weights,
     matrix_norm,
     norm_subgradient,
@@ -152,6 +155,66 @@ class TestSubgradient:
             lhs = vector_norm(w, spec)
             rhs = vector_norm(v, spec) + float(np.dot(g, w - v))
             assert lhs - rhs >= -1e-9 * max(1.0, lhs)
+
+
+class TestSubgradientFastPaths:
+    """The argsort-free and loop-free paths reproduce the sorted ones bit for bit."""
+
+    @staticmethod
+    def _argsort_path(v, spec):
+        a = np.abs(v)
+        order = np.argsort(-a, kind="stable")
+        d = np.empty(a.size)
+        d[order] = _gauge_subgradient(a[order], spec)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            phase = np.where(a > 0, v / np.where(a > 0, a, 1.0), 0.0)
+        return d * phase
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 3.5])
+    def test_schatten_skips_argsort_bitwise(self, p):
+        spec = NormSpec.schatten(p)
+        rng = np.random.default_rng(41)
+        for trial in range(200):
+            n = int(rng.integers(1, 5000))
+            v = rng.standard_normal(n) * rng.uniform(0.01, 5)
+            if trial % 3 == 0:
+                v[rng.integers(0, n, size=n // 3)] = 0.0  # zeros and ties
+                v[: n // 4] = np.round(v[: n // 4], 1)
+            np.testing.assert_array_equal(
+                vector_norm_subgradient(v, spec).view(np.uint64),
+                self._argsort_path(v, spec).view(np.uint64),
+            )
+
+    @staticmethod
+    def _loop_tie_averaged(values_sorted, w):
+        out = np.array(w, dtype=float)
+        i, n = 0, len(values_sorted)
+        while i < n:
+            j = i + 1
+            while j < n and values_sorted[j] == values_sorted[i]:
+                j += 1
+            if j - i > 1:
+                out[i:j] = out[i:j].mean()
+            i = j
+        return out
+
+    def test_tie_groups_match_the_elementwise_loop(self):
+        rng = np.random.default_rng(42)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            s = np.sort(rng.integers(0, 6, size=n).astype(float))[::-1]
+            w = np.sort(rng.uniform(0, 1, n))[::-1]
+            np.testing.assert_array_equal(
+                _tie_averaged(s, w).view(np.uint64), self._loop_tie_averaged(s, w).view(np.uint64)
+            )
+
+    def test_weights_cached_read_only(self):
+        spec = NormSpec.lorentz(2)
+        w = _eval_weights(spec, 17)
+        assert _eval_weights(NormSpec.lorentz(2), 17) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 2.0
 
 
 class TestNormAxioms:
