@@ -1,8 +1,12 @@
-"""Shared first-order engines, extrapolation fits, and a deterministic map.
+"""Shared first-order engines, the multistart driver, smoothing, extrapolation
+fits, and a deterministic map.
 
 The engines operate on numpy arrays of any shape with the real Frobenius
 inner product; feasibility is delegated to a ``project`` callback, so the same
 loop drives spectral-box middle blocks and pinned [0,1] vertex potentials.
+``Multistart`` runs every solver's restarts: it owns the shared history and
+its iteration numbering, each restart's best point and value, the best point
+of the solve, and the converged flag.
 """
 
 import os
@@ -26,19 +30,16 @@ def projected_subgradient(
     *,
     max_iters,
     tol,
-    step_rule="polyak_with_estimate",
     target=None,
     history=None,
     iter_offset=0,
 ):
-    """Projected subgradient loop with best-iterate tracking.
+    """Projected subgradient loop with Polyak steps and best-iterate tracking.
 
-    ``step_rule`` is ``"diminishing"`` (a / sqrt(k+1), with a calibrated from
-    the initial objective and subgradient) or ``"polyak_with_estimate"``. The
-    Polyak rule uses the supplied ``target`` when given; otherwise it maintains
-    an internal estimate best - delta, halving delta whenever a window of
-    iterations fails to improve. Objectives here are nonnegative, so targets
-    are floored at zero.
+    The Polyak step uses the supplied ``target`` when given; otherwise it
+    maintains an internal estimate best - delta, halving delta whenever a
+    window of iterations fails to improve. Objectives here are nonnegative, so
+    targets are floored at zero.
 
     Returns (best_x, best_f, iters_done, converged).
     """
@@ -61,13 +62,10 @@ def projected_subgradient(
             converged = True
             k += 1
             break
-        if step_rule == "diminishing":
-            alpha = a0 / np.sqrt(k + 1.0)
-        else:
-            tgt = target if target is not None else max(best_f - delta, 0.0)
-            alpha = max(f - tgt, 0.0) / gn2
-            if alpha <= 0.0:
-                alpha = 1e-3 * a0 / np.sqrt(k + 1.0)
+        tgt = target if target is not None else max(best_f - delta, 0.0)
+        alpha = max(f - tgt, 0.0) / gn2
+        if alpha <= 0.0:
+            alpha = 1e-3 * a0 / np.sqrt(k + 1.0)
         if history is not None:
             history.append((iter_offset + k, f, alpha))
         x = project(x - alpha * g)
@@ -78,7 +76,7 @@ def projected_subgradient(
         k += 1
         if k % window == 0:
             improved = window_best - best_f
-            if step_rule != "diminishing" and target is None and improved < 0.25 * delta:
+            if target is None and improved < 0.25 * delta:
                 delta *= 0.5
             if improved <= tol * scale0 and (target is not None or delta <= tol * scale0):
                 converged = True
@@ -194,6 +192,126 @@ def estimate_curvature(fg, x, rng, rounds=5, probe=1e-6):
         lam = max(_norm(w), 1e-12)
         v = w / lam
     return lam
+
+
+# -- multistart driver ---------------------------------------------------------------
+
+
+def _tail_converged(history, tol):
+    """Plateau criterion: the running best improved by <= tol * scale over the
+    final quarter of all recorded iterations."""
+    if len(history) < 8:
+        return False
+    objs = np.asarray([h[1] for h in history], dtype=float)
+    best = np.minimum.accumulate(objs)
+    cut = int(0.75 * len(best))
+    scale = max(objs[0], best[-1], 1e-300)
+    return bool(best[cut] - best[-1] <= tol * scale)
+
+
+class Multistart:
+    """One multistart solve: shared history, restart results and the best point.
+
+    ``history`` holds the (iteration, objective, step) rows of every phase of
+    every restart, numbered consecutively; ``iters`` is the next number. A
+    restart body runs its phases through ``run`` and ``record``; the lowest
+    value they offer is the restart's result (the first offer always counts).
+    ``converged`` is true once any phase converged.
+    """
+
+    def __init__(self):
+        self.history = []
+        self.iters = 0
+        self.converged = False
+        self.restart_values = []
+        self._best = None
+        self.minimizer = self.value = None  # set by solve
+
+    @classmethod
+    def solve(cls, starts, restart, finish, *, tail_tol=None):
+        """Run ``restart(ms, x0)`` from every start point; ``finish`` maps the
+        best restart's point to (minimizer, value), stored on the returned
+        driver. With ``tail_tol`` (the nonsmooth solvers) the value is logged as
+        a final history row and the plateau check can also set ``converged``.
+        """
+        ms = cls()
+        best_f, best_x = np.inf, None
+        for x0 in starts:
+            ms._best = None
+            restart(ms, x0)
+            x, f = ms._best
+            ms.restart_values.append(f)
+            if f < best_f:
+                best_f, best_x = f, x
+        ms.minimizer, ms.value = finish(best_x)
+        if tail_tol is not None:
+            ms.record(ms.minimizer, ms.value)
+            ms.converged = ms.converged or _tail_converged(ms.history, tail_tol)
+        return ms
+
+    def _offer(self, x, f, converged=False):
+        if self._best is None or f < self._best[1]:
+            self._best = (x, f)
+        self.converged = self.converged or converged
+
+    def run(self, engine, *args, offer=True, **kwargs):
+        """Run ``engine(*args, history=..., iter_offset=..., **kwargs)``, an
+        engine returning (x, f, iterations, converged); offer its point unless
+        ``offer`` is false. Returns (x, f, converged)."""
+        x, f, k, conv = engine(*args, history=self.history, iter_offset=self.iters, **kwargs)
+        self.iters += k
+        if offer:
+            self._offer(x, f, conv)
+        return x, f, conv
+
+    def record(self, x, f, converged=False):
+        """Offer an exactly evaluated point and log it as one history row."""
+        self.history.append((self.iters, f, 0.0))
+        self.iters += 1
+        self._offer(x, f, converged)
+
+    def subgradient(self, fg, project, x0, opts):
+        """The projected subgradient phase that opens every nonsmooth restart."""
+        return self.run(projected_subgradient, fg, project, x0,
+                        max_iters=opts.max_iters, tol=opts.tol, target=opts.target)
+
+    def refine_exact(self, fg, project, x, f, opts):
+        """Projected descent on the exact objective from the subgradient phase's
+        point (x, f): the refinement for weighted norms, valid locally once the
+        tie pattern of the sorted magnitudes stabilizes; the line search
+        degrades gracefully otherwise."""
+        return self.run(projected_descent, fg, project, x,
+                        max_iters=max(200, opts.max_iters // 2),
+                        residual_tol=max(1e-14, 1e-3 * opts.tol) * max(f, 1e-300))
+
+
+# -- smoothing -----------------------------------------------------------------------
+
+#: Smoothing parameters of the refinement stages, coarse to fine (relative to
+#: each solver's reference scales).
+SMOOTHING_LADDER = (1e-2, 1e-4, 1e-6, 1e-9)
+
+
+def _huber(x, mu):
+    """Huber-smoothed l1 norm sum_i sqrt(x_i^2 + mu^2) of a real vector and its
+    gradient x / r. The gradient is 0 where r = 0, which happens where x = 0
+    once mu^2 underflows (a zero reference scale)."""
+    r = np.sqrt(x * x + mu * mu)
+    return float(np.sum(r)), np.divide(x, r, out=np.zeros_like(r), where=r > 0)
+
+
+def _smooth_max(fs, grads, eps, scale):
+    """Log-sum-exp smoothing of max(fs) at temperature eps * scale / log(n + 1),
+    with the matching convex combination of grads; one term passes through."""
+    if len(fs) == 1:
+        return fs[0], grads[0]
+    nu = eps * scale / np.log(len(fs) + 1.0)
+    fmax = max(fs)
+    ws = np.exp((np.asarray(fs) - fmax) / nu)
+    total = ws.sum()
+    f = float(fmax + nu * np.log(total))
+    ws /= total
+    return f, sum(w * g for w, g in zip(ws, grads))
 
 
 # -- extrapolation fits ------------------------------------------------------------

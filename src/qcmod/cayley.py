@@ -39,8 +39,8 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ._solvers import fit_loglog, parallel_map, projected_subgradient, projected_descent
-from .condenser_solver import SolveOptions, SolveReport, _tail_converged, solve_condenser
+from ._solvers import SMOOTHING_LADDER, Multistart, _huber, _smooth_max, fit_loglog, parallel_map
+from .condenser_solver import SolveOptions, SolveReport, solve_condenser
 from .errors import ValidationError
 from .operator_core import (
     ContractionVariable,
@@ -50,7 +50,11 @@ from .operator_core import (
     objective,
     project_middle,
 )
-from .ri_norms import NormSpec, vector_norm, vector_norm_subgradient
+from .ri_norms import NormSpec, _vector_subgradient, vector_norm
+
+#: Largest dense regular representation ``truncated_regular_rep`` builds, in
+#: bytes (n_generators * n_vertices^2 doubles); F2 balls up to R = 6 fit.
+_DENSE_REP_LIMIT = 256 << 20
 
 logger = logging.getLogger("qcmod")
 
@@ -374,34 +378,14 @@ def graph_capacity(ball, spec, opts=None):
     u[ball.X1] = 1.0
     free = op.free
 
-    flags = {}
     if ball.X1.size == 0:
         # u = 0 is feasible and makes every difference vanish.
-        value = 0.0
-        flags["empty_inner_plate"] = True
-        return SolveReport(
-            value=value,
-            minimizer=u,
-            history=[(0, 0.0, 0.0)],
-            feasibility_residuals={"box": 0.0, "pins": 0.0},
-            converged=True,
-            wall_time=time.perf_counter() - t0,
-            iters=1,
-            extra=dict(flags, n_vertices=nv),
-        )
+        return SolveReport.closed_form(t0, 0.0, u, {"box": 0.0, "pins": 0.0},
+                                       empty_inner_plate=True, n_vertices=nv)
     if free.size == 0:
         # every vertex pinned: the single feasible potential is the pin pattern
-        value = op.max_norm(u, spec)
-        return SolveReport(
-            value=value,
-            minimizer=u,
-            history=[(0, value, 0.0)],
-            feasibility_residuals={"box": 0.0, "pins": 0.0},
-            converged=True,
-            wall_time=time.perf_counter() - t0,
-            iters=1,
-            extra=dict(flags, n_vertices=nv, fully_pinned=True),
-        )
+        return SolveReport.closed_form(t0, op.max_norm(u, spec), u, {"box": 0.0, "pins": 0.0},
+                                       n_vertices=nv, fully_pinned=True)
 
     def assemble(x):
         full = u.copy()
@@ -412,86 +396,49 @@ def graph_capacity(ball, spec, opts=None):
         diffs = op.diffs(assemble(x))
         vals = [vector_norm(d, spec) for d in diffs]
         jstar = int(np.argmax(vals))
-        return vals[jstar], op.Dt_free[jstar] @ vector_norm_subgradient(diffs[jstar], spec)
+        return vals[jstar], op.Dt_free[jstar] @ _vector_subgradient(diffs[jstar], spec, vals[jstar])
 
     proj = lambda x: np.clip(x, 0.0, 1.0)
 
-    history = []
-    best_f, best_x = np.inf, None
-    restart_values = []
-    converged = False
-    offset = 0
+    def restart(ms, x0):
+        bx, bf, _ = ms.subgradient(fg, proj, x0, opts)
+        if opts.refine and spec.kind == "schatten":
+            ms.run(_smooth_graph_refine, op, spec, u, bx)
+        elif opts.refine:
+            ms.refine_exact(fg, proj, bx, bf, opts)
 
-    inits = [np.full(free.size, 0.5)]
+    def finish(x):
+        full = assemble(proj(x))
+        return full, op.max_norm(full, spec)
+
+    starts = [np.full(free.size, 0.5)]
     seqs = np.random.SeedSequence(int(opts.seed)).spawn(max(0, opts.restarts - 1))
     for sq in seqs:
-        inits.append(np.random.default_rng(sq).uniform(0.0, 1.0, size=free.size))
-
-    for x0 in inits:
-        bx, bf, k, conv = projected_subgradient(
-            fg, proj, x0,
-            max_iters=opts.max_iters, tol=opts.tol,
-            step_rule=opts.step_rule, target=opts.target,
-            history=history, iter_offset=offset,
-        )
-        offset += k
-        r_best_f, r_best_x, r_conv = bf, bx, conv
-        if opts.refine and spec.kind == "schatten":
-            x_ref, f_ref, it_ref, conv_ref = _smooth_graph_refine(
-                op, spec, u, bx, history, offset
-            )
-            offset += it_ref
-            if f_ref < r_best_f:
-                r_best_f, r_best_x = f_ref, x_ref
-            r_conv = r_conv or conv_ref
-        elif opts.refine:
-            x_ref, f_ref, it_ref, conv_ref = projected_descent(
-                fg, proj, bx,
-                max_iters=max(200, opts.max_iters // 2),
-                residual_tol=max(1e-14, 1e-3 * opts.tol) * max(bf, 1e-300),
-                history=history, iter_offset=offset,
-            )
-            offset += it_ref
-            if f_ref < r_best_f:
-                r_best_f, r_best_x = f_ref, x_ref
-            r_conv = r_conv or conv_ref
-        restart_values.append(r_best_f)
-        converged = converged or r_conv
-        if r_best_f < best_f:
-            best_f, best_x = r_best_f, r_best_x
-
-    full = assemble(proj(best_x))
-    value = op.max_norm(full, spec)
-    history.append((offset, value, 0.0))
-    offset += 1
-    converged = converged or _tail_converged(history, opts.tol)
-    extra = dict(flags, restart_values=restart_values, n_vertices=nv)
+        starts.append(np.random.default_rng(sq).uniform(0.0, 1.0, size=free.size))
+    ms = Multistart.solve(starts, restart, finish, tail_tol=opts.tol)
+    full = ms.minimizer
+    extra = {"n_vertices": nv}
     if spec.kind == "schatten" and spec.p == 1 and nv <= 400:
         try:
             extra["lp_crosscheck"] = total_variation_capacity_lp(ball)
         except Exception as exc:
             logger.warning("LP cross-check of the trace-norm capacity failed: %s", exc, exc_info=True)
             extra["lp_crosscheck_error"] = f"{type(exc).__name__}: {exc}"
-    return SolveReport(
-        value=value,
-        minimizer=full,
-        history=history,
-        feasibility_residuals={
-            "box": float(max(0.0, full.max() - 1.0, -full.min())),
-            "pins": float(max(np.abs(full[ball.X1] - 1.0).max(initial=0.0),
-                              np.abs(full[ball.X2]).max(initial=0.0))),
-        },
-        converged=converged,
-        wall_time=time.perf_counter() - t0,
-        iters=offset,
-        extra=extra,
-    )
+    feasibility = {
+        "box": float(max(0.0, full.max() - 1.0, -full.min())),
+        "pins": float(max(np.abs(full[ball.X1] - 1.0).max(initial=0.0),
+                          np.abs(full[ball.X2]).max(initial=0.0))),
+    }
+    return SolveReport.of_multistart(t0, ms, feasibility, **extra)
 
 
-def _smooth_graph_refine(op, spec, u_template, x0, history, offset):
-    """L-BFGS-B on the smoothed max-of-norms objective, mu-homotopy with warm starts."""
+def _smooth_graph_refine(op, spec, u_template, x0, *, history, iter_offset):
+    """L-BFGS-B on the smoothed max-of-norms objective, mu-homotopy with warm starts.
+
+    Shaped like an engine for ``Multistart.run``: logs one history row (the
+    exact value after the last stage) and returns (x, f, iterations, True).
+    """
     p = spec.p
-    n = len(op.Dt_free)
     free = op.free
     u0 = u_template.copy()
     u0[free] = x0
@@ -501,7 +448,6 @@ def _smooth_graph_refine(op, spec, u_template, x0, history, offset):
 
     def make_obj(eps):
         mu = eps * d_scale
-        nu = eps * f_scale / np.log(n + 1.0) if n > 1 else None
 
         def obj(x):
             full = u_template.copy()
@@ -509,9 +455,7 @@ def _smooth_graph_refine(op, spec, u_template, x0, history, offset):
             fs, grads = [], []
             for d, Dt in zip(op.diffs(full), op.Dt_free):
                 if p == 1:
-                    r = np.sqrt(d * d + mu * mu)
-                    fj = float(r.sum())
-                    dd = d / r
+                    fj, dd = _huber(d, mu)
                 elif p == 2:
                     fj = float(np.sqrt(np.sum(d * d) + mu * mu))
                     dd = d / fj if fj > 0 else np.zeros_like(d)
@@ -521,22 +465,14 @@ def _smooth_graph_refine(op, spec, u_template, x0, history, offset):
                     dd = np.sign(d) * (a / fj) ** (p - 1.0) if fj > 0 else np.zeros_like(d)
                 fs.append(fj)
                 grads.append(Dt @ dd)
-            if n == 1:
-                return fs[0], grads[0]
-            fmax = max(fs)
-            ws = np.exp((np.asarray(fs) - fmax) / nu)
-            tot = ws.sum()
-            fval = float(fmax + nu * np.log(tot))
-            ws /= tot
-            gtot = sum(w * gj for w, gj in zip(ws, grads))
-            return fval, gtot
+            return _smooth_max(fs, grads, eps, f_scale)
 
         return obj
 
     bounds = [(0.0, 1.0)] * free.size
     x = np.asarray(x0, dtype=float)
     total_it = 0
-    for eps in (1e-2, 1e-4, 1e-6, 1e-9):
+    for eps in SMOOTHING_LADDER:
         res = scipy.optimize.minimize(
             make_obj(eps), x, jac=True, method="L-BFGS-B", bounds=bounds,
             options={"maxiter": 3000, "ftol": 1e-17, "gtol": 1e-14},
@@ -546,8 +482,7 @@ def _smooth_graph_refine(op, spec, u_template, x0, history, offset):
     full = u_template.copy()
     full[free] = np.clip(x, 0.0, 1.0)
     f_exact = op.max_norm(full, spec)
-    if history is not None:
-        history.append((offset + total_it, f_exact, 0.0))
+    history.append((iter_offset + total_it, f_exact, 0.0))
     return np.clip(x, 0.0, 1.0), f_exact, total_it + 1, True
 
 
@@ -619,14 +554,23 @@ def harmonic_capacity_oracle(ball):
 
 
 def truncated_regular_rep(ball):
-    """Left regular representation compressed to l^2(ball): partial permutations."""
+    """Left regular representation compressed to l^2(ball): partial permutations.
+
+    The matrices are dense; a ball whose tuple would exceed ``_DENSE_REP_LIMIT``
+    bytes is rejected before anything is allocated.
+    """
     nv = ball.n_vertices
+    need = ball.n_generators * nv * nv * 8
+    if need > _DENSE_REP_LIMIT:
+        raise ValidationError(
+            f"the dense regular representation of a {nv}-vertex ball needs "
+            f"{need / 2**20:.0f} MiB, above the {_DENSE_REP_LIMIT >> 20} MiB limit"
+        )
     mats = []
     for fwd in ball.sigma:
         M = np.zeros((nv, nv))
-        for h, hp in enumerate(fwd):
-            if hp >= 0:
-                M[hp, h] = 1.0
+        inside = np.flatnonzero(fwd >= 0)
+        M[fwd[inside], inside] = 1.0
         mats.append(M)
     return OperatorTuple(tuple(mats), (False,) * len(mats), nv)
 
@@ -645,8 +589,8 @@ def verify_transfer(ball, spec, opts=None):
     reported upper bounds as well. The remaining gap is reported.
     """
     opts = opts or SolveOptions()
-    cap_report = graph_capacity(ball, spec, opts)
     tau = truncated_regular_rep(ball)
+    cap_report = graph_capacity(ball, spec, opts)
     cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
     k_report = solve_condenser(tau, cond, spec, opts)
     k_value = k_report.value

@@ -7,31 +7,32 @@ a smoothed projected-descent refinement. The reported value is always an
 upper bound on the infimum: every iterate is exactly feasible.
 """
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._solvers import (
+    SMOOTHING_LADDER,
+    Multistart,
+    _huber,
+    _smooth_max,
     fit_power,
     fit_richardson,
     parallel_map,
     projected_descent,
-    projected_subgradient,
 )
 from .errors import ValidationError
 from .jsonio import matrix_to_json
-from .operator_core import ContractionVariable, commutator, embed, project_middle
+from .operator_core import ContractionVariable, commutator, embed, objective, project_middle
 from .ri_norms import matrix_norm, norm_subgradient, spec_list
-
-_STEP_RULES = ("diminishing", "polyak_with_estimate")
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     max_iters: int = 2000
     tol: float = 1e-7
-    step_rule: str = "polyak_with_estimate"
     seed: int = 0
     restarts: int = 2
     target: float | None = None
@@ -42,16 +43,13 @@ class SolveOptions:
             raise ValidationError("max_iters must be >= 1")
         if not (self.tol > 0):
             raise ValidationError("tol must be > 0")
-        if self.step_rule not in _STEP_RULES:
-            raise ValidationError(f"step_rule must be one of {_STEP_RULES}")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
 
     @staticmethod
     def from_json(obj):
-        obj = dict(obj or {})
-        known = {k: obj[k] for k in ("max_iters", "tol", "step_rule", "seed", "restarts", "target", "refine") if k in obj}
-        return SolveOptions(**known)
+        obj = obj or {}
+        return SolveOptions(**{f.name: obj[f.name] for f in dataclasses.fields(SolveOptions) if f.name in obj})
 
 
 @dataclass
@@ -66,6 +64,19 @@ class SolveReport:
     wall_time: float
     iters: int
     extra: dict = field(default_factory=dict)
+
+    @classmethod
+    def closed_form(cls, t0, value, minimizer, feasibility, iters=1, **extra):
+        """Report of a solve with nothing to optimize, started at ``t0``."""
+        return cls(value, minimizer, [(0, value, 0.0)], feasibility, True,
+                   time.perf_counter() - t0, iters, extra)
+
+    @classmethod
+    def of_multistart(cls, t0, ms, feasibility, **extra):
+        """Report of a finished ``Multistart`` solve started at ``t0``."""
+        return cls(ms.value, ms.minimizer, ms.history, feasibility, ms.converged,
+                   time.perf_counter() - t0, ms.iters,
+                   {"restart_values": ms.restart_values, **extra})
 
     def to_json(self, history_csv=None):
         if isinstance(self.minimizer, ContractionVariable):
@@ -120,8 +131,6 @@ def _smooth_fg(tau, cond, specs, eps, sref, fref):
     Vm = cond.basis_mid
     Tcs = [T.conj().T for T in tau.components]
     diags = tau.diagonals
-    n = len(specs)
-    nu = eps * max(fref, 1e-300) / np.log(n + 1.0) if n > 1 else None
 
     def fg(B):
         A = cond.embed_middle(B)
@@ -131,34 +140,20 @@ def _smooth_fg(tau, cond, specs, eps, sref, fref):
             U, s, Vh = np.linalg.svd(C, full_matrices=False)
             p = sp.p
             if p == 1:
-                mu = eps * max(sref[j], 1e-300)
-                r = np.sqrt(s * s + mu * mu)
-                fj = float(np.sum(r))
-                ds = s / r
+                fj, ds = _huber(s, eps * max(sref[j], 1e-300))
             else:
                 fj = float(np.sum(s ** p) ** (1.0 / p)) if s.size else 0.0
-                if fj > 0:
-                    ds = (s / fj) ** (p - 1.0)
-                else:
-                    ds = np.zeros_like(s)
-            G = (U * ds) @ Vh
+                ds = (s / fj) ** (p - 1.0) if fj > 0 else np.zeros_like(s)
             fs.append(fj)
-            Gs.append(commutator(G, Tcs[j], diags[j]))
-        if n == 1:
-            f, W = fs[0], Gs[0]
-        else:
-            fmax = max(fs)
-            ws = np.exp((np.asarray(fs) - fmax) / nu)
-            total = ws.sum()
-            f = float(fmax + nu * np.log(total))
-            ws /= total
-            W = sum(w * Gj for w, Gj in zip(ws, Gs))
+            Gs.append(commutator((U * ds) @ Vh, Tcs[j], diags[j]))
+        f, W = _smooth_max(fs, Gs, eps, fref)
         return f, _herm(Vm.conj().T @ W @ Vm)
 
     return fg
 
 
-def _initial_middles(cond, restarts, seed):
+def _initial_middles(cond, restarts, seed, divisor):
+    """0.5 I, then seeded projected perturbations 0.5 I + 0.35 herm(W) / divisor."""
     m0 = cond.m0
     dtype = complex if cond.is_complex else float
     out = [0.5 * np.eye(m0, dtype=dtype)]
@@ -168,7 +163,7 @@ def _initial_middles(cond, restarts, seed):
         W = rng.standard_normal((m0, m0))
         if dtype is complex:
             W = W + 1j * rng.standard_normal((m0, m0))
-        B = 0.5 * np.eye(m0, dtype=dtype) + 0.35 * _herm(W) / np.sqrt(max(m0, 1))
+        B = 0.5 * np.eye(m0, dtype=dtype) + 0.35 * _herm(W) / divisor
         out.append(project_middle(cond, B))
     return out
 
@@ -198,125 +193,43 @@ def solve_condenser(tau, cond, specs, opts=None):
     t0 = time.perf_counter()
 
     if cond.m0 == 0:
-        from .operator_core import objective
-
         var = ContractionVariable(cond, np.zeros((0, 0)))
         value = objective(tau, embed(var), specs)
-        return SolveReport(
-            value=value,
-            minimizer=var,
-            history=[(0, value, 0.0)],
-            feasibility_residuals=_feasibility(tau, cond, var),
-            converged=True,
-            wall_time=time.perf_counter() - t0,
-            iters=1,
-            extra={"restart_values": [value], "m0": 0},
-        )
+        return SolveReport.closed_form(t0, value, var, _feasibility(tau, cond, var),
+                                       restart_values=[value], m0=0)
 
     fg = _exact_fg(tau, cond, specs)
     proj = lambda B: project_middle(cond, B)
-    history = []
-    best_f, best_B = np.inf, None
-    restart_values = []
-    converged = False
-    offset = 0
+    all_schatten = all(sp.kind == "schatten" for sp in specs)
 
-    for B0 in _initial_middles(cond, opts.restarts, opts.seed):
-        bx, bf, k, conv = projected_subgradient(
-            fg,
-            proj,
-            B0,
-            max_iters=opts.max_iters,
-            tol=opts.tol,
-            step_rule=opts.step_rule,
-            target=opts.target,
-            history=history,
-            iter_offset=offset,
-        )
-        offset += k
-        r_best_f, r_best_B, r_conv = bf, bx, conv
+    def restart(ms, B0):
+        bx, bf, _ = ms.subgradient(fg, proj, B0, opts)
+        if not opts.refine:
+            return
+        if not all_schatten:
+            ms.refine_exact(fg, proj, bx, bf, opts)
+            return
+        A0 = cond.embed_middle(bx)
+        sref = []
+        for T, t in zip(tau.components, tau.diagonals):
+            sv = np.linalg.svd(commutator(A0, T, t), compute_uv=False)
+            sref.append(float(sv[0]) if sv.size else 0.0)
+        f0 = max(bf, 1e-300)
+        x = bx
+        for eps, iters in zip(SMOOTHING_LADDER, (150, 150, 300, max(300, opts.max_iters // 2))):
+            x, _, conv = ms.run(
+                projected_descent, _smooth_fg(tau, cond, specs, eps, sref, f0), proj, x,
+                max_iters=iters, residual_tol=max(1e-14, 1e-3 * opts.tol) * f0, offer=False,
+            )
+        ms.record(x, fg(x)[0], conv)
 
-        if opts.refine:
-            all_schatten = all(sp.kind == "schatten" for sp in specs)
-            f0 = max(bf, 1e-300)
-            if all_schatten:
-                A0 = cond.embed_middle(bx)
-                sref = []
-                for T, t in zip(tau.components, tau.diagonals):
-                    sv = np.linalg.svd(commutator(A0, T, t), compute_uv=False)
-                    sref.append(float(sv[0]) if sv.size else 0.0)
-                x_cur = bx
-                stages = ((1e-2, 150), (1e-4, 150), (1e-6, 300), (1e-9, max(300, opts.max_iters // 2)))
-                for eps, iters in stages:
-                    sfg = _smooth_fg(tau, cond, specs, eps, sref, f0)
-                    x_cur, _, kk, conv_s = projected_descent(
-                        sfg,
-                        proj,
-                        x_cur,
-                        max_iters=iters,
-                        residual_tol=max(1e-14, 1e-3 * opts.tol) * f0,
-                        history=history,
-                        iter_offset=offset,
-                    )
-                    offset += kk
-                f_exact, _ = fg(x_cur)
-                history.append((offset, f_exact, 0.0))
-                offset += 1
-                if f_exact < r_best_f:
-                    r_best_f, r_best_B = f_exact, x_cur
-                r_conv = r_conv or conv_s
-            else:
-                # Weighted kinds: descend on the exact objective using its
-                # subgradient; valid locally once singular-value tie patterns
-                # stabilize, and the line search degrades gracefully otherwise.
-                x_cur, f_cur, kk, conv_s = projected_descent(
-                    fg,
-                    proj,
-                    bx,
-                    max_iters=max(200, opts.max_iters // 2),
-                    residual_tol=max(1e-14, 1e-3 * opts.tol) * f0,
-                    history=history,
-                    iter_offset=offset,
-                )
-                offset += kk
-                if f_cur < r_best_f:
-                    r_best_f, r_best_B = f_cur, x_cur
-                r_conv = r_conv or conv_s
+    def finish(B):
+        var = ContractionVariable(cond, project_middle(cond, B))
+        return var, objective(tau, embed(var), specs)
 
-        restart_values.append(r_best_f)
-        converged = converged or r_conv
-        if r_best_f < best_f:
-            best_f, best_B = r_best_f, r_best_B
-
-    var = ContractionVariable(cond, project_middle(cond, best_B))
-    from .operator_core import objective
-
-    value = objective(tau, embed(var), specs)
-    history.append((offset, value, 0.0))
-    offset += 1
-    converged = converged or _tail_converged(history, opts.tol)
-    return SolveReport(
-        value=value,
-        minimizer=var,
-        history=history,
-        feasibility_residuals=_feasibility(tau, cond, var),
-        converged=converged,
-        wall_time=time.perf_counter() - t0,
-        iters=offset,
-        extra={"restart_values": restart_values, "m0": cond.m0},
-    )
-
-
-def _tail_converged(history, tol):
-    """Plateau criterion: the running best improved by <= tol * scale over the
-    final quarter of all recorded iterations."""
-    if len(history) < 8:
-        return False
-    objs = np.asarray([h[1] for h in history], dtype=float)
-    best = np.minimum.accumulate(objs)
-    cut = int(0.75 * len(best))
-    scale = max(objs[0], best[-1], 1e-300)
-    return bool(best[cut] - best[-1] <= tol * scale)
+    starts = _initial_middles(cond, opts.restarts, opts.seed, np.sqrt(max(cond.m0, 1)))
+    ms = Multistart.solve(starts, restart, finish, tail_tol=opts.tol)
+    return SolveReport.of_multistart(t0, ms, _feasibility(tau, cond, ms.minimizer), m0=cond.m0)
 
 
 def sup_over_projections(tau, P_family, Q, specs, opts=None):

@@ -17,13 +17,14 @@ checked numerically here, and the proportionality constant -p/2 is validated
 by finite differences in the test suite before the certificates are trusted.
 """
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._solvers import estimate_curvature, parallel_map, projected_descent
-from .condenser_solver import SolveOptions, SolveReport
+from ._solvers import Multistart, estimate_curvature, parallel_map, projected_descent
+from .condenser_solver import SolveOptions, SolveReport, _initial_middles
 from .errors import ValidationError
 from .operator_core import (
     Condenser,
@@ -140,62 +141,34 @@ def minimize_smooth(prob, opts=None):
     if m0 == 0:
         var = ContractionVariable(cond, np.zeros((0, 0)))
         val = smooth_objective(prob, embed(var))
-        return SolveReport(
-            value=val, minimizer=var, history=[(0, val, 0.0)],
-            feasibility_residuals={}, converged=True,
-            wall_time=time.perf_counter() - t0, iters=0,
-            extra={"restart_values": [val], "p": prob.p},
-        )
+        return SolveReport.closed_form(t0, val, var, {}, iters=0, restart_values=[val], p=prob.p)
 
     fg = _middle_fg(prob)
     proj = lambda B: project_middle(cond, B)
-    dtype = complex if cond.is_complex else float
-
-    inits = [0.5 * np.eye(m0, dtype=dtype)]
-    seqs = np.random.SeedSequence(int(opts.seed)).spawn(max(0, opts.restarts - 1))
-    for sq in seqs:
-        rng = np.random.default_rng(sq)
-        W = rng.standard_normal((m0, m0))
-        if dtype is complex:
-            W = W + 1j * rng.standard_normal((m0, m0))
-        inits.append(project_middle(cond, 0.5 * np.eye(m0, dtype=dtype) + 0.35 * _herm(W)))
-
-    history = []
-    best_f, best_B = np.inf, None
-    restart_values = []
-    converged = False
-    offset = 0
     rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed) + 101))
-    for B0 in inits:
+
+    def restart(ms, B0):
         L = estimate_curvature(fg, B0, rng)
         f0, _ = fg(B0)
-        bx, bf, k, conv = projected_descent(
-            fg, proj, B0,
+        ms.run(
+            projected_descent, fg, proj, B0,
             max_iters=opts.max_iters,
             residual_tol=max(1e-14 * max(f0, 1.0), opts.tol * 1e-3 * max(f0, 1e-300)),
-            history=history, iter_offset=offset,
             init_step=1.0 / max(L, 1e-12),
             plateau_tol=1e-15 * (f0 + 1e-300),
         )
-        offset += k
-        restart_values.append(bf)
-        converged = converged or conv
-        if bf < best_f:
-            best_f, best_B = bf, bx
 
-    var = ContractionVariable(cond, project_middle(cond, best_B))
-    value = smooth_objective(prob, embed(var))
-    return SolveReport(
-        value=value, minimizer=var, history=history,
-        feasibility_residuals={
-            "AP_minus_P": float(np.linalg.norm(embed(var) @ cond.P - cond.P)),
-            "AQ": float(np.linalg.norm(embed(var) @ cond.Q)),
-        },
-        converged=converged,
-        wall_time=time.perf_counter() - t0,
-        iters=offset,
-        extra={"restart_values": restart_values, "p": prob.p},
-    )
+    def finish(B):
+        var = ContractionVariable(cond, project_middle(cond, B))
+        return var, smooth_objective(prob, embed(var))
+
+    ms = Multistart.solve(_initial_middles(cond, opts.restarts, opts.seed, 1.0), restart, finish)
+    A = embed(ms.minimizer)
+    feasibility = {
+        "AP_minus_P": float(np.linalg.norm(A @ cond.P - cond.P)),
+        "AQ": float(np.linalg.norm(A @ cond.Q)),
+    }
+    return SolveReport.of_multistart(t0, ms, feasibility, p=prob.p)
 
 
 def euler_lagrange_report(prob, X, eps1=1e-6, delta=None):
@@ -275,11 +248,7 @@ def uniqueness_probe(prob, opts=None, trials=4):
         raise ValidationError("trials must be >= 2")
 
     def run(i):
-        o = SolveOptions(
-            max_iters=opts.max_iters, tol=opts.tol, step_rule=opts.step_rule,
-            seed=opts.seed + 977 * i, restarts=1, target=opts.target, refine=opts.refine,
-        )
-        return minimize_smooth(prob, o)
+        return minimize_smooth(prob, dataclasses.replace(opts, seed=opts.seed + 977 * i, restarts=1))
 
     reports = parallel_map(run, range(trials))
     used = [r for r in reports if r.converged]

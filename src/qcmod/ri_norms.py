@@ -24,9 +24,6 @@ from .errors import ValidationError, NumericError
 
 _KINDS = ("schatten", "lorentz_p1", "macaev", "weights")
 
-#: Upper bound on the number of weighted-sum terms ever evaluated.
-DEFAULT_LENGTH_HINT = 1 << 22
-
 
 @dataclass(frozen=True)
 class NormSpec:
@@ -34,14 +31,11 @@ class NormSpec:
 
     ``p`` is required for ``schatten`` and ``lorentz_p1``; ``weights`` is
     required for kind ``weights`` and must be nonincreasing and nonnegative.
-    ``length_hint`` caps how many weighted terms are summed (weighted kinds
-    only; all sequences here are finite, so no truncation loss occurs).
     """
 
     kind: str
     p: float | None = None
     weights: tuple | None = None
-    length_hint: int = DEFAULT_LENGTH_HINT
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -56,8 +50,6 @@ class NormSpec:
             if np.any(w < 0) or np.any(np.diff(w) > 0):
                 raise ValidationError("weights must be nonnegative and nonincreasing")
             object.__setattr__(self, "weights", tuple(float(x) for x in w))
-        if self.length_hint < 1:
-            raise ValidationError("length_hint must be a positive integer")
 
     # -- convenience constructors -------------------------------------------------
     @staticmethod
@@ -95,8 +87,6 @@ class NormSpec:
             kwargs["p"] = float(obj["p"])
         if "weights" in obj and obj["weights"] is not None:
             kwargs["weights"] = tuple(float(x) for x in obj["weights"])
-        if "length_hint" in obj:
-            kwargs["length_hint"] = int(obj["length_hint"])
         return NormSpec(kind, **kwargs)
 
 
@@ -124,10 +114,9 @@ def induced_weights(spec, n):
 
 @lru_cache(maxsize=64)
 def _eval_weights(spec, n):
-    """Weights for a length-n sorted sequence (hint-capped); cached, read-only."""
-    m = min(n, spec.length_hint)
-    if spec.kind == "weights":
-        m = min(m, len(spec.weights))
+    """Weights for a length-n sorted sequence (an explicit sequence shorter
+    than n is padded with zeros); cached, read-only."""
+    m = min(n, len(spec.weights)) if spec.kind == "weights" else n
     w = np.zeros(n)
     if m > 0:
         w[:m] = induced_weights(spec, m)
@@ -186,11 +175,14 @@ def _tie_averaged(values_sorted, w):
     return out
 
 
-def _schatten_gauge(s, spec):
-    """Schatten gauge subgradient at s >= 0, s != 0; entrywise, so s needs no sorting."""
+def _schatten_gauge(s, spec, norm=None):
+    """Schatten gauge subgradient at s >= 0, s != 0; entrywise, so s needs no
+    sorting. ``norm`` is vector_norm(s, spec) when the caller already has it."""
     if spec.p == 1:
         return np.ones(s.size)
-    return (s / vector_norm(s, spec)) ** (spec.p - 1.0)
+    if norm is None:
+        norm = vector_norm(s, spec)
+    return (s / norm) ** (spec.p - 1.0)
 
 
 def _gauge_subgradient(s_sorted, spec):
@@ -199,6 +191,9 @@ def _gauge_subgradient(s_sorted, spec):
     if n == 0 or s_sorted[0] == 0.0:
         return np.zeros(n)
     if spec.kind == "schatten":
+        # The norm is recomputed through vector_norm (a sort) although s_sorted
+        # is sorted: vector_norm raises a reversed view to the power p, and numpy
+        # rounds a strided power differently from a contiguous one.
         return _schatten_gauge(s_sorted, spec)
     return _tie_averaged(s_sorted, _eval_weights(spec, n))
 
@@ -222,12 +217,18 @@ def norm_subgradient(M, spec):
 
 def vector_norm_subgradient(v, spec):
     """Subgradient of ``vector_norm`` at a real or complex vector."""
+    return _vector_subgradient(v, spec)
+
+
+def _vector_subgradient(v, spec, norm=None):
+    """``vector_norm_subgradient``; ``norm`` is vector_norm(v, spec) when the
+    caller already has it, which spares the Schatten gauge a sort."""
     v = np.asarray(v)
     a = np.abs(v)
     if a.size == 0 or a.max() == 0.0:
         return np.zeros_like(v, dtype=float if not np.iscomplexobj(v) else complex)
     if spec.kind == "schatten":
-        d = _schatten_gauge(a, spec)
+        d = _schatten_gauge(a, spec, norm)
     else:
         order = np.argsort(-a, kind="stable")
         d = np.empty(a.size)

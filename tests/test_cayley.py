@@ -1,4 +1,6 @@
 import logging
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +108,32 @@ class TestTruncatedRep:
             e = b.index_of(())
             assert nz == {(b.index_of((j,)), e), (e, b.index_of((-j,)))}
 
+    def test_dense_guard_rejects_before_allocating(self):
+        # F2 R = 8 has 13,121 vertices: two dense 1.4 GB partial permutations
+        b = build_ball(F2, 8, X1="origin", X2={"sphere": 8})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="MiB"):
+                truncated_regular_rep(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_dense_guard_admits_f2_r6(self):
+        tau = truncated_regular_rep(build_ball(F2, 6))
+        assert all(M.shape == (1457, 1457) for M in tau.components)
+
+    @pytest.mark.parametrize("grp,R", [(Z2, 2), (F2, 2), (Z3, 1)], ids=["Z2", "F2", "Z3"])
+    def test_indexed_fill_matches_loop(self, grp, R):
+        b = build_ball(grp, R)
+        for M, fwd in zip(truncated_regular_rep(b).components, b.sigma):
+            ref = np.zeros_like(M)
+            for h, hp in enumerate(fwd):
+                if hp >= 0:
+                    ref[hp, h] = 1.0
+            assert np.array_equal(M, ref)
+
 
 def _edge_rows(ball):
     """Edge-by-edge reference encoding: per generator (head, tail) vertex
@@ -191,6 +219,16 @@ class TestIncidenceOperator:
 
 
 class TestGraphCapacity:
+    def test_zero_capacity_cycle_has_no_nan_smoothing(self):
+        # On a finite cycle u = 1 is feasible, so the capacity is 0 and the
+        # Huber parameter's reference scale is 0 (mu^2 underflows).
+        ball = build_ball(GroupSpec("custom", tables=((1, 2, 3, 4, 0),)), 0, X1=[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = graph_capacity(ball, NormSpec.schatten(1), OPTS)
+        assert rep.value == 0.0
+        assert all(np.isfinite(h[1]) for h in rep.history)
+
     def test_trace_norm_line_vs_lp(self):
         b = build_ball(Z, 5, X1="origin")
         lp = total_variation_capacity_lp(b)

@@ -173,6 +173,30 @@ class TestDispatch:
         assert main(["norm", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
+    def test_condenser_with_vanishing_commutators(self, tmp_path):
+        # diagonal tuple: every diagonal A commutes, k = 0 (the smoothing's
+        # reference scale is 0; this run used to end in a LinAlgError)
+        d = 9
+        payload = {
+            "tuple": {"components": [{"re": np.diag(np.linspace(0, 1, d)).tolist()},
+                                     {"re": np.diag(np.cos(np.arange(d))).tolist()}]},
+            "P": {"basis_indices": [0, 1]},
+            "Q": {"basis_indices": [8]},
+            "norm": {"kind": "schatten", "p": 1},
+        }
+        code = run(tmp_path, ["condenser", "--inline", json.dumps(payload), "--out", "OUT",
+                              "--seed", "3"])
+        assert code == 0
+        assert json.loads((tmp_path / "report.json").read_text())["value_upper"] == 0.0
+
+    def test_transfer_too_large_exit_2(self, tmp_path, capsys):
+        payload = {"group": {"kind": "free", "k": 2}, "R": 8, "x1": "origin",
+                   "x2": {"sphere": 8}, "norm": {"kind": "schatten", "p": 2}}
+        code = run(tmp_path, ["transfer", "--inline", json.dumps(payload), "--out", "OUT"])
+        assert code == 2
+        assert "MiB" in capsys.readouterr().err
+
+
 class TestEmitSeries:
     def test_empty_history_header_only(self, tmp_path):
         path = emit_series(str(tmp_path / "h.csv"), ["iter", "objective", "step"], [])

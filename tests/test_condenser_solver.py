@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,12 +98,18 @@ class TestSolveCondenser:
         v_hybrid = solve_condenser(tau, cond, [spec, spec], OPTS).value
         assert v_hybrid == v_single  # identical code path and seeds
 
-    def test_diminishing_step_rule(self, tridiag_example):
-        tau, cond = tridiag_example
-        opts = SolveOptions(max_iters=4000, tol=1e-9, seed=1, restarts=1,
-                            step_rule="diminishing", refine=False)
-        rep = solve_condenser(tau, cond, NormSpec.schatten(2), opts)
-        assert rep.value == pytest.approx(1.0, rel=1e-3)
+    def test_zero_reference_scale_in_huber_smoothing(self):
+        # Every diagonal A commutes with both diagonal components, so the
+        # subgradient phase ends at k = 0 and the Huber parameter mu = eps * 0
+        # squares to 0; the smoothed gradient must stay finite there.
+        d = 9
+        tau = OperatorTuple.of([np.diag(np.linspace(0.0, 1.0, d)), np.diag(np.cos(np.arange(d)))])
+        cond = make_condenser([0, 1], [8], dim=d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = solve_condenser(tau, cond, NormSpec.schatten(1), SolveOptions(seed=3))
+        assert rep.value == 0.0
+        assert all(np.isfinite(h[1]) for h in rep.history)
 
     def test_polyak_with_supplied_target(self, tridiag_example):
         tau, cond = tridiag_example

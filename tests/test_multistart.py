@@ -1,0 +1,119 @@
+"""The multistart driver's bookkeeping, shared by all three solvers."""
+
+import numpy as np
+import pytest
+
+from qcmod._solvers import Multistart, _huber, _smooth_max
+from qcmod.cayley import GroupSpec, build_ball, graph_capacity
+from qcmod.condenser_solver import SolveOptions, solve_condenser
+from qcmod.operator_core import OperatorTuple, make_condenser
+from qcmod.plaplace import SmoothProblem, minimize_smooth
+from qcmod.ri_norms import NormSpec
+
+from conftest import rand_hermitian
+
+SPECS = [NormSpec.schatten(1), NormSpec.schatten(2), NormSpec.lorentz(2)]
+SPEC_IDS = ["s1", "s2", "l21"]
+OPTS3 = SolveOptions(max_iters=300, tol=1e-8, seed=7, restarts=3)
+
+
+def _check_bookkeeping(rep):
+    vals = rep.extra["restart_values"]
+    assert len(vals) == 3
+    idx = [h[0] for h in rep.history]
+    assert idx[0] == 0
+    assert all(b >= a for a, b in zip(idx, idx[1:]))
+    assert idx[-1] <= rep.iters
+    assert rep.value <= min(vals) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_condenser_bookkeeping(spec):
+    rng = np.random.default_rng(21)
+    tau = OperatorTuple.of([rand_hermitian(rng, 4), rand_hermitian(rng, 4)])
+    rep = solve_condenser(tau, make_condenser([0], [3], dim=4), spec, OPTS3)
+    _check_bookkeeping(rep)
+    # the exact re-evaluation of the best point closes the history
+    assert rep.history[-1] == (rep.iters - 1, rep.value, 0.0)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_graph_capacity_bookkeeping(spec):
+    ball = build_ball(GroupSpec("zd", d=2), 3, X1="origin", X2={"sphere": 3})
+    rep = graph_capacity(ball, spec, OPTS3)
+    _check_bookkeeping(rep)
+    assert rep.history[-1] == (rep.iters - 1, rep.value, 0.0)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_smooth_bookkeeping(p):
+    rng = np.random.default_rng(22)
+    tau = OperatorTuple.of([rand_hermitian(rng, 4), rand_hermitian(rng, 4)],
+                           selfadjoint=[True, True])
+    prob = SmoothProblem(tau, make_condenser([0], [3], dim=4), p)
+    _check_bookkeeping(minimize_smooth(prob, OPTS3))
+
+
+def _engine(fs, conv):
+    """A fake engine that logs one row per value and returns the last one."""
+
+    def engine(x0, *, history, iter_offset):
+        for k, f in enumerate(fs):
+            history.append((iter_offset + k, f, 1.0))
+        return x0 + 1, fs[-1], len(fs), conv
+
+    return engine
+
+
+class TestMultistart:
+    def test_restart_results_best_point_and_numbering(self):
+        def restart(ms, x0):
+            x, f, _ = ms.run(_engine([5.0, 4.0 - x0], False), x0)
+            ms.run(_engine([9.0], False), x, offer=False)  # a smoothed stage: not a candidate
+            ms.record(x * 10, 3.5)
+
+        ms = Multistart.solve([0, 1], restart, lambda x: (x, float(x)), tail_tol=1e-9)
+        # restart 0: offers 4.0 (run) then 3.5 (record); restart 1: 3.0 then 3.5
+        assert ms.restart_values == [3.5, 3.0]
+        assert ms.minimizer == 2 and ms.value == 2.0  # best point of restart 1
+        assert [h[0] for h in ms.history] == list(range(9))
+        assert ms.iters == 9
+        assert ms.history[-1] == (8, 2.0, 0.0)
+
+    def test_converged_is_any_offered_phase(self):
+        def restart(ms, x0):
+            ms.run(_engine([1.0], x0 == 1), x0)
+            ms.run(_engine([2.0], True), x0, offer=False)  # not offered: does not count
+
+        done = Multistart.solve([0, 1], restart, lambda x: (x, 0.0))
+        assert done.converged
+        assert not Multistart.solve([0], restart, lambda x: (x, 0.0)).converged
+
+    def test_without_tail_tol_no_final_row(self):
+        ms = Multistart.solve([0], lambda ms, x0: ms.run(_engine([1.0, 0.5], False), x0),
+                              lambda x: (x, 0.5))
+        assert ms.iters == 2 and len(ms.history) == 2
+
+
+def test_huber_gradient_is_zero_where_mu_underflows():
+    f, g = _huber(np.array([0.0, -2.0, 3.0]), 1e-302)
+    assert f == 5.0
+    np.testing.assert_array_equal(g, [0.0, -1.0, 1.0])
+
+
+def test_smooth_max_single_term_passes_through():
+    g = np.ones(3)
+    assert _smooth_max([2.0], [g], 1e-2, 2.0) == (2.0, g)
+    f, w = _smooth_max([1.0, 1.0], [g, 3 * g], 1e-2, 1.0)
+    assert f == pytest.approx(1.0 + 1e-2 / np.log(3.0) * np.log(2.0))
+    np.testing.assert_allclose(w, 2 * g)
+
+
+class TestOptionsJson:
+    def test_from_json_reads_every_field(self):
+        obj = {"max_iters": 7, "tol": 1e-3, "seed": 4, "restarts": 3, "target": 0.5, "refine": False}
+        assert SolveOptions.from_json(obj) == SolveOptions(**obj)
+
+    def test_unknown_keys_are_ignored(self):
+        assert SolveOptions.from_json({"step_rule": "diminishing", "seed": 2}) == SolveOptions(seed=2)
+        assert NormSpec.from_json({"kind": "macaev", "length_hint": 3}) == NormSpec.macaev()
