@@ -403,7 +403,7 @@ def graph_capacity(ball, spec, opts=None):
     def restart(ms, x0):
         bx, bf, _ = ms.subgradient(fg, proj, x0, opts)
         if opts.refine and spec.kind == "schatten":
-            ms.run(_smooth_graph_refine, op, spec, u, bx)
+            ms.run(_smooth_graph_refine, op, spec, assemble, bx)
         elif opts.refine:
             ms.refine_exact(fg, proj, bx, bf, opts)
 
@@ -432,16 +432,15 @@ def graph_capacity(ball, spec, opts=None):
     return SolveReport.of_multistart(t0, ms, feasibility, **extra)
 
 
-def _smooth_graph_refine(op, spec, u_template, x0, *, history, iter_offset):
+def _smooth_graph_refine(op, spec, assemble, x0, *, history, iter_offset):
     """L-BFGS-B on the smoothed max-of-norms objective, mu-homotopy with warm starts.
 
+    ``assemble`` maps the free coordinates to the full pinned potential.
     Shaped like an engine for ``Multistart.run``: logs one history row (the
     exact value after the last stage) and returns (x, f, iterations, True).
     """
     p = spec.p
-    free = op.free
-    u0 = u_template.copy()
-    u0[free] = x0
+    u0 = assemble(x0)
 
     f_scale = max(op.max_norm(u0, spec), 1e-300)
     d_scale = max(max(float(np.abs(d).max(initial=0.0)) for d in op.diffs(u0)), 1e-300)
@@ -450,10 +449,8 @@ def _smooth_graph_refine(op, spec, u_template, x0, *, history, iter_offset):
         mu = eps * d_scale
 
         def obj(x):
-            full = u_template.copy()
-            full[free] = x
             fs, grads = [], []
-            for d, Dt in zip(op.diffs(full), op.Dt_free):
+            for d, Dt in zip(op.diffs(assemble(x)), op.Dt_free):
                 if p == 1:
                     fj, dd = _huber(d, mu)
                 elif p == 2:
@@ -469,8 +466,8 @@ def _smooth_graph_refine(op, spec, u_template, x0, *, history, iter_offset):
 
         return obj
 
-    bounds = [(0.0, 1.0)] * free.size
     x = np.asarray(x0, dtype=float)
+    bounds = [(0.0, 1.0)] * x.size
     total_it = 0
     for eps in SMOOTHING_LADDER:
         res = scipy.optimize.minimize(
@@ -479,11 +476,10 @@ def _smooth_graph_refine(op, spec, u_template, x0, *, history, iter_offset):
         )
         x = res.x
         total_it += int(res.nit)
-    full = u_template.copy()
-    full[free] = np.clip(x, 0.0, 1.0)
-    f_exact = op.max_norm(full, spec)
+    x = np.clip(x, 0.0, 1.0)
+    f_exact = op.max_norm(assemble(x), spec)
     history.append((iter_offset + total_it, f_exact, 0.0))
-    return np.clip(x, 0.0, 1.0), f_exact, total_it + 1, True
+    return x, f_exact, total_it + 1, True
 
 
 # -- exact oracles --------------------------------------------------------------------

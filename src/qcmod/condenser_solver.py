@@ -25,7 +25,15 @@ from ._solvers import (
 )
 from .errors import ValidationError
 from .jsonio import matrix_to_json
-from .operator_core import ContractionVariable, commutator, embed, objective, project_middle
+from .operator_core import (
+    ContractionVariable,
+    _herm,
+    _initial_middles,
+    commutator,
+    embed,
+    objective,
+    project_middle,
+)
 from .ri_norms import matrix_norm, norm_subgradient, spec_list
 
 
@@ -101,10 +109,6 @@ class SolveReport:
         return obj
 
 
-def _herm(X):
-    return 0.5 * (X + X.conj().T)
-
-
 def _exact_fg(tau, cond, specs):
     """Exact objective and a subgradient with respect to the middle block."""
     Vm = cond.basis_mid
@@ -150,22 +154,6 @@ def _smooth_fg(tau, cond, specs, eps, sref, fref):
         return f, _herm(Vm.conj().T @ W @ Vm)
 
     return fg
-
-
-def _initial_middles(cond, restarts, seed, divisor):
-    """0.5 I, then seeded projected perturbations 0.5 I + 0.35 herm(W) / divisor."""
-    m0 = cond.m0
-    dtype = complex if cond.is_complex else float
-    out = [0.5 * np.eye(m0, dtype=dtype)]
-    seqs = np.random.SeedSequence(int(seed)).spawn(max(0, restarts - 1))
-    for sq in seqs:
-        rng = np.random.default_rng(sq)
-        W = rng.standard_normal((m0, m0))
-        if dtype is complex:
-            W = W + 1j * rng.standard_normal((m0, m0))
-        B = 0.5 * np.eye(m0, dtype=dtype) + 0.35 * _herm(W) / divisor
-        out.append(project_middle(cond, B))
-    return out
 
 
 def _feasibility(tau, cond, var):

@@ -23,6 +23,10 @@ from .ri_norms import matrix_norm, spec_list
 _PROJ_TOL = 1e-10
 
 
+def _herm(X):
+    return 0.5 * (X + X.conj().T)
+
+
 def _is_hermitian(M, rtol=1e-12):
     scale = float(np.linalg.norm(M)) or 1.0
     return float(np.linalg.norm(M - M.conj().T)) <= rtol * scale
@@ -116,7 +120,7 @@ def _range_basis(P):
         raise ValidationError("projection must be a square matrix")
     if not _is_hermitian(P, rtol=1e-8):
         raise ValidationError("projection input is not selfadjoint")
-    H = 0.5 * (P + P.conj().T)
+    H = _herm(P)
     if np.linalg.norm(H @ H - H, 2) > 100 * _PROJ_TOL:
         raise ValidationError("projection input is not idempotent within tolerance")
     w, V = np.linalg.eigh(H)
@@ -288,7 +292,7 @@ class ContractionVariable:
         if m0:
             if not _is_hermitian(self.middle, rtol=1e-10):
                 raise ValidationError("middle block must be selfadjoint")
-            w = np.linalg.eigvalsh(0.5 * (self.middle + self.middle.conj().T))
+            w = np.linalg.eigvalsh(_herm(self.middle))
             if w.size and (w.min() < -1e-10 or w.max() > 1 + 1e-10):
                 raise ValidationError("middle block spectrum leaves [0, 1]")
 
@@ -304,12 +308,28 @@ def embed(variable):
 
 def project_middle(condenser, B_raw):
     """Metric projection of a raw middle block onto {0 <= B <= I} (selfadjoint)."""
-    B = 0.5 * (B_raw + B_raw.conj().T)
+    B = _herm(B_raw)
     if B.shape[0] == 0:
         return B
     w, V = np.linalg.eigh(B)
     np.clip(w, 0.0, 1.0, out=w)
     return (V * w) @ V.conj().T
+
+
+def _initial_middles(cond, restarts, seed, divisor):
+    """0.5 I, then seeded projected perturbations 0.5 I + 0.35 herm(W) / divisor."""
+    m0 = cond.m0
+    dtype = complex if cond.is_complex else float
+    out = [0.5 * np.eye(m0, dtype=dtype)]
+    seqs = np.random.SeedSequence(int(seed)).spawn(max(0, restarts - 1))
+    for sq in seqs:
+        rng = np.random.default_rng(sq)
+        W = rng.standard_normal((m0, m0))
+        if dtype is complex:
+            W = W + 1j * rng.standard_normal((m0, m0))
+        B = 0.5 * np.eye(m0, dtype=dtype) + 0.35 * _herm(W) / divisor
+        out.append(project_middle(cond, B))
+    return out
 
 
 def project_to_feasible(condenser, A_raw):

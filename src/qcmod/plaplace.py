@@ -24,12 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._solvers import Multistart, estimate_curvature, parallel_map, projected_descent
-from .condenser_solver import SolveOptions, SolveReport, _initial_middles
+from .condenser_solver import SolveOptions, SolveReport
 from .errors import ValidationError
 from .operator_core import (
     Condenser,
     ContractionVariable,
     OperatorTuple,
+    _herm,
+    _initial_middles,
     commutators,
     embed,
     project_middle,
@@ -64,10 +66,6 @@ class ThetaReport:
     @property
     def passed(self):
         return all(self.checks.values()) if self.checks else False
-
-
-def _herm(X):
-    return 0.5 * (X + X.conj().T)
 
 
 def _as_matrix(prob, A):

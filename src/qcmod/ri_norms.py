@@ -222,7 +222,8 @@ def vector_norm_subgradient(v, spec):
 
 def _vector_subgradient(v, spec, norm=None):
     """``vector_norm_subgradient``; ``norm`` is vector_norm(v, spec) when the
-    caller already has it, which spares the Schatten gauge a sort."""
+    caller already has it, which spares the Schatten gauge a sort. Private so
+    that the public signature stays (v, spec); ``cayley`` passes its norms."""
     v = np.asarray(v)
     a = np.abs(v)
     if a.size == 0 or a.max() == 0.0:

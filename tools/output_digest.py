@@ -2,14 +2,14 @@
 
 Usage:
 
-    python tools/output_digest.py [--src PATH] [--keep DIR]
+    python tools/output_digest.py [--src PATH]
 
 ``--src`` is the source tree to run (the directory holding the ``qcmod``
 package; default: this checkout's ``src``). Each run is a fresh
 ``python -m qcmod`` process with BLAS and ``QCMOD_THREADS`` pinned to one
-thread, writing into a temporary directory (or ``--keep DIR``). Every output
-file except ``manifest.json`` (it records wall time) is hashed; a run's exit
-code is printed with its name. Running the script on two source trees and
+thread, writing into a temporary directory. Every output file except
+``manifest.json`` (it records wall time) is hashed; a run's exit code is
+printed with its name. Running the script on two source trees and
 diffing the output is the bit-identity check for changes that must not move
 any number.
 """
@@ -77,14 +77,12 @@ def main(argv=None):
     here = os.path.dirname(os.path.abspath(__file__))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(here, os.pardir, "src"))
-    ap.add_argument("--keep", default=None, help="write outputs here instead of a temporary directory")
     args = ap.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
     env.update({k: "1" for k in _PINS})
     with tempfile.TemporaryDirectory() as tmp:
-        root = args.keep or tmp
         for name, command, payload in runs():
-            out = os.path.join(root, name)
+            out = os.path.join(tmp, name)
             proc = subprocess.run(
                 [sys.executable, "-m", "qcmod", command, "--inline", json.dumps(payload),
                  "--out", out, "--seed", "0"],
