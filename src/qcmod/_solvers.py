@@ -1,5 +1,5 @@
-"""Shared first-order engines, the multistart driver, smoothing, extrapolation
-fits, and a deterministic map.
+"""Shared first-order engines, the multistart driver, smoothing and
+extrapolation fits.
 
 The engines operate on numpy arrays of any shape with the real Frobenius
 inner product; feasibility is delegated to a ``project`` callback, so the same
@@ -8,9 +8,6 @@ loop drives spectral-box middle blocks and pinned [0,1] vertex potentials.
 its iteration numbering, each restart's best point and value, the best point
 of the solve, and the converged flag.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -372,26 +369,3 @@ def fit_loglog(scales, values):
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(coef[1]), r2
 
-
-# -- deterministic parallel map ------------------------------------------------------
-
-
-def thread_count():
-    env = os.environ.get("QCMOD_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 1
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)
-
-
-def parallel_map(fn, items):
-    """Map preserving order (deterministic merge by index)."""
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as ex:
-        return list(ex.map(fn, items))

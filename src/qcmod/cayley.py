@@ -39,7 +39,7 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ._solvers import SMOOTHING_LADDER, Multistart, _huber, _smooth_max, fit_loglog, parallel_map
+from ._solvers import SMOOTHING_LADDER, Multistart, _huber, _smooth_max, fit_loglog
 from .condenser_solver import SolveOptions, SolveReport, solve_condenser
 from .errors import ValidationError
 from .operator_core import (
@@ -240,41 +240,29 @@ def build_ball(group, R, X1=None, X2=None):
         verts = _zd_vertices(group.d, R)
         index = {v: i for i, v in enumerate(verts)}
         word_lengths = np.array([sum(abs(x) for x in v) for v in verts], dtype=int)
-        sigma, sigma_inv = [], []
+        sigma = []
         for j in range(group.d):
             fwd = np.full(len(verts), -1, dtype=int)
-            bwd = np.full(len(verts), -1, dtype=int)
             for i, v in enumerate(verts):
                 w = list(v)
                 w[j] += 1
                 fwd[i] = index.get(tuple(w), -1)
-                w[j] -= 2
-                bwd[i] = index.get(tuple(w), -1)
             sigma.append(fwd)
-            sigma_inv.append(bwd)
     elif group.kind == "free":
         verts = _free_vertices(group.k, R)
         index = {v: i for i, v in enumerate(verts)}
         word_lengths = np.array([len(v) for v in verts], dtype=int)
-        sigma, sigma_inv = [], []
+        sigma = []
         for j in range(1, group.k + 1):
             fwd = np.full(len(verts), -1, dtype=int)
-            bwd = np.full(len(verts), -1, dtype=int)
             for i, v in enumerate(verts):
                 fwd[i] = index.get(_free_left_mult(j, v), -1)
-                bwd[i] = index.get(_free_left_mult(-j, v), -1)
             sigma.append(fwd)
-            sigma_inv.append(bwd)
     else:
         verts = list(range(len(group.tables[0])))
         index = {v: i for i, v in enumerate(verts)}
         word_lengths = np.zeros(len(verts), dtype=int)
         sigma = [np.asarray(t, dtype=int) for t in group.tables]
-        sigma_inv = []
-        for t in sigma:
-            inv = np.empty_like(t)
-            inv[t] = np.arange(len(t))
-            sigma_inv.append(inv)
 
     expected = ball_size(group, R)
     if len(verts) != expected:
@@ -284,10 +272,14 @@ def build_ball(group, R, X1=None, X2=None):
     x2 = _resolve_plate(X2, group, verts, index, word_lengths)
     if np.intersect1d(x1, x2).size:
         raise ValidationError("X1 and X2 must be disjoint")
+    sigma_inv = []
     for j, fwd in enumerate(sigma):
-        inside = fwd[fwd >= 0]
-        if len(np.unique(inside)) != len(inside):
+        inside = np.flatnonzero(fwd >= 0)
+        if len(np.unique(fwd[inside])) != inside.size:
             raise ValidationError(f"generator map {j} is not injective where defined")
+        inv = np.full(len(verts), -1, dtype=int)
+        inv[fwd[inside]] = inside
+        sigma_inv.append(inv)
 
     return CayleyBall(
         group=group,
@@ -644,7 +636,7 @@ def parabolicity_scan(group, p, X1, R_list, opts=None):
             "converged": rep.converged,
         }
 
-    entries = parallel_map(solve_R, R_list)
+    entries = [solve_R(R) for R in R_list]
     values = [e["value"] for e in entries]
     warnings = []
     for a, b in zip(entries, entries[1:]):

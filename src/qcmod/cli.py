@@ -220,10 +220,7 @@ def dispatch(config):
             rep = graph_capacity(ball, spec, opts)
             hist_path = os.path.join(config.out_dir, "history.csv")
             emit_series(hist_path, ["iter", "objective", "step"], _history_rows(rep.history))
-            out = rep.to_json(history_csv="history.csv")
-            out["minimizer"] = [float(x) for x in np.asarray(rep.minimizer)]
-            report.update(out)
-            report["n_vertices"] = ball.n_vertices
+            report.update(rep.to_json(history_csv="history.csv"))
             nonconverged = not rep.converged
 
     elif config.command == "transfer":
@@ -282,19 +279,17 @@ def dispatch(config):
             )
             series_path = os.path.join(config.out_dir, "series.csv")
             rows = [
-                (e["N"], v, bool(r.converged) if r is not None else True, out["estimate"])
+                (e["N"], v, bool(r.converged), out["estimate"])
                 for e, v, r in zip(out["schedule"], out["values"], out["reports"])
             ]
             emit_series(series_path, ["scale", "value", "converged", "extrapolated"], rows)
             history_files = []
             for e, r in zip(out["schedule"], out["reports"]):
-                if r is None:
-                    continue
                 name = f"history_N{e['N']}.csv"
                 emit_series(os.path.join(config.out_dir, name),
                             ["iter", "objective", "step"], _history_rows(r.history))
                 history_files.append(name)
-            nonconverged = any(r is not None and not r.converged for r in out["reports"])
+            nonconverged = any(not r.converged for r in out["reports"])
             report.update({k: v for k, v in out.items() if k != "reports"})
             report["series_csv"] = "series.csv"
             report["history_csvs"] = history_files

@@ -20,7 +20,6 @@ from ._solvers import (
     _smooth_max,
     fit_power,
     fit_richardson,
-    parallel_map,
     projected_descent,
 )
 from .errors import ValidationError
@@ -31,6 +30,7 @@ from .operator_core import (
     _initial_middles,
     commutator,
     embed,
+    make_condenser,
     objective,
     project_middle,
 )
@@ -118,7 +118,7 @@ def _exact_fg(tau, cond, specs):
     def fg(B):
         A = cond.embed_middle(B)
         comms = [commutator(A, T, t) for T, t in zip(tau.components, diags)]
-        vals = [matrix_norm(C, sp, hermitian=False) for C, sp in zip(comms, specs)]
+        vals = [matrix_norm(C, sp) for C, sp in zip(comms, specs)]
         jstar = int(np.argmax(vals))
         f = vals[jstar]
         G = norm_subgradient(comms[jstar], specs[jstar])
@@ -180,11 +180,13 @@ def solve_condenser(tau, cond, specs, opts=None):
     specs = spec_list(specs, tau.n)
     t0 = time.perf_counter()
 
-    if cond.m0 == 0:
-        var = ContractionVariable(cond, np.zeros((0, 0)))
+    if cond.m0 == 0 or cond.rank_p == 0:
+        # Nothing to optimize: A = P is the only feasible point, or P = 0 and
+        # A = 0 is feasible with zero commutators.
+        var = ContractionVariable(cond, np.zeros((cond.m0, cond.m0), dtype=cond.basis_mid.dtype))
         value = objective(tau, embed(var), specs)
         return SolveReport.closed_form(t0, value, var, _feasibility(tau, cond, var),
-                                       restart_values=[value], m0=0)
+                                       restart_values=[value], m0=cond.m0)
 
     fg = _exact_fg(tau, cond, specs)
     proj = lambda B: project_middle(cond, B)
@@ -227,10 +229,8 @@ def sup_over_projections(tau, P_family, Q, specs, opts=None):
     shrinks as P grows); violations beyond 2 * tol are flagged, not fatal.
     """
     opts = opts or SolveOptions()
-    from .operator_core import make_condenser
-
     conds = [make_condenser(P, Q, dim=tau.dim) for P in P_family]
-    reports = parallel_map(lambda c: solve_condenser(tau, c, specs, opts), conds)
+    reports = [solve_condenser(tau, c, specs, opts) for c in conds]
     values = [r.value for r in reports]
     sup = max(values) if values else 0.0
     warnings = []
@@ -250,11 +250,17 @@ def sup_over_projections(tau, P_family, Q, specs, opts=None):
 
 
 def scale_sweep(problems, specs, opts=None, extrapolation="power_fit"):
-    """Solve an indexed family of condenser problems and extrapolate the limit.
+    """Solve an indexed family of condenser problems in order and extrapolate
+    the limit.
 
     ``problems`` is a sequence of ``(scale, tau, condenser)`` triples or
     ``(scale, callable)`` pairs where the callable maps ``(specs, opts)`` to a
     SolveReport. At least 3 scales are required when extrapolating.
+
+    A fitted limit is ``reliable`` when every value is positive and the limit
+    lies in [0.5 min, 1.5 max] of the values: a decay fit on a short flat or
+    noisy series can extrapolate far outside the data. ``estimate`` is the
+    limit when reliable and the largest-scale value otherwise.
     """
     opts = opts or SolveOptions()
     if extrapolation not in ("none", "richardson", "power_fit"):
@@ -270,7 +276,7 @@ def scale_sweep(problems, specs, opts=None, extrapolation="power_fit"):
         scale, fn = item
         return scale, fn(specs, opts)
 
-    solved = parallel_map(solve_item, items)
+    solved = [solve_item(item) for item in items]
     scales = [s for s, _ in solved]
     reports = [r for _, r in solved]
     values = [r.value for r in reports]
@@ -284,6 +290,8 @@ def scale_sweep(problems, specs, opts=None, extrapolation="power_fit"):
         "limit": None,
         "exponent": None,
         "fit_residual": None,
+        "reliable": False,
+        "estimate": values[-1] if values else None,
     }
     if extrapolation == "none":
         return out
@@ -298,5 +306,8 @@ def scale_sweep(problems, specs, opts=None, extrapolation="power_fit"):
                 extrapolation_available=True,
             )
     except (np.linalg.LinAlgError, ValueError):
-        out["extrapolation_available"] = False
+        return out
+    lo, hi = min(values), max(values)
+    if lo > 0 and 0.5 * lo <= out["limit"] <= 1.5 * hi:
+        out.update(reliable=True, estimate=out["limit"])
     return out

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._solvers import parallel_map
 from .condenser_solver import SolveOptions, scale_sweep, solve_condenser
 from .errors import ValidationError
 from .operator_core import OperatorTuple, make_condenser
@@ -158,43 +157,19 @@ def gamma1_experiment(N_list, M_rule=None, K_rule=None, opts=None, spec=None, va
     N_list = list(N_list)
     reference = GAMMA1 * position_multiplicity_integral(variant)
 
-    schedule = []
-    for N in N_list:
-        M, K = int(M_rule(N)), int(K_rule(N))
-        if not (0 <= M < K < N):
-            raise ValidationError(f"schedule must satisfy M < K < N, got ({M}, {K}, {N})")
-        schedule.append((N, M, K))
-
-    def solve_scale(entry):
-        N, M, K = entry
-        if M == 0:
-            # Empty inner plate: A = 0 is feasible with zero commutator.
-            return None, 0.0
-        tau, cond = timefreq_problem(N, M, K, variant=variant)
-        rep = solve_condenser(tau, cond, spec, opts)
-        return rep, rep.value
-
-    solved = parallel_map(solve_scale, schedule)
-    reports = [s[0] for s in solved]
-    values = [s[1] for s in solved]
-
-    sweep = None
-    estimate = values[-1]
-    if len(N_list) >= 3:
-        from ._solvers import fit_power
-
-        v_inf, a, expo, resid = fit_power(N_list, values)
-        # A 3-parameter decay fit is ill-posed on short flat-or-noisy series
-        # and can extrapolate far outside the data; in that case report the
-        # fit but use the largest-scale value as the estimate.
-        lo, hi = min(values), max(values)
-        reliable = lo > 0 and 0.5 * lo <= v_inf <= hi * 1.5
-        estimate = v_inf if reliable else values[-1]
-        sweep = {
-            "limit": float(v_inf),
-            "exponent": expo,
-            "fit_residual": resid,
-            "reliable": bool(reliable),
+    schedule = [(N, int(M_rule(N)), int(K_rule(N))) for N in N_list]
+    problems = [(N, *timefreq_problem(N, M, K, variant=variant)) for (N, M, K) in schedule]
+    extrap = "power_fit" if len(N_list) >= 3 else "none"
+    sweep = scale_sweep(problems, spec, opts, extrapolation=extrap)
+    values = sweep["values"]
+    estimate = sweep["estimate"]
+    extrapolation = None
+    if sweep["extrapolation_available"]:
+        extrapolation = {
+            "limit": float(sweep["limit"]),
+            "exponent": sweep["exponent"],
+            "fit_residual": sweep["fit_residual"],
+            "reliable": sweep["reliable"],
         }
 
     # Monotone-in-P diagnostic at the largest scale: shrinking the inner plate
@@ -211,7 +186,7 @@ def gamma1_experiment(N_list, M_rule=None, K_rule=None, opts=None, spec=None, va
         "variant": variant,
         "schedule": [{"N": N, "M": M, "K": K} for (N, M, K) in schedule],
         "values": values,
-        "reports": reports,
+        "reports": sweep["reports"],
         "estimate": float(estimate),
         "multiplicity_integral": position_multiplicity_integral(variant),
         "reference": reference,
@@ -219,7 +194,7 @@ def gamma1_experiment(N_list, M_rule=None, K_rule=None, opts=None, spec=None, va
         "ratio_band": [0.5, 1.5],
         "ratio_in_band": bool(0.5 <= ratio <= 1.5),
         "monotone_in_P": mono_flag,
-        "extrapolation": sweep,
+        "extrapolation": extrapolation,
         "claim_level": "SOFT",
     }
 
@@ -445,10 +420,7 @@ def ratio_experiment(models, opts=None, n_scales=3):
         extrap = "power_fit" if n_scales >= 3 else "none"
         sweep = scale_sweep(problems, model.norm_spec(), opts, extrapolation=extrap)
         values = sweep["values"]
-        est = sweep["limit"] if sweep["extrapolation_available"] else values[-1]
-        lo, hi = min(values), max(values)
-        if est is None or not np.isfinite(est) or not (0.5 * lo <= est <= 1.5 * hi):
-            est = values[-1]
+        est = sweep["estimate"]
         conv = all(sweep["converged"])
         ratio = (est ** model.exponent()) / model.integral if model.integral > 0 else np.inf
         rows.append({

@@ -368,4 +368,4 @@ def commutator_column(tau, A):
 def objective(tau, A, specs):
     """max_j of the J_j-norm of [A, T_j]; a single spec is broadcast."""
     specs = spec_list(specs, tau.n)
-    return max(matrix_norm(C, sp, hermitian=False) for C, sp in zip(commutators(tau, A), specs))
+    return max(matrix_norm(C, sp) for C, sp in zip(commutators(tau, A), specs))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._solvers import Multistart, estimate_curvature, parallel_map, projected_descent
+from ._solvers import Multistart, estimate_curvature, projected_descent
 from .condenser_solver import SolveOptions, SolveReport
 from .errors import ValidationError
 from .operator_core import (
@@ -82,17 +82,12 @@ def _S_of(prob, A):
     return _herm(S), Cs
 
 
-def smooth_objective(prob, A):
-    """I(A) = trace(S^(p/2)); zero exactly when A commutes with every component."""
-    S, _ = _S_of(prob, _as_matrix(prob, A))
+def _objective_of(prob, S):
     w = np.clip(np.linalg.eigvalsh(S), 0.0, None)
     return float(np.sum(w ** (prob.p / 2.0)))
 
 
-def theta(prob, X):
-    """The Theta operator at X (selfadjoint); gradient of I is -(p/2) Theta."""
-    X = _as_matrix(prob, X)
-    S, Cs = _S_of(prob, X)
+def _theta_of(prob, S, Cs):
     if prob.p == 2.0:
         G = np.eye(prob.tau.dim, dtype=S.dtype)
     else:
@@ -111,7 +106,19 @@ def theta(prob, X):
     for T, C in zip(prob.tau.components, Cs):
         M = C @ G + G @ C
         Th = Th + (T @ M - M @ T)
-    return ThetaReport(Theta=_herm(Th))
+    return _herm(Th)
+
+
+def smooth_objective(prob, A):
+    """I(A) = trace(S^(p/2)); zero exactly when A commutes with every component."""
+    S, _ = _S_of(prob, _as_matrix(prob, A))
+    return _objective_of(prob, S)
+
+
+def theta(prob, X):
+    """The Theta operator at X (selfadjoint); gradient of I is -(p/2) Theta."""
+    S, Cs = _S_of(prob, _as_matrix(prob, X))
+    return ThetaReport(Theta=_theta_of(prob, S, Cs))
 
 
 def _middle_fg(prob):
@@ -119,10 +126,9 @@ def _middle_fg(prob):
     half_p = prob.p / 2.0
 
     def fg(B):
-        A = prob.condenser.embed_middle(B)
-        f = smooth_objective(prob, A)
-        Th = theta(prob, A).Theta
-        g = _herm(Vm.conj().T @ (-half_p * Th) @ Vm)
+        S, Cs = _S_of(prob, prob.condenser.embed_middle(B))
+        f = _objective_of(prob, S)
+        g = _herm(Vm.conj().T @ (-half_p * _theta_of(prob, S, Cs)) @ Vm)
         return f, g
 
     return fg
@@ -248,7 +254,7 @@ def uniqueness_probe(prob, opts=None, trials=4):
     def run(i):
         return minimize_smooth(prob, dataclasses.replace(opts, seed=opts.seed + 977 * i, restarts=1))
 
-    reports = parallel_map(run, range(trials))
+    reports = [run(i) for i in range(trials)]
     used = [r for r in reports if r.converged]
     excluded = len(reports) - len(used)
     cols = [commutators(prob.tau, embed(r.minimizer)) for r in used]

@@ -142,25 +142,13 @@ def vector_norm(s, spec):
     return float(w @ srt)
 
 
-def _singular_values(M, hermitian=None):
-    M = np.asarray(M)
-    if hermitian is None:
-        hermitian = (
-            M.ndim == 2
-            and M.shape[0] == M.shape[1]
-            and np.allclose(M, M.conj().T, atol=1e-12 * max(1.0, float(np.abs(M).max(initial=0.0))))
-        )
+def matrix_norm(M, spec):
+    """RI norm of a matrix, computed from its singular values."""
     try:
-        if hermitian:
-            return np.sort(np.abs(np.linalg.eigvalsh(M)))[::-1]
-        return np.linalg.svd(M, compute_uv=False)
+        s = np.linalg.svd(np.asarray(M), compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise NumericError(f"singular value computation failed: {exc}") from exc
-
-
-def matrix_norm(M, spec, hermitian=None):
-    """RI norm of a matrix, computed from its singular values."""
-    return vector_norm(_singular_values(M, hermitian=hermitian), spec)
+    return vector_norm(s, spec)
 
 
 def _tie_averaged(values_sorted, w):

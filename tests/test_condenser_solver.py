@@ -22,6 +22,32 @@ class TestSolveCondenser:
         assert rep.value == 0.0
         assert rep.converged
 
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize(
+        "spec",
+        [NormSpec.schatten(1), NormSpec.schatten(2), NormSpec.lorentz(2)],
+        ids=["s1", "s2", "l21"],
+    )
+    def test_empty_inner_plate_closed_form(self, spec, complex_):
+        # P = 0: A = 0 is feasible and commutes with everything, so k = 0
+        rng = np.random.default_rng(5)
+        tau = OperatorTuple.of([rand_hermitian(rng, 5, complex_=complex_)])
+        if complex_:
+            v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+            v /= np.linalg.norm(v)
+            cond = make_condenser(np.zeros((5, 5), dtype=complex), np.outer(v, v.conj()))
+            assert cond.is_complex
+        else:
+            cond = make_condenser([], [4], dim=5)
+        assert cond.rank_p == 0 and cond.m0 == 4
+        rep = solve_condenser(tau, cond, spec, OPTS)
+        assert rep.value == 0.0
+        assert rep.converged
+        assert all(v == 0.0 for v in rep.feasibility_residuals.values())
+        assert rep.extra["restart_values"] == [0.0]
+        assert rep.extra["m0"] == 4
+        assert np.all(embed(rep.minimizer) == 0)
+
     @pytest.mark.parametrize(
         "spec",
         [NormSpec.schatten(2), NormSpec.schatten(1), NormSpec.lorentz(2)],
@@ -176,6 +202,42 @@ class TestScaleSweep:
             OPTS, extrapolation="richardson",
         )
         assert out["limit"] == pytest.approx(c, abs=1e-8)
+
+    @staticmethod
+    def _series(scales, values):
+        from qcmod.condenser_solver import SolveReport
+
+        def make_cb(v):
+            return lambda specs, opts: SolveReport(v, None, [(0, v, 0.0)], {}, True, 0.0, 1)
+
+        return [(s, make_cb(v)) for s, v in zip(scales, values)]
+
+    def test_exact_decay_is_reliable(self):
+        c, a, b = 0.7, 0.9, 1.0
+        scales = [8, 16, 32, 64]
+        out = scale_sweep(self._series(scales, [c + a * s ** (-b) for s in scales]),
+                          NormSpec.schatten(1), OPTS)
+        assert out["reliable"] is True
+        assert out["estimate"] == out["limit"]
+        assert out["limit"] == pytest.approx(c, rel=1e-3)  # exponent found on a grid
+
+    def test_limit_outside_band_falls_back_to_last_value(self):
+        # a slow, nearly logarithmic decline fits with a tiny exponent and a
+        # limit far below the data
+        values = [1.0, 0.9, 0.8]
+        out = scale_sweep(self._series([1, 2, 4], values), NormSpec.schatten(1), OPTS)
+        assert out["extrapolation_available"]
+        assert not (0.5 * 0.8 <= out["limit"] <= 1.5 * 1.0)
+        assert out["reliable"] is False
+        assert out["estimate"] == 0.8
+
+    def test_nonpositive_value_is_never_reliable(self):
+        c, a = 0.5, -0.5  # exact decay through 0 at the first scale
+        scales = [1, 2, 4]
+        out = scale_sweep(self._series(scales, [c + a / s for s in scales]),
+                          NormSpec.schatten(1), OPTS)
+        assert out["reliable"] is False
+        assert out["estimate"] == c + a / 4
 
     def test_requires_three_scales(self):
         with pytest.raises(ValidationError):

@@ -192,8 +192,8 @@ class TestCliHybridExperiment:
 
 
 class TestConcurrencyModel:
-    def test_parallel_sweep_merges_by_index(self, monkeypatch):
-        # results must be identical and index-ordered regardless of thread count
+    def test_parallel_sweep_merges_by_index(self):
+        # sweep members come back in the order they were given
         from qcmod.condenser_solver import scale_sweep, SolveReport
 
         def make_cb(v):
@@ -203,21 +203,8 @@ class TestConcurrencyModel:
             return cb
 
         problems = [(r, make_cb(10.0 + r)) for r in (1, 2, 3, 4, 5)]
-        monkeypatch.setenv("QCMOD_THREADS", "1")
-        serial = scale_sweep(problems, NormSpec.schatten(2), OPTS, "none")
-        monkeypatch.setenv("QCMOD_THREADS", "4")
-        threaded = scale_sweep(problems, NormSpec.schatten(2), OPTS, "none")
-        assert serial["values"] == threaded["values"] == [11.0, 12.0, 13.0, 14.0, 15.0]
-
-    def test_thread_count_env(self, monkeypatch):
-        from qcmod._solvers import thread_count
-
-        monkeypatch.setenv("QCMOD_THREADS", "3")
-        assert thread_count() == 3
-        monkeypatch.setenv("QCMOD_THREADS", "not-a-number")
-        assert thread_count() == 1
-        monkeypatch.delenv("QCMOD_THREADS")
-        assert thread_count() >= 1
+        out = scale_sweep(problems, NormSpec.schatten(2), OPTS, "none")
+        assert out["values"] == [11.0, 12.0, 13.0, 14.0, 15.0]
 
 
 class TestMatrixProjectionFamilies:

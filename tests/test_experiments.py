@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcmod.condenser_solver import SolveOptions, solve_condenser
+from qcmod.condenser_solver import SolveOptions, scale_sweep, solve_condenser
 from qcmod.errors import ValidationError
 from qcmod.experiments import (
     GAMMA1,
@@ -86,8 +86,33 @@ class TestGamma1:
         assert out["extrapolation"] is not None
         assert isinstance(out["ratio_in_band"], bool)
 
+    def test_estimate_is_scale_sweep_estimate(self):
+        Ns = [16, 24, 32]
+        out = gamma1_experiment(Ns, opts=FAST)
+        problems = [(N, *timefreq_problem(N, e["M"], e["K"])) for N, e in zip(Ns, out["schedule"])]
+        sweep = scale_sweep(problems, NormSpec.schatten(1), FAST)
+        assert out["values"] == sweep["values"]
+        assert out["estimate"] == sweep["estimate"]
+        assert out["extrapolation"]["reliable"] == sweep["reliable"]
+        assert out["extrapolation"]["limit"] == sweep["limit"]
+
 
 class TestRatioExperiment:
+    def test_estimate_is_scale_sweep_estimate(self):
+        models = [
+            MultiplicityModel("box_step", label="m1", position_variant="triangle"),
+            MultiplicityModel("box_step", scale=0.5, label="half", position_variant="triangle"),
+        ]
+        out = ratio_experiment(models, FAST, n_scales=3)
+        for model, row in zip(models, out["rows"]):
+            problems = []
+            for s in range(3):
+                tau, cond = model_problem(model, s)
+                problems.append((tau.dim, tau, cond))
+            sweep = scale_sweep(problems, model.norm_spec(), FAST)
+            assert row["values"] == sweep["values"]
+            assert row["estimate"] == sweep["estimate"]
+
     def test_scale_invariance_of_ratio_column(self):
         # coordinate scaling multiplies the estimate by c exactly, leaving the
         # ratio column invariant (homogeneity is exact, solver noise only)

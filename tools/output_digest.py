@@ -6,8 +6,8 @@ Usage:
 
 ``--src`` is the source tree to run (the directory holding the ``qcmod``
 package; default: this checkout's ``src``). Each run is a fresh
-``python -m qcmod`` process with BLAS and ``QCMOD_THREADS`` pinned to one
-thread, writing into a temporary directory. Every output file except
+``python -m qcmod`` process with BLAS pinned to one thread, writing into a
+temporary directory. Every output file except
 ``manifest.json`` (it records wall time) is hashed; a run's exit code is
 printed with its name. Running the script on two source trees and
 diffing the output is the bit-identity check for changes that must not move
@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 
 _PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
-         "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "QCMOD_THREADS")
+         "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _matrix(M):
@@ -68,6 +68,11 @@ def runs():
          {"group": z(1), "R": 8, "x1": "origin", "x2": {"radius_at_least": 6}, "norms": [s2, s1]}),
         ("plaplace_p3", "plaplace", dict(plates, tuple=two, p=3)),
         ("experiment_gamma1", "experiment", {"experiment": "gamma1", "schedule": {"N_list": [32, 48, 64]}}),
+        ("experiment_ratio", "experiment",
+         {"experiment": "ratio", "n_scales": 3, "options": {"max_iters": 200},
+          "models": [{"kind": "box_step", "label": "m1", "position_variant": "triangle"},
+                     {"kind": "box_step", "scale": 0.5, "label": "half",
+                      "position_variant": "triangle"}]}),
         ("experiment_hybrid", "experiment",
          {"experiment": "hybrid", "gridsize": 4, "exponent_sets": [[2, 2], [3, 1.5]]}),
     ]
