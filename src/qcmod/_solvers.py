@@ -10,6 +10,7 @@ of the solve, and the converged flag.
 """
 
 import numpy as np
+import scipy.optimize
 
 
 def _inner(x, y):
@@ -27,16 +28,14 @@ def projected_subgradient(
     *,
     max_iters,
     tol,
-    target=None,
     history=None,
     iter_offset=0,
 ):
     """Projected subgradient loop with Polyak steps and best-iterate tracking.
 
-    The Polyak step uses the supplied ``target`` when given; otherwise it
-    maintains an internal estimate best - delta, halving delta whenever a
-    window of iterations fails to improve. Objectives here are nonnegative, so
-    targets are floored at zero.
+    The Polyak step aims at the estimate best - delta, halving delta whenever
+    a window of iterations fails to improve. Objectives here are nonnegative,
+    so the estimate is floored at zero.
 
     Returns (best_x, best_f, iters_done, converged).
     """
@@ -59,8 +58,7 @@ def projected_subgradient(
             converged = True
             k += 1
             break
-        tgt = target if target is not None else max(best_f - delta, 0.0)
-        alpha = max(f - tgt, 0.0) / gn2
+        alpha = max(f - max(best_f - delta, 0.0), 0.0) / gn2
         if alpha <= 0.0:
             alpha = 1e-3 * a0 / np.sqrt(k + 1.0)
         if history is not None:
@@ -73,9 +71,9 @@ def projected_subgradient(
         k += 1
         if k % window == 0:
             improved = window_best - best_f
-            if target is None and improved < 0.25 * delta:
+            if improved < 0.25 * delta:
                 delta *= 0.5
-            if improved <= tol * scale0 and (target is not None or delta <= tol * scale0):
+            if improved <= tol * scale0 and delta <= tol * scale0:
                 converged = True
                 break
             window_best = best_f
@@ -270,7 +268,7 @@ class Multistart:
     def subgradient(self, fg, project, x0, opts):
         """The projected subgradient phase that opens every nonsmooth restart."""
         return self.run(projected_subgradient, fg, project, x0,
-                        max_iters=opts.max_iters, tol=opts.tol, target=opts.target)
+                        max_iters=opts.max_iters, tol=opts.tol)
 
     def refine_exact(self, fg, project, x, f, opts):
         """Projected descent on the exact objective from the subgradient phase's
@@ -328,8 +326,9 @@ def fit_power(scales, values):
     """Fit value = v_inf + a * scale**exponent (exponent < 0 for decay).
 
     The exponent is found by scanning a log-spaced grid with a linear
-    least-squares solve for (v_inf, a) at each candidate, then refining around
-    the best candidate. Returns (v_inf, a, exponent, residual).
+    least-squares solve for (v_inf, a) at each candidate, then by a bounded
+    scalar minimisation of the residual around the best candidate; the
+    better of the two is kept. Returns (v_inf, a, exponent, residual).
     """
     s = np.asarray(scales, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -345,11 +344,12 @@ def fit_power(scales, values):
         coef, res = solve_for(b)
         if res < best_res:
             best_b, best_coef, best_res = b, coef, res
-    lo, hi = best_b / 1.6, best_b * 1.6
-    for b in np.linspace(lo, hi, 80):
-        coef, res = solve_for(b)
-        if res < best_res:
-            best_b, best_coef, best_res = b, coef, res
+    brent = scipy.optimize.minimize_scalar(lambda b: solve_for(b)[1], method="bounded",
+                                           bounds=(best_b / 1.6, best_b * 1.6),
+                                           options={"xatol": 1e-12})
+    coef, res = solve_for(brent.x)
+    if res < best_res:
+        best_b, best_coef, best_res = brent.x, coef, res
     v_inf, a = float(best_coef[0]), float(best_coef[1])
     return v_inf, a, -float(best_b), best_res
 

@@ -27,9 +27,9 @@ to that formulation, which matters because the solves are not run to
 convergence and are sensitive to roundoff.
 """
 
-import itertools
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -165,34 +165,35 @@ class CayleyBall:
         return IncidenceOperator.of(self)
 
 
-def _zd_vertices(d, R):
-    verts = []
-    for point in itertools.product(range(-R, R + 1), repeat=d):
-        if sum(abs(x) for x in point) <= R:
-            verts.append(point)
-    verts.sort(key=lambda p: (sum(abs(x) for x in p), p))
-    return verts
+def _word_ball(identity, generators, inverses, mult, R):
+    """The radius-R ball by one breadth-first search from the identity, each
+    step a left multiplication by a generator or an inverse.
 
-
-def _free_vertices(k, R):
-    # Reduced words as tuples of nonzero ints (+j = generator j, -j = inverse).
-    words = [()]
-    frontier = [()]
-    letters = [s * j for j in range(1, k + 1) for s in (1, -1)]
-    for _ in range(R):
+    Returns the vertices ordered by (word length, key), their word lengths,
+    and per generator the index of g_j v (-1 outside the ball).
+    """
+    letters = generators + inverses
+    length = {identity: 0}
+    frontier = [identity]
+    for r in range(1, R + 1):
         nxt = []
-        for w in frontier:
+        for v in frontier:
             for a in letters:
-                if w and w[-1] == -a:
-                    continue
-                nxt.append(w + (a,))
-        words.extend(nxt)
+                w = mult(a, v)
+                if w not in length:
+                    length[w] = r
+                    nxt.append(w)
         frontier = nxt
-    words.sort(key=lambda w: (len(w), w))
-    return words
+    verts = sorted(length, key=lambda v: (length[v], v))
+    index = {v: i for i, v in enumerate(verts)}
+    word_lengths = np.array([length[v] for v in verts], dtype=int)
+    sigma = [np.array([index.get(mult(a, v), -1) for v in verts], dtype=int) for a in generators]
+    return verts, index, word_lengths, sigma
 
 
 def _free_left_mult(letter, word):
+    """letter * word for a reduced word: a tuple of nonzero ints, +j the
+    generator j and -j its inverse."""
     if word and word[0] == -letter:
         return word[1:]
     return (letter,) + word
@@ -237,27 +238,14 @@ def build_ball(group, R, X1=None, X2=None):
     if R < 0:
         raise ValidationError("R must be >= 0")
     if group.kind == "zd":
-        verts = _zd_vertices(group.d, R)
-        index = {v: i for i, v in enumerate(verts)}
-        word_lengths = np.array([sum(abs(x) for x in v) for v in verts], dtype=int)
-        sigma = []
-        for j in range(group.d):
-            fwd = np.full(len(verts), -1, dtype=int)
-            for i, v in enumerate(verts):
-                w = list(v)
-                w[j] += 1
-                fwd[i] = index.get(tuple(w), -1)
-            sigma.append(fwd)
+        units = [tuple(int(i == j) for i in range(group.d)) for j in range(group.d)]
+        verts, index, word_lengths, sigma = _word_ball(
+            (0,) * group.d, units, [tuple(-x for x in e) for e in units],
+            lambda a, v: tuple(map(operator.add, a, v)), R)
     elif group.kind == "free":
-        verts = _free_vertices(group.k, R)
-        index = {v: i for i, v in enumerate(verts)}
-        word_lengths = np.array([len(v) for v in verts], dtype=int)
-        sigma = []
-        for j in range(1, group.k + 1):
-            fwd = np.full(len(verts), -1, dtype=int)
-            for i, v in enumerate(verts):
-                fwd[i] = index.get(_free_left_mult(j, v), -1)
-            sigma.append(fwd)
+        letters = list(range(1, group.k + 1))
+        verts, index, word_lengths, sigma = _word_ball(
+            (), letters, [-j for j in letters], _free_left_mult, R)
     else:
         verts = list(range(len(group.tables[0])))
         index = {v: i for i, v in enumerate(verts)}

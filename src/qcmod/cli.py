@@ -3,6 +3,7 @@
 Every run writes report.json (deterministic bytes for identical config and
 seed) plus a manifest.json recording seed, tolerances, version, and wall time;
 solves additionally write history.csv, scans/sweeps write series CSVs.
+``COMMANDS`` maps each command to its payload reader (see ``parse_config``).
 
 Exit codes: 0 success, 2 invalid config, 3 non-convergence under --strict,
 4 numeric failure.
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,313 +28,358 @@ from .experiments import (
     hybrid_exponent_scan,
     ratio_experiment,
 )
-from .jsonio import matrix_from_json, write_csv, write_json
-from .operator_core import OperatorTuple, condenser_from_json
+from .jsonio import matrix_from_json, matrix_to_json, projection_from_json, write_csv, write_json
+from .operator_core import OperatorTuple, make_condenser
 from .plaplace import SmoothProblem, euler_lagrange_report, minimize_smooth
 from .ri_norms import NormSpec, matrix_norm, vector_norm
 
-COMMANDS = ("norm", "condenser", "graphcap", "transfer", "plaplace", "experiment")
+_REQUIRED = object()
 
 
+@dataclass
 class RunConfig:
-    """Validated run description: command, payload, output dir, seed, overrides."""
+    """A validated run: the command, the function running it with its inputs
+    (library objects), the solver options of the payload and flags, and the
+    manifest (seed, tol and max_iters flags, version, command)."""
 
-    def __init__(self, command, payload, out_dir=".", seed=0, tol=None, max_iters=None, strict=False):
-        self.command = command
-        self.payload = payload
-        self.out_dir = out_dir
-        self.seed = int(seed)
-        self.tol = tol
-        self.max_iters = max_iters
-        self.strict = bool(strict)
+    command: str
+    run: object
+    inputs: dict
+    solve_options: dict
+    manifest: dict
+    out_dir: str = "."
+    strict: bool = False
 
     def options(self, **defaults):
-        base = dict(defaults)
-        base.update(self.payload.get("options", {}))
-        if self.tol is not None:
-            base["tol"] = self.tol
-        if self.max_iters is not None:
-            base["max_iters"] = int(self.max_iters)
-        base.setdefault("seed", self.seed)
-        return SolveOptions.from_json(base)
+        """SolveOptions: the command's defaults, overridden by the payload and flags."""
+        return SolveOptions.from_json({**defaults, **self.solve_options})
+
+
+class _Reader:
+    """Reads a payload's fields, collecting every missing or malformed one as
+    ``payload.<key>: ...``; a field in error reads as None."""
+
+    def __init__(self, payload):
+        self.payload = payload
+        self.errors = []
+
+    def __call__(self, key, read=lambda v: v, default=_REQUIRED):
+        """``read(payload[key])``, else ``default``; a required key has none."""
+        if key in self.payload:
+            return self.build(key, read, self.payload[key])
+        if default is _REQUIRED:
+            self.errors.append(f"payload.{key} is required")
+            return None
+        return default
+
+    def build(self, label, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)``; what reading JSON values raises becomes an
+        error of payload.<label>."""
+        try:
+            return fn(*args, **kwargs)
+        except (ValidationError, TypeError, ValueError, KeyError) as exc:
+            reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+            self.errors.append(f"payload.{label}: {reason}")
+            return None
+
+
+def _ints(v):
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list of integers, got {v!r}")
+    return [int(x) for x in v]
+
+
+def _sequence(v):
+    s = np.asarray(v, dtype=float)
+    if s.ndim != 1:
+        raise ValueError(f"expected a list of numbers, got {v!r}")
+    return s
+
+
+def _object(v):
+    if not isinstance(v, dict):
+        raise TypeError(f"expected a JSON object, got {v!r}")
+    return v
+
+
+def _choice(*allowed):
+    def read(v):
+        if v not in allowed:
+            raise ValueError(f"{v!r} is not one of {', '.join(allowed)}")
+        return v
+
+    return read
+
+
+def _specs(v):
+    """One norm spec, or a list of per-component specs."""
+    return [NormSpec.from_json(o) for o in v] if isinstance(v, list) else NormSpec.from_json(v)
+
+
+def _schatten_p(v):
+    """A capacity scan's exponent: a number p, or a schatten norm's p."""
+    spec = NormSpec.from_json(v) if isinstance(v, dict) else NormSpec.schatten(v)
+    if spec.kind != "schatten":
+        raise ValidationError(f"a capacity scan needs a schatten norm, got {spec.kind!r}")
+    return spec.p
+
+
+def _write_history(config, name, history):
+    rows = [(int(i), float(f), float(s)) for (i, f, s) in history]
+    write_csv(os.path.join(config.out_dir, name), ["iter", "objective", "step"], rows)
+
+
+def _solve_fields(config, rep):
+    """Write a solve's history.csv; its report fields."""
+    _write_history(config, "history.csv", rep.history)
+    return rep.to_json(history_csv="history.csv")
+
+
+def _series_fields(config, rows, histories):
+    """Write a sweep's series.csv (rows of scale, value, converged, extrapolated)
+    and each (name, history) file; the report fields naming them."""
+    write_csv(os.path.join(config.out_dir, "series.csv"),
+              ["scale", "value", "converged", "extrapolated"], rows)
+    for name, history in histories:
+        _write_history(config, name, history)
+    return {"series_csv": "series.csv", "history_csvs": [name for name, _ in histories]}
+
+
+# Each command's reader returns the function that runs it and its inputs.
+
+
+def _read_tuple_condenser(r):
+    tau = r("tuple", OperatorTuple.from_json)
+    P, Q = r("P", projection_from_json), r("Q", projection_from_json)
+    if any(x is None for x in (tau, P, Q)):  # P and Q may be arrays: no ``None in``
+        return tau, None
+    return tau, r.build("P/Q", make_condenser, P, Q, dim=tau.dim)
+
+
+def _read_ball(r):
+    group, R = r("group", GroupSpec.from_json), r("R", int)
+    if group is not None and R is not None:
+        return r.build("R/x1/x2", build_ball, group, R,
+                       X1=r("x1", default=None), X2=r("x2", default=None))
+
+
+def _read_norm(r):
+    if "s" not in r.payload and "matrix" not in r.payload:
+        r.errors.append('payload needs "s" (sequence) or "matrix"')
+    return _norm, {"spec": r("norm", NormSpec.from_json),
+                   "s": r("s", _sequence, None),
+                   "matrix": r("matrix", matrix_from_json, None)}
+
+
+def _norm(config, spec, s, matrix):
+    value = vector_norm(s, spec) if s is not None else matrix_norm(matrix, spec)
+    print(format(value, ".17g"))
+    return {"value": float(value)}, False
+
+
+def _read_condenser(r):
+    tau, cond = _read_tuple_condenser(r)
+    return _condenser, {"tau": tau, "cond": cond, "specs": r("norm", _specs)}
+
+
+def _condenser(config, tau, cond, specs):
+    rep = solve_condenser(tau, cond, specs, config.options())
+    return _solve_fields(config, rep), not rep.converged
+
+
+def _read_graphcap(r):
+    if "R_list" not in r.payload:
+        return _graphcap, {"ball": _read_ball(r), "spec": r("norm", NormSpec.from_json)}
+    group, R_list = r("group", GroupSpec.from_json), r("R_list", _ints)
+    p = r("p" if "p" in r.payload else "norm", _schatten_p)
+    x1 = r("x1", default="origin")
+    if group is not None and R_list:
+        r.build("x1", build_ball, group, R_list[0], X1=x1)  # the scan's first ball checks x1
+    return _graphcap_scan, {"group": group, "R_list": R_list, "p": p, "x1": x1}
+
+
+def _graphcap(config, ball, spec):
+    rep = graph_capacity(ball, spec, config.options(max_iters=2000, tol=1e-8, restarts=2))
+    return _solve_fields(config, rep), not rep.converged
+
+
+def _graphcap_scan(config, group, R_list, p, x1):
+    opts = config.options(max_iters=1500, tol=1e-8, restarts=1)
+    scan = parabolicity_scan(group, p, x1, R_list, opts)
+    entries = scan["entries"]
+    write_csv(os.path.join(config.out_dir, "series.csv"), ["R", "n_vertices", "value", "converged"],
+              [(e["R"], e["n_vertices"], e["value"], e["converged"]) for e in entries])
+    fields = {k: scan[k] for k in ("entries", "classification", "fit_exponent", "fit_r2",
+                                   "warnings")}
+    return {**fields, "series_csv": "series.csv"}, not all(e["converged"] for e in entries)
+
+
+def _read_transfer(r):
+    specs = r("norms" if "norms" in r.payload else "norm", _specs)
+    return _transfer, {"ball": _read_ball(r),
+                       "specs": specs if isinstance(specs, list) else [specs]}
+
+
+def _transfer(config, ball, specs):
+    opts = config.options(max_iters=3000, tol=1e-9, restarts=2)
+    comparisons = []
+    for spec in specs:
+        out = verify_transfer(ball, spec, opts)
+        comparisons.append({
+            "norm": spec.to_json(),
+            "cap": float(out["cap"]),
+            "k": float(out["k"]),
+            "gap": float(out["gap"]),
+            "inequality_ok": bool(out["inequality_ok"]),
+            "converged": bool(out["cap_report"].converged and out["k_report"].converged),
+        })
+    return ({"comparisons": comparisons, "n_vertices": ball.n_vertices},
+            not all(c["converged"] for c in comparisons))
+
+
+def _read_plaplace(r):
+    tau, cond = _read_tuple_condenser(r)
+    return _plaplace, {"tau": tau, "cond": cond, "p": r("p", float)}
+
+
+def _plaplace(config, tau, cond, p):
+    prob = SmoothProblem(tau, cond, p)
+    rep = minimize_smooth(prob, config.options(max_iters=20000, tol=1e-10, restarts=2))
+    el = euler_lagrange_report(prob, rep.minimizer)
+    fields = _solve_fields(config, rep)
+    fields["euler_lagrange"] = {
+        "theta": matrix_to_json(el.Theta),
+        "P1": matrix_to_json(el.P1),
+        "Q1": matrix_to_json(el.Q1),
+        "checks": el.checks,
+        "compression_eigs": el.compression_eigs,
+        "tolerances": el.tolerances,
+        "flags": el.flags,
+    }
+    return fields, not rep.converged
+
+
+def _read_experiment(r):
+    kind = r("experiment", _choice("gamma1", "ratio", "hybrid"))
+    if kind == "gamma1":
+        schedule = r("schedule", _object, {}) or {}
+        return _gamma1, {
+            "N_list": r.build("schedule.N_list", _ints, schedule.get("N_list", [64, 128, 256])),
+            "variant": r("variant", _choice("sawtooth", "triangle"), "sawtooth"),
+        }
+    if kind == "ratio":
+        models = r("models", lambda v: [MultiplicityModel.from_json(m) for m in v])
+        return _ratio, {"models": models, "n_scales": r("n_scales", int, 3)}
+    if kind == "hybrid":
+        return _hybrid, {
+            "gridsize": r("gridsize", int, 8),
+            "exponent_sets": r("exponent_sets", lambda v: [tuple(map(float, ps)) for ps in v]),
+            "swap": bool(r("swap", default=False)),
+        }
+    return None, {}
+
+
+_EXPERIMENT_DEFAULTS = {"max_iters": 600, "tol": 1e-7, "restarts": 1}
+
+
+def _gamma1(config, N_list, variant):
+    out = gamma1_experiment(N_list, opts=config.options(**_EXPERIMENT_DEFAULTS), variant=variant)
+    reports = out.pop("reports")
+    rows = [(e["N"], v, bool(rep.converged), out["estimate"])
+            for e, v, rep in zip(out["schedule"], out["values"], reports)]
+    histories = [(f"history_N{e['N']}.csv", rep.history)
+                 for e, rep in zip(out["schedule"], reports)]
+    return ({**out, **_series_fields(config, rows, histories)},
+            any(not rep.converged for rep in reports))
+
+
+def _ratio(config, models, n_scales):
+    out = ratio_experiment(models, config.options(**_EXPERIMENT_DEFAULTS), n_scales=n_scales)
+    rows, histories = [], []
+    for row in out["rows"]:
+        rows += [(i, v, row["converged"], row["estimate"]) for i, v in enumerate(row["values"])]
+        histories += [(f"history_{row['label']}_{i}.csv".replace(" ", "_"), hist)
+                      for i, hist in enumerate(row.pop("histories"))]
+    fields = {"rows": out["rows"], "ratio_cv": out["ratio_cv"], "claim_level": out["claim_level"]}
+    return ({**fields, **_series_fields(config, rows, histories)},
+            not all(row["converged"] for row in out["rows"]))
+
+
+def _hybrid(config, gridsize, exponent_sets, swap):
+    out = hybrid_exponent_scan(gridsize, exponent_sets, config.options(**_EXPERIMENT_DEFAULTS),
+                               swap=swap)
+    return out, not all(r["converged"] for r in out["results"])
+
+
+COMMANDS = {
+    "norm": _read_norm,
+    "condenser": _read_condenser,
+    "graphcap": _read_graphcap,
+    "transfer": _read_transfer,
+    "plaplace": _read_plaplace,
+    "experiment": _read_experiment,
+}
 
 
 def parse_config(command, payload, out_dir=".", seed=0, tol=None, max_iters=None, strict=False):
-    """Validate a config, collecting every violation rather than the first."""
-    errors = []
+    """Read the payload once into the command's inputs, collecting every
+    missing or malformed field rather than the first."""
     if command not in COMMANDS:
-        errors.append(f"unknown command {command!r}; allowed: {', '.join(COMMANDS)}")
+        raise ValidationError(f"unknown command {command!r}; allowed: {', '.join(COMMANDS)}")
+    r = _Reader(payload if isinstance(payload, dict) else {})
     if not isinstance(payload, dict):
-        errors.append("payload must be a JSON object")
-        payload = {}
-
-    def need(key, why):
-        if key not in payload:
-            errors.append(f"payload.{key} is required ({why})")
-            return False
-        return True
-
-    def check_norm(obj, path):
-        try:
-            if isinstance(obj, list):
-                for i, o in enumerate(obj):
-                    NormSpec.from_json(o)
-            else:
-                NormSpec.from_json(obj)
-        except (ValidationError, TypeError, KeyError) as exc:
-            errors.append(f"payload.{path}: {exc}")
-
-    if command == "norm":
-        if "s" not in payload and "matrix" not in payload:
-            errors.append('payload needs "s" (sequence) or "matrix"')
-        if need("norm", "the norm to evaluate"):
-            check_norm(payload["norm"], "norm")
-    elif command == "condenser":
-        for key, why in (("tuple", "operator tuple"), ("P", "inner plate"), ("Q", "outer plate"),
-                         ("norm", "ideal norm(s)")):
-            need(key, why)
-        if "norm" in payload:
-            check_norm(payload["norm"], "norm")
-        if "tuple" in payload:
-            try:
-                OperatorTuple.from_json(payload["tuple"])
-            except (ValidationError, TypeError, KeyError) as exc:
-                errors.append(f"payload.tuple: {exc}")
-    elif command == "graphcap":
-        if need("group", "group description"):
-            try:
-                GroupSpec.from_json(payload["group"])
-            except ValidationError as exc:
-                errors.append(f"payload.group: {exc}")
-        if "R_list" in payload:
-            if "p" not in payload and "norm" not in payload:
-                errors.append('scan payload needs "p" or a schatten "norm"')
-        else:
-            need("R", "ball radius")
-            if need("norm", "capacity norm"):
-                check_norm(payload["norm"], "norm")
-    elif command == "transfer":
-        for key in ("group", "R", "x1", "x2"):
-            need(key, "transfer comparison input")
-        if "norms" in payload:
-            check_norm(payload["norms"], "norms")
-        elif "norm" in payload:
-            check_norm(payload["norm"], "norm")
-        else:
-            errors.append('payload needs "norm" or "norms"')
-    elif command == "plaplace":
-        for key in ("tuple", "P", "Q", "p"):
-            need(key, "smooth problem input")
-        if "p" in payload and not (isinstance(payload["p"], (int, float)) and payload["p"] >= 2):
-            errors.append("payload.p must be a number >= 2")
-    elif command == "experiment":
-        if need("experiment", 'one of "gamma1", "ratio", "hybrid"'):
-            if payload["experiment"] not in ("gamma1", "ratio", "hybrid"):
-                errors.append(f'unknown experiment {payload["experiment"]!r}')
-
-    if errors:
-        raise ValidationError("invalid config:\n  " + "\n  ".join(errors), errors=errors)
-    return RunConfig(command, payload, out_dir, seed, tol, max_iters, strict)
-
-
-def _history_rows(history):
-    return [(int(i), float(f), float(s)) for (i, f, s) in history]
-
-
-def emit_series(path, header, rows):
-    """Write a plot-ready CSV (two leading columns are x, y)."""
-    write_csv(path, header, rows)
-    return path
-
-
-def _manifest(config, wall_time=None):
-    man = {
-        "seed": config.seed,
-        "tol": config.tol,
-        "max_iters": config.max_iters,
-        "version": __version__,
-        "command": config.command,
-    }
-    if wall_time is not None:
-        man["wall_time"] = wall_time
-    return man
+        r.errors.append("payload must be a JSON object")
+    run, inputs = COMMANDS[command](r)
+    options = {"seed": int(seed), **(r("options", _object, {}) or {})}
+    if tol is not None:
+        options["tol"] = tol
+    if max_iters is not None:
+        options["max_iters"] = int(max_iters)
+    r.build("options", SolveOptions.from_json, options)
+    if r.errors:
+        raise ValidationError("invalid config:\n  " + "\n  ".join(r.errors), errors=r.errors)
+    manifest = {"seed": int(seed), "tol": tol, "max_iters": max_iters, "version": __version__,
+                "command": command}
+    return RunConfig(command, run, inputs, options, manifest, out_dir, bool(strict))
 
 
 def dispatch(config):
     """Run the configured command; write report.json (+ CSVs) into out_dir."""
     t0 = time.perf_counter()
     os.makedirs(config.out_dir, exist_ok=True)
-    report_path = os.path.join(config.out_dir, "report.json")
-    payload = config.payload
-    report = {"command": config.command}
-    nonconverged = False
+    fields, nonconverged = config.run(config, **config.inputs)
+    write_json(os.path.join(config.out_dir, "report.json"),
+               {"command": config.command, **fields, "manifest": config.manifest})
+    write_json(os.path.join(config.out_dir, "manifest.json"),
+               {**config.manifest, "wall_time": time.perf_counter() - t0})
+    return 3 if config.strict and nonconverged else 0
 
-    if config.command == "norm":
-        spec = NormSpec.from_json(payload["norm"])
-        if "s" in payload:
-            value = vector_norm(np.asarray(payload["s"], dtype=float), spec)
-        else:
-            value = matrix_norm(matrix_from_json(payload["matrix"]), spec)
-        report["value"] = float(value)
-        print(format(value, ".17g"))
 
-    elif config.command == "condenser":
-        tau = OperatorTuple.from_json(payload["tuple"])
-        cond = condenser_from_json(payload["P"], payload["Q"], tau.dim)
-        norm_obj = payload["norm"]
-        specs = (
-            [NormSpec.from_json(o) for o in norm_obj]
-            if isinstance(norm_obj, list)
-            else NormSpec.from_json(norm_obj)
-        )
-        opts = config.options()
-        rep = solve_condenser(tau, cond, specs, opts)
-        hist_path = os.path.join(config.out_dir, "history.csv")
-        emit_series(hist_path, ["iter", "objective", "step"], _history_rows(rep.history))
-        report.update(rep.to_json(history_csv="history.csv"))
-        nonconverged = not rep.converged
+def _plate(v):
+    return v if v in ("origin", "identity", "e") else json.loads(v)
 
-    elif config.command == "graphcap":
-        group = GroupSpec.from_json(payload["group"])
-        if "R_list" in payload:
-            p = float(payload.get("p") or NormSpec.from_json(payload["norm"]).p)
-            opts = config.options(max_iters=1500, tol=1e-8, restarts=1)
-            scan = parabolicity_scan(group, p, payload.get("x1", "origin"), payload["R_list"], opts)
-            series_path = os.path.join(config.out_dir, "series.csv")
-            emit_series(
-                series_path,
-                ["R", "n_vertices", "value", "converged"],
-                [(e["R"], e["n_vertices"], e["value"], e["converged"]) for e in scan["entries"]],
-            )
-            nonconverged = not all(e["converged"] for e in scan["entries"])
-            report.update({
-                "entries": scan["entries"],
-                "classification": scan["classification"],
-                "fit_exponent": scan["fit_exponent"],
-                "fit_r2": scan["fit_r2"],
-                "warnings": scan["warnings"],
-                "series_csv": "series.csv",
-            })
-        else:
-            ball = build_ball(group, int(payload["R"]), X1=payload.get("x1"), X2=payload.get("x2"))
-            spec = NormSpec.from_json(payload["norm"])
-            opts = config.options(max_iters=2000, tol=1e-8, restarts=2)
-            rep = graph_capacity(ball, spec, opts)
-            hist_path = os.path.join(config.out_dir, "history.csv")
-            emit_series(hist_path, ["iter", "objective", "step"], _history_rows(rep.history))
-            report.update(rep.to_json(history_csv="history.csv"))
-            nonconverged = not rep.converged
 
-    elif config.command == "transfer":
-        group = GroupSpec.from_json(payload["group"])
-        ball = build_ball(group, int(payload["R"]), X1=payload.get("x1"), X2=payload.get("x2"))
-        norm_objs = payload.get("norms") or [payload["norm"]]
-        opts = config.options(max_iters=3000, tol=1e-9, restarts=2)
-        comparisons = []
-        for obj in norm_objs:
-            spec = NormSpec.from_json(obj)
-            out = verify_transfer(ball, spec, opts)
-            comparisons.append({
-                "norm": spec.to_json(),
-                "cap": float(out["cap"]),
-                "k": float(out["k"]),
-                "gap": float(out["gap"]),
-                "inequality_ok": bool(out["inequality_ok"]),
-                "converged": bool(out["cap_report"].converged and out["k_report"].converged),
-            })
-            nonconverged = nonconverged or not comparisons[-1]["converged"]
-        report["comparisons"] = comparisons
-        report["n_vertices"] = ball.n_vertices
-
-    elif config.command == "plaplace":
-        tau = OperatorTuple.from_json(payload["tuple"])
-        cond = condenser_from_json(payload["P"], payload["Q"], tau.dim)
-        prob = SmoothProblem(tau, cond, float(payload["p"]))
-        opts = config.options(max_iters=20000, tol=1e-10, restarts=2)
-        rep = minimize_smooth(prob, opts)
-        el = euler_lagrange_report(prob, rep.minimizer)
-        hist_path = os.path.join(config.out_dir, "history.csv")
-        emit_series(hist_path, ["iter", "objective", "step"], _history_rows(rep.history))
-        report.update(rep.to_json(history_csv="history.csv"))
-        from .jsonio import matrix_to_json
-
-        report["euler_lagrange"] = {
-            "theta": matrix_to_json(el.Theta),
-            "P1": matrix_to_json(el.P1),
-            "Q1": matrix_to_json(el.Q1),
-            "checks": el.checks,
-            "compression_eigs": el.compression_eigs,
-            "tolerances": el.tolerances,
-            "flags": el.flags,
-        }
-        nonconverged = not rep.converged
-
-    elif config.command == "experiment":
-        kind = payload["experiment"]
-        opts = config.options(max_iters=600, tol=1e-7, restarts=1)
-        if kind == "gamma1":
-            sched = payload.get("schedule", {})
-            out = gamma1_experiment(
-                sched.get("N_list", [64, 128, 256]),
-                opts=opts,
-                variant=payload.get("variant", "sawtooth"),
-            )
-            series_path = os.path.join(config.out_dir, "series.csv")
-            rows = [
-                (e["N"], v, bool(r.converged), out["estimate"])
-                for e, v, r in zip(out["schedule"], out["values"], out["reports"])
-            ]
-            emit_series(series_path, ["scale", "value", "converged", "extrapolated"], rows)
-            history_files = []
-            for e, r in zip(out["schedule"], out["reports"]):
-                name = f"history_N{e['N']}.csv"
-                emit_series(os.path.join(config.out_dir, name),
-                            ["iter", "objective", "step"], _history_rows(r.history))
-                history_files.append(name)
-            nonconverged = any(not r.converged for r in out["reports"])
-            report.update({k: v for k, v in out.items() if k != "reports"})
-            report["series_csv"] = "series.csv"
-            report["history_csvs"] = history_files
-        elif kind == "ratio":
-            models = [MultiplicityModel.from_json(m) for m in payload["models"]]
-            out = ratio_experiment(models, opts, n_scales=int(payload.get("n_scales", 3)))
-            series_path = os.path.join(config.out_dir, "series.csv")
-            rows = []
-            history_files = []
-            for r in out["rows"]:
-                for i, v in enumerate(r["values"]):
-                    rows.append((i, v, r["converged"], r["estimate"]))
-                for i, hist in enumerate(r["histories"]):
-                    name = f"history_{r['label']}_{i}.csv".replace(" ", "_")
-                    emit_series(os.path.join(config.out_dir, name),
-                                ["iter", "objective", "step"], _history_rows(hist))
-                    history_files.append(name)
-            emit_series(series_path, ["scale", "value", "converged", "extrapolated"], rows)
-            report.update({
-                "rows": [{k: v for k, v in r.items() if k != "histories"} for r in out["rows"]],
-                "ratio_cv": out["ratio_cv"],
-                "claim_level": out["claim_level"],
-            })
-            report["series_csv"] = "series.csv"
-            report["history_csvs"] = history_files
-            nonconverged = not all(r["converged"] for r in out["rows"])
-        else:
-            out = hybrid_exponent_scan(
-                int(payload.get("gridsize", 8)),
-                [tuple(ps) for ps in payload["exponent_sets"]],
-                opts,
-                swap=bool(payload.get("swap", False)),
-            )
-            report.update(out)
-            nonconverged = not all(r["converged"] for r in out["results"])
-
-    report["manifest"] = _manifest(config)
-    write_json(report_path, report)
-    wall = time.perf_counter() - t0
-    write_json(os.path.join(config.out_dir, "manifest.json"), _manifest(config, wall_time=wall))
-    if config.strict and nonconverged:
-        return 3
-    return 0
+def _read_payload(args):
+    """The JSON payload of --config, --inline or graphcap's convenience flags."""
+    if args.config and args.inline:
+        raise ValidationError("give either --config or --inline, not both")
+    if args.config:
+        with open(args.config) as fh:
+            return json.load(fh)
+    if args.inline:
+        return json.loads(args.inline)
+    if args.command != "graphcap" or not args.group:
+        raise ValidationError("a payload is required (--config PATH or --inline JSON)")
+    payload = {"group": json.loads(args.group)}
+    if args.R is not None:
+        payload["R"] = args.R
+    if args.x1:
+        payload["x1"] = _plate(args.x1)
+    if args.x2:
+        payload["x2"] = _plate(args.x2)
+    if args.norm:
+        payload["norm"] = json.loads(args.norm)
+    return payload
 
 
 def main(argv=None):
@@ -362,47 +409,20 @@ def main(argv=None):
         parser.print_help()
         return 2
 
-    try:
-        if args.config and args.inline:
-            raise ValidationError("give either --config or --inline, not both")
-        if args.config:
-            with open(args.config) as fh:
-                payload = json.load(fh)
-        elif args.inline:
-            payload = json.loads(args.inline)
-        elif args.command == "graphcap" and args.group:
-            payload = {"group": json.loads(args.group)}
-            if args.R is not None:
-                payload["R"] = args.R
-            if args.x1:
-                payload["x1"] = args.x1 if args.x1 in ("origin", "identity", "e") else json.loads(args.x1)
-            if args.x2:
-                payload["x2"] = args.x2 if args.x2 in ("origin", "identity", "e") else json.loads(args.x2)
-            if args.norm:
-                payload["norm"] = json.loads(args.norm)
-        else:
-            raise ValidationError("a payload is required (--config PATH or --inline JSON)")
-    except (json.JSONDecodeError, OSError) as exc:
-        print(f"error: cannot read payload: {exc}", file=sys.stderr)
-        return 2
-
     out_dir = args.out
     if out_dir.endswith(".json"):
         # Convenience: --out report.json writes into its directory.
         out_dir = os.path.dirname(out_dir) or "."
 
     try:
-        config = parse_config(
-            args.command, payload, out_dir=out_dir, seed=args.seed,
-            tol=args.tol, max_iters=args.max_iters, strict=args.strict,
-        )
-    except ValidationError as exc:
-        for line in exc.errors:
-            print(f"config error: {line}", file=sys.stderr)
+        payload = _read_payload(args)
+    except (json.JSONDecodeError, OSError, ValidationError) as exc:
+        print(f"error: cannot read payload: {exc}", file=sys.stderr)
         return 2
 
     try:
-        return dispatch(config)
+        return dispatch(parse_config(args.command, payload, out_dir=out_dir, seed=args.seed,
+                                     tol=args.tol, max_iters=args.max_iters, strict=args.strict))
     except ValidationError as exc:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)

@@ -43,7 +43,6 @@ class SolveOptions:
     tol: float = 1e-7
     seed: int = 0
     restarts: int = 2
-    target: float | None = None
     refine: bool = True
 
     def __post_init__(self):
@@ -53,6 +52,8 @@ class SolveOptions:
             raise ValidationError("tol must be > 0")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
 
     @staticmethod
     def from_json(obj):
@@ -156,12 +157,8 @@ def _smooth_fg(tau, cond, specs, eps, sref, fref):
     return fg
 
 
-def _feasibility(tau, cond, var):
-    A = embed(var)
-    res = {
-        "AP_minus_P": float(np.linalg.norm(A @ cond.P - cond.P)),
-        "AQ": float(np.linalg.norm(A @ cond.Q)),
-    }
+def _feasibility(cond, var):
+    res = cond.plate_residuals(embed(var))
     if cond.m0:
         w = np.linalg.eigvalsh(_herm(var.middle))
         res["eig_below_0"] = float(max(0.0, -w.min()))
@@ -185,7 +182,7 @@ def solve_condenser(tau, cond, specs, opts=None):
         # A = 0 is feasible with zero commutators.
         var = ContractionVariable(cond, np.zeros((cond.m0, cond.m0), dtype=cond.basis_mid.dtype))
         value = objective(tau, embed(var), specs)
-        return SolveReport.closed_form(t0, value, var, _feasibility(tau, cond, var),
+        return SolveReport.closed_form(t0, value, var, _feasibility(cond, var),
                                        restart_values=[value], m0=cond.m0)
 
     fg = _exact_fg(tau, cond, specs)
@@ -219,7 +216,7 @@ def solve_condenser(tau, cond, specs, opts=None):
 
     starts = _initial_middles(cond, opts.restarts, opts.seed, np.sqrt(max(cond.m0, 1)))
     ms = Multistart.solve(starts, restart, finish, tail_tol=opts.tol)
-    return SolveReport.of_multistart(t0, ms, _feasibility(tau, cond, ms.minimizer), m0=cond.m0)
+    return SolveReport.of_multistart(t0, ms, _feasibility(cond, ms.minimizer), m0=cond.m0)
 
 
 def sup_over_projections(tau, P_family, Q, specs, opts=None):

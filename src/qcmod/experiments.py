@@ -155,6 +155,8 @@ def gamma1_experiment(N_list, M_rule=None, K_rule=None, opts=None, spec=None, va
     M_rule = M_rule or default_M_rule
     K_rule = K_rule or default_K_rule
     N_list = list(N_list)
+    if not N_list:
+        raise ValidationError("N_list needs at least one scale")
     reference = GAMMA1 * position_multiplicity_integral(variant)
 
     schedule = [(N, int(M_rule(N)), int(K_rule(N))) for N in N_list]
@@ -410,6 +412,8 @@ def ratio_experiment(models, opts=None, n_scales=3):
     models = list(models)
     if len(models) < 2:
         raise ValidationError("ratio experiment needs at least 2 comparable models")
+    if n_scales < 1:
+        raise ValidationError("n_scales must be >= 1")
 
     rows = []
     for model in models:
@@ -451,6 +455,8 @@ def hybrid_exponent_scan(gridsize, exponent_sets, opts=None, swap=False):
     """
     opts = opts or SolveOptions(max_iters=600, tol=1e-6, seed=0, restarts=2)
     g = int(gridsize)
+    if g < 1:
+        raise ValidationError("gridsize must be >= 1")
     for ps in exponent_sets:
         if any(p <= 1 for p in ps):
             raise ValidationError("hybrid exponents must satisfy p_j > 1")

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import ValidationError, CondenserError
-from .jsonio import matrix_to_json, matrix_from_json, projection_from_json
+from .jsonio import matrix_to_json, matrix_from_json
 from .ri_norms import matrix_norm, spec_list
 
 _PROJ_TOL = 1e-10
@@ -174,6 +174,11 @@ class Condenser:
     def compress_middle(self, A):
         return self.basis_mid.conj().T @ A @ self.basis_mid
 
+    def plate_residuals(self, A):
+        """Frobenius norms of AP - P and AQ: how far A is from the plate constraints."""
+        return {"AP_minus_P": float(np.linalg.norm(A @ self.P - self.P)),
+                "AQ": float(np.linalg.norm(A @ self.Q))}
+
     def to_json(self):
         return {"P": matrix_to_json(self.P), "Q": matrix_to_json(self.Q)}
 
@@ -272,10 +277,6 @@ def make_condenser(P_source, Q_source, *, dim=None, middle_basis=None):
     if Vp.shape[1] + Vq.shape[1] + Vm.shape[1] != dim:
         raise CondenserError("block ranks do not sum to the ambient dimension")
     return Condenser(dim, Vp, Vq, Vm)
-
-
-def condenser_from_json(P_obj, Q_obj, dim):
-    return make_condenser(projection_from_json(P_obj), projection_from_json(Q_obj), dim=dim)
 
 
 @dataclass(frozen=True)

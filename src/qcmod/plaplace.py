@@ -142,10 +142,13 @@ def minimize_smooth(prob, opts=None):
     cond = prob.condenser
     m0 = cond.m0
 
-    if m0 == 0:
-        var = ContractionVariable(cond, np.zeros((0, 0)))
+    if m0 == 0 or cond.rank_p == 0:
+        # Nothing to optimize: A = P is the only feasible point, or P = 0 and
+        # A = 0 is feasible with I(0) = 0.
+        var = ContractionVariable(cond, np.zeros((m0, m0), dtype=cond.basis_mid.dtype))
         val = smooth_objective(prob, embed(var))
-        return SolveReport.closed_form(t0, val, var, {}, iters=0, restart_values=[val], p=prob.p)
+        return SolveReport.closed_form(t0, val, var, cond.plate_residuals(embed(var)), iters=0,
+                                       restart_values=[val], p=prob.p)
 
     fg = _middle_fg(prob)
     proj = lambda B: project_middle(cond, B)
@@ -167,12 +170,7 @@ def minimize_smooth(prob, opts=None):
         return var, smooth_objective(prob, embed(var))
 
     ms = Multistart.solve(_initial_middles(cond, opts.restarts, opts.seed, 1.0), restart, finish)
-    A = embed(ms.minimizer)
-    feasibility = {
-        "AP_minus_P": float(np.linalg.norm(A @ cond.P - cond.P)),
-        "AQ": float(np.linalg.norm(A @ cond.Q)),
-    }
-    return SolveReport.of_multistart(t0, ms, feasibility, p=prob.p)
+    return SolveReport.of_multistart(t0, ms, cond.plate_residuals(embed(ms.minimizer)), p=prob.p)
 
 
 def euler_lagrange_report(prob, X, eps1=1e-6, delta=None):

@@ -68,6 +68,22 @@ class TestBuildBall:
                 inside = fwd[fwd >= 0]
                 assert len(np.unique(inside)) == len(inside)
 
+    @pytest.mark.parametrize("grp, R", [(Z3, 4), (F2, 3), (GroupSpec("free", k=3), 2)],
+                             ids=["Z3", "F2", "F3"])
+    def test_canonical_order_lengths_and_maps(self, grp, R):
+        # vertices sorted by (word length, key); sigma[j] maps v to g_j v
+        b = build_ball(grp, R)
+        lengths = [sum(map(abs, v)) if grp.kind == "zd" else len(v) for v in b.vertices]
+        assert b.word_lengths.tolist() == lengths
+        assert list(zip(lengths, b.vertices)) == sorted(zip(lengths, b.vertices))
+        for j, fwd in enumerate(b.sigma):
+            for v, image in zip(b.vertices, fwd):
+                if grp.kind == "zd":
+                    w = tuple(x + (k == j) for k, x in enumerate(v))
+                else:
+                    w = v[1:] if v and v[0] == -(j + 1) else (j + 1,) + v
+                assert image == (b.vertices.index(w) if w in b.vertices else -1)
+
     def test_custom_group(self):
         tables = [[1, 2, 0], [2, 0, 1]]
         g = GroupSpec("custom", tables=tuple(tuple(t) for t in tables))

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from qcmod.cli import dispatch, emit_series, main, parse_config
+from qcmod.cli import dispatch, main, parse_config
 from qcmod.errors import ValidationError
+from qcmod.jsonio import write_csv
 
 
 def run(tmp_path, argv):
@@ -199,24 +200,77 @@ class TestDispatch:
 
 class TestEmitSeries:
     def test_empty_history_header_only(self, tmp_path):
-        path = emit_series(str(tmp_path / "h.csv"), ["iter", "objective", "step"], [])
-        assert open(path).read() == "iter,objective,step\n"
+        path = tmp_path / "h.csv"
+        write_csv(path, ["iter", "objective", "step"], [])
+        assert path.read_text() == "iter,objective,step\n"
 
     def test_three_point_scan_four_lines(self, tmp_path):
-        path = emit_series(
-            str(tmp_path / "s.csv"), ["scale", "value", "converged", "extrapolated"],
-            [(1, 0.5, True, 0.4), (2, 0.45, True, 0.4), (3, 0.42, True, 0.4)],
-        )
-        lines = open(path).read().splitlines()
-        assert len(lines) == 4
+        path = tmp_path / "s.csv"
+        write_csv(path, ["scale", "value", "converged", "extrapolated"],
+                  [(1, 0.5, True, 0.4), (2, 0.45, True, 0.4), (3, 0.42, True, 0.4)])
+        assert len(path.read_text().splitlines()) == 4
 
     def test_17_digit_round_trip(self, tmp_path):
         x = 1.0 / 3.0 + 1e-16
-        path = emit_series(str(tmp_path / "r.csv"), ["x", "y"], [(x, np.pi)])
-        _, row = open(path).read().splitlines()
+        path = tmp_path / "r.csv"
+        write_csv(path, ["x", "y"], [(x, np.pi)])
+        _, row = path.read_text().splitlines()
         sx, sy = row.split(",")
         assert float(sx) == x and float(sy) == np.pi
 
     def test_lf_line_endings(self, tmp_path):
-        path = emit_series(str(tmp_path / "lf.csv"), ["a"], [(1,)])
-        assert b"\r" not in open(path, "rb").read()
+        path = tmp_path / "lf.csv"
+        write_csv(path, ["a"], [(1,)])
+        assert b"\r" not in path.read_bytes()
+
+
+_TRIDIAG = {"components": [{"re": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]}]}
+_PLATES = {"P": {"basis_indices": [0]}, "Q": {"basis_indices": [2]}}
+_S2 = {"kind": "schatten", "p": 2}
+_Z1 = {"kind": "Z^d", "d": 1}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("plaplace", dict(_PLATES, tuple={"components": 5}, p=3)),
+    ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"max_iters": "x"})),
+    ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, P={"re": "x"})),
+    ("graphcap", {"group": {"kind": "Z^d"}, "R": 3, "x1": "origin", "norm": _S2}),
+    ("graphcap", {"group": _Z1, "R": "a", "x1": "origin", "norm": _S2}),
+    ("graphcap", {"group": _Z1, "R": 3, "x1": {"sphere": "a"}, "norm": _S2}),
+    ("graphcap", {"group": _Z1, "R_list": [3, 4, 5], "norm": {"kind": "macaev"}}),
+    ("graphcap", {"group": _Z1, "R_list": [3, 4, 5], "norm": {"kind": "lorentz_p1", "p": 2}}),
+    ("norm", {"s": "abc", "norm": _S2}),
+    ("norm", {"s": [1, 2], "norm": {"kind": "schatten", "p": "two"}}),
+    ("experiment", {"experiment": "ratio"}),
+    ("experiment", {"experiment": "hybrid"}),
+    ("experiment", {"experiment": "gamma1", "schedule": {"N_list": "abc"}}),
+    ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"seed": "x"})),
+    ("norm", {"s": 5, "norm": _S2}),
+], ids=["tuple-components", "options-max-iters", "P-re", "group-d", "R", "x1-sphere",
+        "scan-macaev", "scan-lorentz", "s", "norm-p", "ratio-models", "hybrid-exponents",
+        "gamma1-N-list", "options-seed", "s-scalar"])
+def test_malformed_payload_exit_2(tmp_path, capsys, command, payload):
+    # each of these used to end in a traceback (exit 1) or, for the Lorentz
+    # scan, in a silent Schatten-2 scan
+    code = run(tmp_path, [command, "--inline", json.dumps(payload), "--out", "OUT"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "payload." in err
+    assert "Traceback" not in err
+
+
+_MODELS = [{"kind": "box_step", "label": "a"}, {"kind": "box_step", "label": "b", "scale": 0.5}]
+
+
+@pytest.mark.parametrize("payload", [
+    {"experiment": "ratio", "n_scales": 0, "models": _MODELS},
+    {"experiment": "hybrid", "gridsize": 0, "exponent_sets": [[2, 2]]},
+    {"experiment": "gamma1", "schedule": {"N_list": []}},
+], ids=["ratio-no-scales", "hybrid-empty-grid", "gamma1-no-scales"])
+def test_empty_experiment_exit_2(tmp_path, capsys, payload):
+    # well-formed fields whose values leave nothing to solve: rejected by the
+    # experiment itself, which used to fail with a TypeError, ZeroDivisionError
+    # or IndexError
+    code = run(tmp_path, ["experiment", "--inline", json.dumps(payload), "--out", "OUT"])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err

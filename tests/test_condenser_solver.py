@@ -137,12 +137,6 @@ class TestSolveCondenser:
         assert rep.value == 0.0
         assert all(np.isfinite(h[1]) for h in rep.history)
 
-    def test_polyak_with_supplied_target(self, tridiag_example):
-        tau, cond = tridiag_example
-        opts = SolveOptions(max_iters=3000, tol=1e-10, seed=1, restarts=1, target=1.0)
-        rep = solve_condenser(tau, cond, NormSpec.schatten(2), opts)
-        assert rep.value == pytest.approx(1.0, rel=1e-6)
-
     def test_feasibility_residuals(self, tridiag_example):
         tau, cond = tridiag_example
         rep = solve_condenser(tau, cond, NormSpec.schatten(2), OPTS)
@@ -185,6 +179,17 @@ class TestScaleSweep:
         out = scale_sweep([(r, make_cb(3.25)) for r in (2, 4, 8)], NormSpec.schatten(2),
                           OPTS, extrapolation="richardson")
         assert out["limit"] == pytest.approx(3.25, abs=1e-10)
+
+    def test_power_fit_exact_for_model_class(self):
+        # 0.7 + 0.9 / N: the exponent lies between grid points, so a grid
+        # search alone stops at a limit near 0.70022
+        from qcmod._solvers import fit_power
+
+        N = np.array([8.0, 16.0, 32.0, 64.0])
+        v_inf, a, expo, resid = fit_power(N, 0.7 + 0.9 / N)
+        assert v_inf == pytest.approx(0.7, abs=1e-9)
+        assert a == pytest.approx(0.9, abs=1e-8)
+        assert expo == pytest.approx(-1.0, abs=1e-8)
 
     def test_richardson_exact_for_model_class(self):
         c, a = 1.7, -4.2

@@ -111,9 +111,10 @@ def test_smooth_max_single_term_passes_through():
 
 class TestOptionsJson:
     def test_from_json_reads_every_field(self):
-        obj = {"max_iters": 7, "tol": 1e-3, "seed": 4, "restarts": 3, "target": 0.5, "refine": False}
+        obj = {"max_iters": 7, "tol": 1e-3, "seed": 4, "restarts": 3, "refine": False}
         assert SolveOptions.from_json(obj) == SolveOptions(**obj)
 
     def test_unknown_keys_are_ignored(self):
-        assert SolveOptions.from_json({"step_rule": "diminishing", "seed": 2}) == SolveOptions(seed=2)
+        assert SolveOptions.from_json({"step_rule": "diminishing", "target": 0.5, "seed": 2}) \
+            == SolveOptions(seed=2)
         assert NormSpec.from_json({"kind": "macaev", "length_hint": 3}) == NormSpec.macaev()

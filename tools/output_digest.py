@@ -51,6 +51,8 @@ def runs():
     z = lambda dim: {"kind": "Z^d", "d": dim}
     f2 = {"kind": "free", "k": 2}
     return [
+        ("norm_s_lorentz", "norm", {"s": [3.0, -1.0, 2.5, 0.5, -4.0], "norm": lorentz}),
+        ("norm_matrix_s3", "norm", {"matrix": _matrix(twist), "norm": s3}),
         ("condenser_s1", "condenser", dict(plates, tuple=two, norm=s1, options=opts)),
         ("condenser_lorentz", "condenser", dict(plates, tuple=one, norm=lorentz, options=opts)),
         ("condenser_hybrid_s1_s3", "condenser", dict(plates, tuple=two, norm=[s1, s3], options=opts)),
