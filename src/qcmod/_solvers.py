@@ -192,6 +192,13 @@ def estimate_curvature(fg, x, rng, rounds=5, probe=1e-6):
 # -- multistart driver ---------------------------------------------------------------
 
 
+def skips_subgradient(specs, opts):
+    """Whether a solve opens each restart with its smooth refinement instead of
+    the projected subgradient phase: refinement is on and every norm is
+    Schatten with p > 1, which is differentiable wherever it is nonzero."""
+    return opts.refine and all(sp.kind == "schatten" and sp.p > 1 for sp in specs)
+
+
 def _tail_converged(history, tol):
     """Plateau criterion: the running best improved by <= tol * scale over the
     final quarter of all recorded iterations."""

@@ -39,7 +39,14 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ._solvers import SMOOTHING_LADDER, Multistart, _huber, _smooth_max, fit_loglog
+from ._solvers import (
+    SMOOTHING_LADDER,
+    Multistart,
+    _huber,
+    _smooth_max,
+    fit_loglog,
+    skips_subgradient,
+)
 from .condenser_solver import SolveOptions, SolveReport, solve_condenser
 from .errors import ValidationError
 from .operator_core import (
@@ -348,7 +355,10 @@ def graph_capacity(ball, spec, opts=None):
 
     The box constraint and pins are kept exactly at every iterate; a smooth
     refinement stage (Huber / log-sum-exp, L-BFGS-B on the free coordinates)
-    follows the subgradient phase for Schatten-family norms.
+    follows the subgradient phase for Schatten-family norms. Routing rule:
+    with ``opts.refine`` on and a Schatten norm with p > 1, which is smooth
+    wherever it is nonzero, each restart skips the subgradient phase: it logs
+    the exact value of its start potential and runs the refinement from there.
     """
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
@@ -379,8 +389,13 @@ def graph_capacity(ball, spec, opts=None):
         return vals[jstar], op.Dt_free[jstar] @ _vector_subgradient(diffs[jstar], spec, vals[jstar])
 
     proj = lambda x: np.clip(x, 0.0, 1.0)
+    smooth = skips_subgradient([spec], opts)
 
     def restart(ms, x0):
+        if smooth:
+            ms.record(x0, op.max_norm(assemble(x0), spec))
+            ms.run(_smooth_graph_refine, op, spec, assemble, x0)
+            return
         bx, bf, _ = ms.subgradient(fg, proj, x0, opts)
         if opts.refine and spec.kind == "schatten":
             ms.run(_smooth_graph_refine, op, spec, assemble, bx)

@@ -112,8 +112,12 @@ def _choice(*allowed):
 
 
 def _specs(v):
-    """One norm spec, or a list of per-component specs."""
-    return [NormSpec.from_json(o) for o in v] if isinstance(v, list) else NormSpec.from_json(v)
+    """One norm spec, or a nonempty list of per-component specs."""
+    if not isinstance(v, list):
+        return NormSpec.from_json(v)
+    if not v:
+        raise ValidationError("expected a norm or a nonempty list of norms, got []")
+    return [NormSpec.from_json(o) for o in v]
 
 
 def _schatten_p(v):

@@ -5,6 +5,11 @@ A = P (+) B0 (+) 0 by projected subgradient descent on the middle block,
 followed (for Schatten-family norms, or generally when tie patterns allow) by
 a smoothed projected-descent refinement. The reported value is always an
 upper bound on the infimum: every iterate is exactly feasible.
+
+Routing rule: with ``refine`` on and every J_j Schatten with p > 1, the
+objective is smooth wherever its maximizing norm is nonzero, so each restart
+skips the subgradient phase. It logs the exact value at its start block and
+runs the smoothing ladder from there, with that value as the reference scale.
 """
 
 import dataclasses
@@ -21,6 +26,7 @@ from ._solvers import (
     fit_power,
     fit_richardson,
     projected_descent,
+    skips_subgradient,
 )
 from .errors import ValidationError
 from .jsonio import matrix_to_json
@@ -54,6 +60,8 @@ class SolveOptions:
             raise ValidationError("restarts must be >= 1")
         if not isinstance(self.seed, (int, np.integer)):
             raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.refine, (bool, np.bool_)):
+            raise ValidationError(f"refine must be a boolean, got {self.refine!r}")
 
     @staticmethod
     def from_json(obj):
@@ -188,8 +196,25 @@ def solve_condenser(tau, cond, specs, opts=None):
     fg = _exact_fg(tau, cond, specs)
     proj = lambda B: project_middle(cond, B)
     all_schatten = all(sp.kind == "schatten" for sp in specs)
+    smooth = skips_subgradient(specs, opts)
+
+    def smoothing_ladder(ms, x, sref, f0):
+        """The ε stages of ``_smooth_fg`` from x, then the exact value of their point."""
+        f0 = max(f0, 1e-300)
+        for eps, iters in zip(SMOOTHING_LADDER, (150, 150, 300, max(300, opts.max_iters // 2))):
+            x, _, conv = ms.run(
+                projected_descent, _smooth_fg(tau, cond, specs, eps, sref, f0), proj, x,
+                max_iters=iters, residual_tol=max(1e-14, 1e-3 * opts.tol) * f0, offer=False,
+            )
+        ms.record(x, fg(x)[0], conv)
 
     def restart(ms, B0):
+        if smooth:
+            # the start blocks are feasible; sref is read by p = 1 components only
+            f0 = fg(B0)[0]
+            ms.record(B0, f0)
+            smoothing_ladder(ms, B0, None, f0)
+            return
         bx, bf, _ = ms.subgradient(fg, proj, B0, opts)
         if not opts.refine:
             return
@@ -201,14 +226,7 @@ def solve_condenser(tau, cond, specs, opts=None):
         for T, t in zip(tau.components, tau.diagonals):
             sv = np.linalg.svd(commutator(A0, T, t), compute_uv=False)
             sref.append(float(sv[0]) if sv.size else 0.0)
-        f0 = max(bf, 1e-300)
-        x = bx
-        for eps, iters in zip(SMOOTHING_LADDER, (150, 150, 300, max(300, opts.max_iters // 2))):
-            x, _, conv = ms.run(
-                projected_descent, _smooth_fg(tau, cond, specs, eps, sref, f0), proj, x,
-                max_iters=iters, residual_tol=max(1e-14, 1e-3 * opts.tol) * f0, offer=False,
-            )
-        ms.record(x, fg(x)[0], conv)
+        smoothing_ladder(ms, bx, sref, bf)
 
     def finish(B):
         var = ContractionVariable(cond, project_middle(cond, B))

@@ -290,7 +290,25 @@ class TestGraphCapacity:
             b = build_ball(grp, R, X1="origin")
             orc = harmonic_capacity_oracle(b)
             rep = graph_capacity(b, NormSpec.schatten(2), OPTS)
-            assert rep.value == pytest.approx(orc["capacity"], rel=1e-7)
+            assert rep.value == pytest.approx(orc["capacity"], rel=1e-10)
+
+    @pytest.mark.parametrize("spec, refine, smooth", [
+        (NormSpec.schatten(2), True, True),
+        (NormSpec.schatten(3), True, True),
+        (NormSpec.schatten(2), False, False),
+        (NormSpec.schatten(1), True, False),
+        (NormSpec.lorentz(2), True, False),
+    ], ids=["s2", "s3", "s2-no-refine", "s1", "l21"])
+    def test_route_follows_the_norm(self, spec, refine, smooth):
+        # the smooth route logs the start potential's exact value as history
+        # row 0 with step 0; the subgradient phase logs its first Polyak step
+        b = build_ball(Z2, 3, X1="origin")
+        opts = SolveOptions(max_iters=100, tol=1e-8, seed=3, restarts=2, refine=refine)
+        rep = graph_capacity(b, spec, opts)
+        u0 = np.full(b.n_vertices, 0.5)
+        u0[b.X1], u0[b.X2] = 1.0, 0.0
+        assert rep.history[0][:2] == (0, b.incidence.max_norm(u0, spec))
+        assert (rep.history[0][2] == 0.0) == smooth
 
     def test_monotone_in_X1(self):
         spec = NormSpec.schatten(2)

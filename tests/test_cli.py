@@ -230,32 +230,36 @@ _S2 = {"kind": "schatten", "p": 2}
 _Z1 = {"kind": "Z^d", "d": 1}
 
 
-@pytest.mark.parametrize("command, payload", [
-    ("plaplace", dict(_PLATES, tuple={"components": 5}, p=3)),
-    ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"max_iters": "x"})),
-    ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, P={"re": "x"})),
-    ("graphcap", {"group": {"kind": "Z^d"}, "R": 3, "x1": "origin", "norm": _S2}),
-    ("graphcap", {"group": _Z1, "R": "a", "x1": "origin", "norm": _S2}),
-    ("graphcap", {"group": _Z1, "R": 3, "x1": {"sphere": "a"}, "norm": _S2}),
-    ("graphcap", {"group": _Z1, "R_list": [3, 4, 5], "norm": {"kind": "macaev"}}),
-    ("graphcap", {"group": _Z1, "R_list": [3, 4, 5], "norm": {"kind": "lorentz_p1", "p": 2}}),
-    ("norm", {"s": "abc", "norm": _S2}),
-    ("norm", {"s": [1, 2], "norm": {"kind": "schatten", "p": "two"}}),
-    ("experiment", {"experiment": "ratio"}),
-    ("experiment", {"experiment": "hybrid"}),
-    ("experiment", {"experiment": "gamma1", "schedule": {"N_list": "abc"}}),
-    ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"seed": "x"})),
-    ("norm", {"s": 5, "norm": _S2}),
+@pytest.mark.parametrize("command, payload, field", [
+    ("plaplace", dict(_PLATES, tuple={"components": 5}, p=3), "tuple"),
+    ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"max_iters": "x"}), "options"),
+    ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, P={"re": "x"}), "P"),
+    ("graphcap", {"group": {"kind": "Z^d"}, "R": 3, "x1": "origin", "norm": _S2}, "group"),
+    ("graphcap", {"group": _Z1, "R": "a", "x1": "origin", "norm": _S2}, "R"),
+    ("graphcap", {"group": _Z1, "R": 3, "x1": {"sphere": "a"}, "norm": _S2}, "R/x1/x2"),
+    ("graphcap", {"group": _Z1, "R_list": [3, 4, 5], "norm": {"kind": "macaev"}}, "norm"),
+    ("graphcap", {"group": _Z1, "R_list": [3, 4, 5], "norm": {"kind": "lorentz_p1", "p": 2}},
+     "norm"),
+    ("norm", {"s": "abc", "norm": _S2}, "s"),
+    ("norm", {"s": [1, 2], "norm": {"kind": "schatten", "p": "two"}}, "norm"),
+    ("experiment", {"experiment": "ratio"}, "models"),
+    ("experiment", {"experiment": "hybrid"}, "exponent_sets"),
+    ("experiment", {"experiment": "gamma1", "schedule": {"N_list": "abc"}}, "schedule.N_list"),
+    ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"seed": "x"}), "options"),
+    ("norm", {"s": 5, "norm": _S2}, "s"),
+    ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"refine": "false"}), "options"),
+    ("transfer", {"group": _Z1, "R": 3, "x1": "origin", "norms": []}, "norms"),
 ], ids=["tuple-components", "options-max-iters", "P-re", "group-d", "R", "x1-sphere",
         "scan-macaev", "scan-lorentz", "s", "norm-p", "ratio-models", "hybrid-exponents",
-        "gamma1-N-list", "options-seed", "s-scalar"])
-def test_malformed_payload_exit_2(tmp_path, capsys, command, payload):
-    # each of these used to end in a traceback (exit 1) or, for the Lorentz
-    # scan, in a silent Schatten-2 scan
+        "gamma1-N-list", "options-seed", "s-scalar", "options-refine", "transfer-no-norms"])
+def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
+    # each of these used to end in a traceback (exit 1) or in a run that
+    # misread the field: a Schatten-2 scan for the Lorentz norm, a refined
+    # solve for refine "false", an empty report for an empty norm list
     code = run(tmp_path, [command, "--inline", json.dumps(payload), "--out", "OUT"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "payload." in err
+    assert f"payload.{field}" in err
     assert "Traceback" not in err
 
 

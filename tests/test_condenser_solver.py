@@ -5,7 +5,7 @@ import pytest
 
 from qcmod.condenser_solver import SolveOptions, scale_sweep, solve_condenser, sup_over_projections
 from qcmod.errors import ValidationError
-from qcmod.operator_core import OperatorTuple, embed, make_condenser, objective
+from qcmod.operator_core import ContractionVariable, OperatorTuple, embed, make_condenser, objective
 from qcmod.ri_norms import NormSpec
 
 from conftest import rand_hermitian, rand_unitary, tridiag_oracle
@@ -142,6 +142,64 @@ class TestSolveCondenser:
         rep = solve_condenser(tau, cond, NormSpec.schatten(2), OPTS)
         assert rep.feasibility_residuals["AP_minus_P"] <= 1e-12
         assert rep.feasibility_residuals["AQ"] <= 1e-12
+
+
+def s2_line_oracle(T):
+    """min over t in [0, 1] of ||[diag(1, t, 0), T]||_F in closed form.
+
+    The commutator C0 + t C1 is affine in t, so its squared norm is the
+    quadratic a t^2 + 2 b t + c, whose minimizer over [0, 1] clips -b / a.
+    """
+    E0, E1 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
+    C0, C1 = E0 @ T - T @ E0, E1 @ T - T @ E1
+    a, b = np.vdot(C1, C1).real, np.vdot(C0, C1).real
+    t = min(max(-b / a, 0.0), 1.0) if a > 0 else 0.0
+    return float(np.linalg.norm(C0 + t * C1))
+
+
+class TestSmoothRoute:
+    """Solves whose norms are all Schatten p > 1 skip the subgradient phase."""
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_3x3_s2_matches_the_line_oracle(self, restarts):
+        opts = SolveOptions(max_iters=150, tol=1e-6, seed=1, restarts=restarts)
+        cond = make_condenser([0], [2], dim=3)
+        rng = np.random.default_rng(41)
+        for _ in range(25):
+            T = rand_hermitian(rng, 3)
+            rep = solve_condenser(OperatorTuple.of([T]), cond, NormSpec.schatten(2), opts)
+            assert rep.value == pytest.approx(s2_line_oracle(T), rel=1e-12)
+            vals = rep.extra["restart_values"]
+            assert max(vals) - min(vals) <= 10 * opts.tol * max(1.0, rep.value)
+
+    @pytest.mark.parametrize("specs, refine, smooth", [
+        ([NormSpec.schatten(2)] * 2, True, True),
+        ([NormSpec.schatten(3), NormSpec.schatten(2)], True, True),
+        ([NormSpec.schatten(2)] * 2, False, False),
+        ([NormSpec.schatten(2), NormSpec.schatten(1)], True, False),
+        ([NormSpec.schatten(2), NormSpec.lorentz(2)], True, False),
+    ], ids=["s2", "s3-s2", "s2-no-refine", "s2-s1", "s2-l21"])
+    def test_route_follows_the_norms(self, specs, refine, smooth):
+        # the smooth route logs the start block's exact value as history row 0
+        # with step 0; the subgradient phase logs its first Polyak step there
+        rng = np.random.default_rng(42)
+        tau = OperatorTuple.of([rand_hermitian(rng, 4), rand_hermitian(rng, 4)])
+        cond = make_condenser([0], [3], dim=4)
+        opts = SolveOptions(max_iters=100, tol=1e-8, seed=2, restarts=2, refine=refine)
+        rep = solve_condenser(tau, cond, specs, opts)
+        start = objective(tau, embed(ContractionVariable(cond, 0.5 * np.eye(2))), specs)
+        assert rep.history[0][:2] == (0, pytest.approx(start, rel=1e-14))
+        assert (rep.history[0][2] == 0.0) == smooth
+
+
+class TestSolveOptions:
+    @pytest.mark.parametrize("refine", ["false", 0, 1, None])
+    def test_refine_must_be_boolean(self, refine):
+        with pytest.raises(ValidationError, match="refine must be a boolean"):
+            SolveOptions.from_json({"refine": refine})
+
+    def test_numpy_bool_refine_is_accepted(self):
+        assert not SolveOptions(refine=np.bool_(False)).refine
 
 
 class TestSupOverProjections:

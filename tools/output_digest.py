@@ -42,8 +42,12 @@ def runs():
     path = np.diag(np.ones(d - 1), 1) + np.diag(np.ones(d - 1), -1)
     ramp = np.diag(np.cos(np.arange(d)))
     twist = path + 1j * (np.diag(np.ones(d - 1), 1) - np.diag(np.ones(d - 1), -1)) * 0.5
+    hop = np.diag(np.ones(d - 2), 2) + np.diag(np.ones(d - 2), -2)
     one = {"components": [_matrix(path)]}
     two = {"components": [_matrix(path), _matrix(ramp)]}
+    # hop alone commutes with the projection onto the even sites, but next to
+    # path both components reach the max at the minimizer
+    tied = {"components": [_matrix(path), _matrix(2 * hop)]}
     plates = {"P": {"basis_indices": [0]}, "Q": {"basis_indices": [d - 1]}}
     opts = {"max_iters": 400, "restarts": 2}
     s1, s2, s3 = ({"kind": "schatten", "p": p} for p in (1, 2, 3))
@@ -55,7 +59,8 @@ def runs():
         ("norm_matrix_s3", "norm", {"matrix": _matrix(twist), "norm": s3}),
         ("condenser_s1", "condenser", dict(plates, tuple=two, norm=s1, options=opts)),
         ("condenser_lorentz", "condenser", dict(plates, tuple=one, norm=lorentz, options=opts)),
-        ("condenser_hybrid_s1_s3", "condenser", dict(plates, tuple=two, norm=[s1, s3], options=opts)),
+        ("condenser_s2", "condenser", dict(plates, tuple=tied, norm=s2, options=opts)),
+        ("condenser_hybrid_s1_s3", "condenser", dict(plates, tuple=tied, norm=[s1, s3], options=opts)),
         ("condenser_macaev", "condenser",
          dict(plates, tuple={"components": [_matrix(twist)]}, norm={"kind": "macaev"}, options=opts)),
         ("graphcap_z3_R14_s2", "graphcap", {"group": z(3), "R": 14, "x1": "origin", "norm": s2}),
