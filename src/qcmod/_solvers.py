@@ -90,26 +90,22 @@ def projected_descent(
     history=None,
     iter_offset=0,
     init_step=None,
-    plateau_window=60,
-    plateau_tol=None,
 ):
     """Projected gradient descent with Barzilai-Borwein steps and Armijo backtracking.
 
     Intended for (locally) smooth convex objectives; on a nonsmooth objective
-    the line search simply shrinks until progress stalls, at which point the
-    loop exits with the best iterate found. Stops when the projected-gradient
-    residual ||x - project(x - s g)|| / s drops below ``residual_tol``, or when
-    a window of iterations improves the best value by less than
-    ``plateau_tol`` (machine-level progress stall).
+    the line search shrinks until progress stalls. Converged exits: the
+    projected-gradient residual ||x - project(x - s g)|| / s drops below
+    ``residual_tol``, or a backtracking trial's whole first-order decrease
+    t * slope no longer changes f in floating point (the rounding floor: no
+    decrease can be verified; Hager & Zhang 2005). Other exits: more than 12
+    iterations in a row without an accepted step, and ``max_iters``.
 
     Returns (best_x, best_f, iters_done, converged).
     """
     x = project(np.array(x0))
     f, g = fg(x)
     best_f, best_x = f, x.copy()
-    if plateau_tol is None:
-        plateau_tol = 1e-13 * (abs(f) + 1e-300)
-    window_best = f
     step = init_step if init_step else 1.0 / max(_norm(g), 1e-12)
     fail_streak = 0
     converged = False
@@ -117,11 +113,6 @@ def projected_descent(
     while k < max_iters:
         if history is not None:
             history.append((iter_offset + k, f, step))
-        if k and k % plateau_window == 0:
-            if window_best - best_f <= plateau_tol:
-                converged = True
-                break
-            window_best = best_f
         d = project(x - step * g) - x
         dn = _norm(d)
         if dn <= residual_tol * step:
@@ -139,12 +130,18 @@ def projected_descent(
         t = 1.0
         accepted = False
         for _ in range(40):
+            if f + t * slope >= f:  # the rounding floor
+                converged = True
+                break
             xn = x + t * d
             fn, gn_ = fg(xn)
             if fn <= f + 1e-4 * t * slope:
                 accepted = True
                 break
             t *= 0.5
+        if converged:
+            k += 1
+            break
         if not accepted:
             fail_streak += 1
             step *= 0.25

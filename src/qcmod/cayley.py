@@ -575,9 +575,10 @@ def verify_transfer(ball, spec, opts=None):
 
     The diagonal matrix of any feasible potential is a feasible matrix
     variable whose commutator entries are a sub-pattern of the difference
-    function, so k <= cap holds at every truncation; the matrix solve is
-    seeded with that diagonal candidate, making the inequality hold for the
-    reported upper bounds as well. The remaining gap is reported.
+    function, so k <= cap holds at every truncation. After the matrix solve,
+    the diagonal candidate of the graph minimizer replaces k when lower, so
+    the inequality holds for the reported upper bounds as well. The remaining
+    gap is reported.
     """
     opts = opts or SolveOptions()
     tau = truncated_regular_rep(ball)

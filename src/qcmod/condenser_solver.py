@@ -9,7 +9,7 @@ upper bound on the infimum: every iterate is exactly feasible.
 Routing rule: with ``refine`` on and every J_j Schatten with p > 1, the
 objective is smooth wherever its maximizing norm is nonzero, so each restart
 skips the subgradient phase. It logs the exact value at its start block and
-runs the smoothing ladder from there, with that value as the reference scale.
+runs the smoothing ladder from there, that value scaling its first stage.
 """
 
 import dataclasses
@@ -199,13 +199,15 @@ def solve_condenser(tau, cond, specs, opts=None):
     smooth = skips_subgradient(specs, opts)
 
     def smoothing_ladder(ms, x, sref, f0):
-        """The ε stages of ``_smooth_fg`` from x, then the exact value of their point."""
-        f0 = max(f0, 1e-300)
+        """The ε stages of ``_smooth_fg`` from x, then the exact value of their
+        point. A stage's temperature scale is the value the previous one returned."""
+        f0 = fref = max(f0, 1e-300)
         for eps, iters in zip(SMOOTHING_LADDER, (150, 150, 300, max(300, opts.max_iters // 2))):
-            x, _, conv = ms.run(
-                projected_descent, _smooth_fg(tau, cond, specs, eps, sref, f0), proj, x,
+            x, f, conv = ms.run(
+                projected_descent, _smooth_fg(tau, cond, specs, eps, sref, fref), proj, x,
                 max_iters=iters, residual_tol=max(1e-14, 1e-3 * opts.tol) * f0, offer=False,
             )
+            fref = max(f, 1e-300)
         ms.record(x, fg(x)[0], conv)
 
     def restart(ms, B0):

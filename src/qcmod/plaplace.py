@@ -162,7 +162,6 @@ def minimize_smooth(prob, opts=None):
             max_iters=opts.max_iters,
             residual_tol=max(1e-14 * max(f0, 1.0), opts.tol * 1e-3 * max(f0, 1e-300)),
             init_step=1.0 / max(L, 1e-12),
-            plateau_tol=1e-15 * (f0 + 1e-300),
         )
 
     def finish(B):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from qcmod._solvers import Multistart, _huber, _smooth_max
-from qcmod.cayley import GroupSpec, build_ball, graph_capacity
+from qcmod import _solvers, plaplace
+from qcmod._solvers import Multistart, _huber, _smooth_max, projected_descent
+from qcmod.cayley import GroupSpec, build_ball, graph_capacity, truncated_regular_rep
 from qcmod.condenser_solver import SolveOptions, solve_condenser
 from qcmod.operator_core import OperatorTuple, make_condenser
 from qcmod.plaplace import SmoothProblem, minimize_smooth
@@ -52,6 +53,77 @@ def test_smooth_bookkeeping(p):
                            selfadjoint=[True, True])
     prob = SmoothProblem(tau, make_condenser([0], [3], dim=4), p)
     _check_bookkeeping(minimize_smooth(prob, OPTS3))
+
+
+def _count_fg(monkeypatch, module):
+    """Patch ``module.projected_descent`` to count the fg calls of each run;
+    returns the list of counts, one entry per run."""
+    counts = []
+    engine = module.projected_descent
+
+    def counted(fg, *args, **kwargs):
+        counts.append(0)
+
+        def fg_counted(x):
+            counts[-1] += 1
+            return fg(x)
+
+        return engine(fg_counted, *args, **kwargs)
+
+    monkeypatch.setattr(module, "projected_descent", counted)
+    return counts
+
+
+class TestRoundingFloor:
+    """``projected_descent`` stops once a trial step's whole first-order
+    decrease is below the rounding of f, instead of backtracking on."""
+
+    def test_floor_exit_on_offset_quadratic(self):
+        # f = 1e8 + a box-constrained diagonal quadratic: the decrease drops
+        # below the rounding of f (about 1.5e-8) long before the projected
+        # gradient falls to residual_tol
+        w, c = np.geomspace(1.0, 100.0, 20), np.linspace(-0.5, 1.5, 20)
+        calls = []
+
+        def fg(x):
+            calls.append(1)
+            return 1e8 + 0.5 * float(np.sum(w * (x - c) ** 2)), w * (x - c)
+
+        proj = lambda x: np.clip(x, 0.0, 1.0)
+        history = []
+        x, f, k, converged = projected_descent(fg, proj, np.full(20, 0.5), max_iters=500,
+                                               residual_tol=1e-12, history=history)
+        assert converged and k <= 30 and len(calls) <= 35
+        step = history[-1][2]
+        assert np.linalg.norm(proj(x - step * fg(x)[1]) - x) > 1e3 * 1e-12 * step
+        f_min = 1e8 + 0.5 * float(np.sum(w * (proj(c) - c) ** 2))
+        assert f - f_min <= 2 * np.spacing(1e8)
+
+    # minimize_smooth values on these tuples when the engine ran until a
+    # 60-iteration window left the best value unchanged
+    SMOOTH8 = {2.0: 3.7770034393817395, 3.0: 4.015217198828888, 4.0: 4.452437913623982}
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_smooth_8dim_stops_at_the_floor(self, monkeypatch, p):
+        rng = np.random.default_rng(5)
+        tau = OperatorTuple.of([rand_hermitian(rng, 8), rand_hermitian(rng, 8)],
+                               selfadjoint=[True, True])
+        counts = _count_fg(monkeypatch, plaplace)
+        rep = minimize_smooth(SmoothProblem(tau, make_condenser([0], [7], dim=8), p),
+                              SolveOptions(max_iters=20000, tol=1e-12, seed=3, restarts=2))
+        assert rep.converged
+        assert len(counts) == 2 and max(counts) <= 500
+        assert rep.value == pytest.approx(self.SMOOTH8[p], rel=1e-13, abs=0.0)
+
+    def test_f2_lorentz_condenser_refine(self, monkeypatch):
+        ball = build_ball(GroupSpec("free", k=2), 3, X1="origin", X2={"sphere": 3})
+        cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
+        counts = _count_fg(monkeypatch, _solvers)
+        rep = solve_condenser(truncated_regular_rep(ball), cond, NormSpec.lorentz(2),
+                              SolveOptions(seed=7, restarts=1))
+        assert rep.converged
+        assert len(counts) == 1 and counts[0] <= 200
+        assert abs(rep.value - (1 + 1 / np.sqrt(2))) <= 1e-6  # the capacity, within tol
 
 
 def _engine(fs, conv):
