@@ -2,12 +2,12 @@
 
 Usage:
 
-    python tools/output_digest.py [--src PATH] [--values]
+    python tools/output_digest.py [--src PATH]
 
 ``--src`` is the source tree to run (the directory holding the ``qcmod``
-package; default: this checkout's ``src``). ``--values`` also prints, under
-each run's exit line, the scalars of its report.json that size a moved
-digest (see ``VALUE_KEYS``). Each run is a fresh
+package; default: this checkout's ``src``). Under each run's exit line the
+scalars of its report.json that size a moved digest are printed (see
+``VALUE_KEYS``). Each run is a fresh
 ``python -m qcmod`` process with BLAS pinned to one thread, writing into a
 temporary directory. Every output file except
 ``manifest.json`` (it records wall time) is hashed; a run's exit code is
@@ -30,7 +30,7 @@ _PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM
          "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-#: report.json keys printed by --values, at the top level and inside each entry
+#: report.json keys printed under each run, at the top level and inside each entry
 #: of the lists named by ``VALUE_LISTS`` (transfer comparisons, scan entries,
 #: experiment rows and results)
 VALUE_KEYS = ("value", "value_upper", "iters", "converged", "k", "cap", "values", "estimate")
@@ -112,8 +112,6 @@ def main(argv=None):
     here = os.path.dirname(os.path.abspath(__file__))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(here, os.pardir, "src"))
-    ap.add_argument("--values", action="store_true",
-                    help="print each run's report.json scalars under its exit line")
     args = ap.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
     env.update({k: "1" for k in _PINS})
@@ -129,7 +127,7 @@ def main(argv=None):
             if proc.returncode not in (0, 3):
                 sys.stderr.write(proc.stderr)
             report = os.path.join(out, "report.json")
-            if args.values and os.path.isfile(report):
+            if os.path.isfile(report):
                 with open(report) as fh:
                     for line in report_values(json.load(fh)):
                         print(f"    {line}", flush=True)
