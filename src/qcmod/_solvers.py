@@ -6,7 +6,8 @@ inner product; feasibility is delegated to a ``project`` callback, so the same
 loop drives spectral-box middle blocks and pinned [0,1] vertex potentials.
 ``Multistart`` runs every solver's restarts: it owns the shared history and
 its iteration numbering, each restart's best point and value, the best point
-of the solve, and the converged flag.
+of the solve and the converged flag; ``Multistart.run_phases`` holds the one
+rule for which phases a nonsmooth restart runs.
 """
 
 import numpy as np
@@ -89,7 +90,6 @@ def projected_descent(
     residual_tol,
     history=None,
     iter_offset=0,
-    init_step=None,
 ):
     """Projected gradient descent with Barzilai-Borwein steps and Armijo backtracking.
 
@@ -106,7 +106,7 @@ def projected_descent(
     x = project(np.array(x0))
     f, g = fg(x)
     best_f, best_x = f, x.copy()
-    step = init_step if init_step else 1.0 / max(_norm(g), 1e-12)
+    step = 1.0 / max(_norm(g), 1e-12)
     fail_streak = 0
     converged = False
     k = 0
@@ -165,35 +165,7 @@ def projected_descent(
     return best_x, best_f, k, converged
 
 
-def estimate_curvature(fg, x, rng, rounds=5, probe=1e-6):
-    """Power-iteration estimate of the local curvature (largest Hessian eigenvalue)."""
-    _, g0 = fg(x)
-    v = rng.standard_normal(x.shape)
-    if np.iscomplexobj(x):
-        v = v + 1j * rng.standard_normal(x.shape)
-        v = 0.5 * (v + v.conj().T) if v.ndim == 2 and v.shape[0] == v.shape[1] else v
-    nv = _norm(v)
-    if nv == 0:
-        return 1.0
-    v /= nv
-    lam = 1.0
-    delta = probe * (1.0 + _norm(x))
-    for _ in range(rounds):
-        _, g1 = fg(x + delta * v)
-        w = (g1 - g0) / delta
-        lam = max(_norm(w), 1e-12)
-        v = w / lam
-    return lam
-
-
 # -- multistart driver ---------------------------------------------------------------
-
-
-def skips_subgradient(specs, opts):
-    """Whether a solve opens each restart with its smooth refinement instead of
-    the projected subgradient phase: refinement is on and every norm is
-    Schatten with p > 1, which is differentiable wherever it is nonzero."""
-    return opts.refine and all(sp.kind == "schatten" and sp.p > 1 for sp in specs)
 
 
 def _tail_converged(history, tol):
@@ -269,19 +241,31 @@ class Multistart:
         self.iters += 1
         self._offer(x, f, converged)
 
-    def subgradient(self, fg, project, x0, opts):
-        """The projected subgradient phase that opens every nonsmooth restart."""
-        return self.run(projected_subgradient, fg, project, x0,
-                        max_iters=opts.max_iters, tol=opts.tol)
-
-    def refine_exact(self, fg, project, x, f, opts):
-        """Projected descent on the exact objective from the subgradient phase's
-        point (x, f): the refinement for weighted norms, valid locally once the
-        tie pattern of the sorted magnitudes stabilizes; the line search
-        degrades gracefully otherwise."""
-        return self.run(projected_descent, fg, project, x,
-                        max_iters=max(200, opts.max_iters // 2),
-                        residual_tol=max(1e-14, 1e-3 * opts.tol) * max(f, 1e-300))
+    def run_phases(self, x0, specs, opts, fg, project, refine):
+        """One nonsmooth restart from x0 on the exact objective ``fg`` with
+        norms ``specs``; ``refine(ms, x, f)`` is the solver's smoothed
+        refinement from a point x of exact value f. With ``opts.refine`` on
+        and every norm Schatten with p > 1 (differentiable wherever nonzero)
+        the start value is logged and ``refine`` runs from x0. Otherwise the
+        projected subgradient phase runs, then, with ``opts.refine`` on,
+        ``refine`` for all-Schatten norm lists or projected descent on the
+        exact objective for weighted norms (valid once the tie pattern of the
+        sorted magnitudes stabilizes; its line search degrades gracefully)."""
+        schatten = all(sp.kind == "schatten" for sp in specs)
+        if opts.refine and schatten and all(sp.p > 1 for sp in specs):
+            f = fg(x0)[0]
+            self.record(x0, f)
+            refine(self, x0, f)
+            return
+        x, f, _ = self.run(projected_subgradient, fg, project, x0,
+                           max_iters=opts.max_iters, tol=opts.tol)
+        if not opts.refine:
+            return
+        if schatten:
+            refine(self, x, f)
+        else:
+            self.run(projected_descent, fg, project, x, max_iters=max(200, opts.max_iters // 2),
+                     residual_tol=max(1e-14, 1e-3 * opts.tol) * max(f, 1e-300))
 
 
 # -- smoothing -----------------------------------------------------------------------
@@ -297,6 +281,17 @@ def _huber(x, mu):
     once mu^2 underflows (a zero reference scale)."""
     r = np.sqrt(x * x + mu * mu)
     return float(np.sum(r)), np.divide(x, r, out=np.zeros_like(r), where=r > 0)
+
+
+def _smooth_schatten(x, p, mu):
+    """Smoothed Schatten-p gauge of a real vector and its gradient: ``_huber``
+    at p = 1; otherwise the exact p-norm, with gradient sign(x) (|x| / |x|_p)^(p - 1)
+    (0 at x = 0), smooth wherever x != 0; ``mu`` is read at p = 1 only."""
+    if p == 1:
+        return _huber(x, mu)
+    a = np.abs(x)
+    f = float(np.sum(a ** p) ** (1.0 / p))
+    return f, np.copysign((a / f) ** (p - 1.0), x) if f > 0 else np.zeros_like(a)
 
 
 def _smooth_max(fs, grads, eps, scale):

@@ -42,10 +42,9 @@ import scipy.sparse.linalg
 from ._solvers import (
     SMOOTHING_LADDER,
     Multistart,
-    _huber,
     _smooth_max,
+    _smooth_schatten,
     fit_loglog,
-    skips_subgradient,
 )
 from .condenser_solver import SolveOptions, SolveReport, solve_condenser
 from .errors import ValidationError
@@ -353,12 +352,11 @@ class IncidenceOperator:
 def graph_capacity(ball, spec, opts=None):
     """Condenser capacity of (X1, X2) on the ball for one RI norm.
 
-    The box constraint and pins are kept exactly at every iterate; a smooth
-    refinement stage (Huber / log-sum-exp, L-BFGS-B on the free coordinates)
-    follows the subgradient phase for Schatten-family norms. Routing rule:
-    with ``opts.refine`` on and a Schatten norm with p > 1, which is smooth
-    wherever it is nonzero, each restart skips the subgradient phase: it logs
-    the exact value of its start potential and runs the refinement from there.
+    The box constraint and pins are kept exactly at every iterate. Each
+    restart runs the phases ``Multistart.run_phases`` picks, as in the
+    condenser solve; the smooth refinement for Schatten norms is
+    ``_smooth_graph_refine`` (log-sum-exp over generators, L-BFGS-B on the
+    free coordinates), for p > 1 straight from the start potential.
     """
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
@@ -389,18 +387,11 @@ def graph_capacity(ball, spec, opts=None):
         return vals[jstar], op.Dt_free[jstar] @ _vector_subgradient(diffs[jstar], spec, vals[jstar])
 
     proj = lambda x: np.clip(x, 0.0, 1.0)
-    smooth = skips_subgradient([spec], opts)
 
-    def restart(ms, x0):
-        if smooth:
-            ms.record(x0, op.max_norm(assemble(x0), spec))
-            ms.run(_smooth_graph_refine, op, spec, assemble, x0)
-            return
-        bx, bf, _ = ms.subgradient(fg, proj, x0, opts)
-        if opts.refine and spec.kind == "schatten":
-            ms.run(_smooth_graph_refine, op, spec, assemble, bx)
-        elif opts.refine:
-            ms.refine_exact(fg, proj, bx, bf, opts)
+    def refine(ms, x, f0):
+        x, iterations = _smooth_graph_refine(op, spec, assemble, x, f0)
+        ms.iters += iterations
+        ms.record(x, op.max_norm(assemble(x), spec), True)
 
     def finish(x):
         full = assemble(proj(x))
@@ -410,7 +401,8 @@ def graph_capacity(ball, spec, opts=None):
     seqs = np.random.SeedSequence(int(opts.seed)).spawn(max(0, opts.restarts - 1))
     for sq in seqs:
         starts.append(np.random.default_rng(sq).uniform(0.0, 1.0, size=free.size))
-    ms = Multistart.solve(starts, restart, finish, tail_tol=opts.tol)
+    ms = Multistart.solve(starts, lambda ms, x0: ms.run_phases(x0, [spec], opts, fg, proj, refine),
+                          finish, tail_tol=opts.tol)
     full = ms.minimizer
     extra = {"n_vertices": nv}
     if spec.kind == "schatten" and spec.p == 1 and nv <= 400:
@@ -427,54 +419,40 @@ def graph_capacity(ball, spec, opts=None):
     return SolveReport.of_multistart(t0, ms, feasibility, **extra)
 
 
-def _smooth_graph_refine(op, spec, assemble, x0, *, history, iter_offset):
-    """L-BFGS-B on the smoothed max-of-norms objective, mu-homotopy with warm starts.
+def _smooth_graph_refine(op, spec, assemble, x, f0):
+    """L-BFGS-B on the smoothed max-of-norms objective from the free
+    coordinates x of exact value f0, one warm-started stage per ε of the
+    ladder; returns (x clipped to the box, L-BFGS-B iterations).
 
-    ``assemble`` maps the free coordinates to the full pinned potential.
-    Shaped like an engine for ``Multistart.run``: logs one history row (the
-    exact value after the last stage) and returns (x, f, iterations, True).
+    ``assemble`` maps the free coordinates to the full pinned potential. A
+    stage's log-sum-exp temperature scale is the value the previous stage
+    returned, f0 for the first; the Huber scale (p = 1) is the largest
+    difference magnitude at x.
     """
-    p = spec.p
-    u0 = assemble(x0)
+    d_scale = max(max(float(np.abs(d).max(initial=0.0)) for d in op.diffs(assemble(x))), 1e-300)
 
-    f_scale = max(op.max_norm(u0, spec), 1e-300)
-    d_scale = max(max(float(np.abs(d).max(initial=0.0)) for d in op.diffs(u0)), 1e-300)
-
-    def make_obj(eps):
-        mu = eps * d_scale
-
+    def make_obj(eps, f_scale):
         def obj(x):
             fs, grads = [], []
             for d, Dt in zip(op.diffs(assemble(x)), op.Dt_free):
-                if p == 1:
-                    fj, dd = _huber(d, mu)
-                elif p == 2:
-                    fj = float(np.sqrt(np.sum(d * d) + mu * mu))
-                    dd = d / fj if fj > 0 else np.zeros_like(d)
-                else:
-                    a = np.abs(d)
-                    fj = float(np.sum(a ** p) ** (1.0 / p)) if a.size else 0.0
-                    dd = np.sign(d) * (a / fj) ** (p - 1.0) if fj > 0 else np.zeros_like(d)
+                fj, dd = _smooth_schatten(d, spec.p, eps * d_scale)
                 fs.append(fj)
                 grads.append(Dt @ dd)
             return _smooth_max(fs, grads, eps, f_scale)
 
         return obj
 
-    x = np.asarray(x0, dtype=float)
+    x = np.asarray(x, dtype=float)
     bounds = [(0.0, 1.0)] * x.size
-    total_it = 0
+    iterations, f = 0, f0
     for eps in SMOOTHING_LADDER:
         res = scipy.optimize.minimize(
-            make_obj(eps), x, jac=True, method="L-BFGS-B", bounds=bounds,
+            make_obj(eps, max(f, 1e-300)), x, jac=True, method="L-BFGS-B", bounds=bounds,
             options={"maxiter": 3000, "ftol": 1e-17, "gtol": 1e-14},
         )
-        x = res.x
-        total_it += int(res.nit)
-    x = np.clip(x, 0.0, 1.0)
-    f_exact = op.max_norm(assemble(x), spec)
-    history.append((iter_offset + total_it, f_exact, 0.0))
-    return x, f_exact, total_it + 1, True
+        x, f = res.x, float(res.fun)
+        iterations += int(res.nit)
+    return np.clip(x, 0.0, 1.0), iterations
 
 
 # -- exact oracles --------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Condenser modulus solves: k_J(tau; P, Q), sup over P, and scale sweeps.
 
 The solve minimizes max_j |[A, T_j]|_{J_j} over the feasible contractions
-A = P (+) B0 (+) 0 by projected subgradient descent on the middle block,
-followed (for Schatten-family norms, or generally when tie patterns allow) by
-a smoothed projected-descent refinement. The reported value is always an
-upper bound on the infimum: every iterate is exactly feasible.
+A = P (+) B0 (+) 0 by first-order descent on the middle block. The reported
+value is always an upper bound on the infimum: every iterate is exactly
+feasible.
 
-Routing rule: with ``refine`` on and every J_j Schatten with p > 1, the
-objective is smooth wherever its maximizing norm is nonzero, so each restart
-skips the subgradient phase. It logs the exact value at its start block and
-runs the smoothing ladder from there, that value scaling its first stage.
+Each restart runs the phases ``Multistart.run_phases`` picks, the same rule
+the graph capacity follows. With ``refine`` on and every J_j Schatten with
+p > 1, the objective is smooth wherever its maximizing norm is nonzero, so
+the smoothing ladder (projected descent on ``_smooth_fg``) starts at the
+start block. Otherwise a projected subgradient phase comes first, followed,
+with ``refine`` on, by the ladder for all-Schatten norm lists or by
+projected descent on the exact objective for weighted norms.
 """
 
 import dataclasses
@@ -21,12 +23,11 @@ import numpy as np
 from ._solvers import (
     SMOOTHING_LADDER,
     Multistart,
-    _huber,
     _smooth_max,
+    _smooth_schatten,
     fit_power,
     fit_richardson,
     projected_descent,
-    skips_subgradient,
 )
 from .errors import ValidationError
 from .jsonio import matrix_to_json
@@ -52,14 +53,16 @@ class SolveOptions:
     refine: bool = True
 
     def __post_init__(self):
+        for name in ("max_iters", "restarts", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {v!r}")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
         if not (self.tol > 0):
             raise ValidationError("tol must be > 0")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.refine, (bool, np.bool_)):
             raise ValidationError(f"refine must be a boolean, got {self.refine!r}")
 
@@ -139,8 +142,10 @@ def _exact_fg(tau, cond, specs):
 
 
 def _smooth_fg(tau, cond, specs, eps, sref, fref):
-    """Smoothed objective/gradient: Huber singular values for p=1 components,
-    log-sum-exp across components. Upper-bounds the exact objective."""
+    """Smoothed objective/gradient: ``_smooth_schatten`` of each commutator's
+    singular values (Huber at mu = eps * sref[j] for p = 1 components),
+    log-sum-exp across components at temperature scale ``fref``.
+    Upper-bounds the exact objective."""
     Vm = cond.basis_mid
     Tcs = [T.conj().T for T in tau.components]
     diags = tau.diagonals
@@ -151,12 +156,7 @@ def _smooth_fg(tau, cond, specs, eps, sref, fref):
         for j, (T, sp) in enumerate(zip(tau.components, specs)):
             C = commutator(A, T, diags[j])
             U, s, Vh = np.linalg.svd(C, full_matrices=False)
-            p = sp.p
-            if p == 1:
-                fj, ds = _huber(s, eps * max(sref[j], 1e-300))
-            else:
-                fj = float(np.sum(s ** p) ** (1.0 / p)) if s.size else 0.0
-                ds = (s / fj) ** (p - 1.0) if fj > 0 else np.zeros_like(s)
+            fj, ds = _smooth_schatten(s, sp.p, eps * max(sref[j], 1e-300))
             fs.append(fj)
             Gs.append(commutator((U * ds) @ Vh, Tcs[j], diags[j]))
         f, W = _smooth_max(fs, Gs, eps, fref)
@@ -195,12 +195,15 @@ def solve_condenser(tau, cond, specs, opts=None):
 
     fg = _exact_fg(tau, cond, specs)
     proj = lambda B: project_middle(cond, B)
-    all_schatten = all(sp.kind == "schatten" for sp in specs)
-    smooth = skips_subgradient(specs, opts)
 
-    def smoothing_ladder(ms, x, sref, f0):
-        """The ε stages of ``_smooth_fg`` from x, then the exact value of their
-        point. A stage's temperature scale is the value the previous one returned."""
+    def refine(ms, x, f0):
+        """The ε stages of ``_smooth_fg`` from (x, f0), then the exact value of
+        their point. A stage's temperature scale is the value the previous one
+        returned, f0 for the first; the Huber scale sref[j] of a p = 1
+        component is its commutator's largest singular value at x."""
+        A0 = cond.embed_middle(x)
+        sref = [float(np.linalg.svd(commutator(A0, T, t), compute_uv=False).max(initial=0.0))
+                if sp.p == 1 else 0.0 for T, t, sp in zip(tau.components, tau.diagonals, specs)]
         f0 = fref = max(f0, 1e-300)
         for eps, iters in zip(SMOOTHING_LADDER, (150, 150, 300, max(300, opts.max_iters // 2))):
             x, f, conv = ms.run(
@@ -210,32 +213,13 @@ def solve_condenser(tau, cond, specs, opts=None):
             fref = max(f, 1e-300)
         ms.record(x, fg(x)[0], conv)
 
-    def restart(ms, B0):
-        if smooth:
-            # the start blocks are feasible; sref is read by p = 1 components only
-            f0 = fg(B0)[0]
-            ms.record(B0, f0)
-            smoothing_ladder(ms, B0, None, f0)
-            return
-        bx, bf, _ = ms.subgradient(fg, proj, B0, opts)
-        if not opts.refine:
-            return
-        if not all_schatten:
-            ms.refine_exact(fg, proj, bx, bf, opts)
-            return
-        A0 = cond.embed_middle(bx)
-        sref = []
-        for T, t in zip(tau.components, tau.diagonals):
-            sv = np.linalg.svd(commutator(A0, T, t), compute_uv=False)
-            sref.append(float(sv[0]) if sv.size else 0.0)
-        smoothing_ladder(ms, bx, sref, bf)
-
     def finish(B):
         var = ContractionVariable(cond, project_middle(cond, B))
         return var, objective(tau, embed(var), specs)
 
     starts = _initial_middles(cond, opts.restarts, opts.seed, np.sqrt(max(cond.m0, 1)))
-    ms = Multistart.solve(starts, restart, finish, tail_tol=opts.tol)
+    ms = Multistart.solve(starts, lambda ms, B0: ms.run_phases(B0, specs, opts, fg, proj, refine),
+                          finish, tail_tol=opts.tol)
     return SolveReport.of_multistart(t0, ms, _feasibility(cond, ms.minimizer), m0=cond.m0)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._solvers import Multistart, estimate_curvature, projected_descent
+from ._solvers import Multistart, projected_descent
 from .condenser_solver import SolveOptions, SolveReport
 from .errors import ValidationError
 from .operator_core import (
@@ -135,8 +135,9 @@ def _middle_fg(prob):
 
 
 def minimize_smooth(prob, opts=None):
-    """Projected gradient descent (Armijo backtracking, curvature-scaled first
-    step, BB updates) on the middle block. Convex, so restarts must agree."""
+    """Projected gradient descent (Barzilai-Borwein steps from a first step
+    of 1 / |gradient|, Armijo backtracking) on the middle block, one run per
+    restart. Convex, so restarts must agree."""
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
     cond = prob.condenser
@@ -152,16 +153,13 @@ def minimize_smooth(prob, opts=None):
 
     fg = _middle_fg(prob)
     proj = lambda B: project_middle(cond, B)
-    rng = np.random.default_rng(np.random.SeedSequence(int(opts.seed) + 101))
 
     def restart(ms, B0):
-        L = estimate_curvature(fg, B0, rng)
         f0, _ = fg(B0)
         ms.run(
             projected_descent, fg, proj, B0,
             max_iters=opts.max_iters,
             residual_tol=max(1e-14 * max(f0, 1.0), opts.tol * 1e-3 * max(f0, 1e-300)),
-            init_step=1.0 / max(L, 1e-12),
         )
 
     def finish(B):

@@ -249,13 +249,18 @@ _Z1 = {"kind": "Z^d", "d": 1}
     ("norm", {"s": 5, "norm": _S2}, "s"),
     ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"refine": "false"}), "options"),
     ("transfer", {"group": _Z1, "R": 3, "x1": "origin", "norms": []}, "norms"),
+    ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"restarts": 2.5}), "options"),
+    ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"max_iters": 10.5}), "options"),
+    ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"restarts": True}), "options"),
 ], ids=["tuple-components", "options-max-iters", "P-re", "group-d", "R", "x1-sphere",
         "scan-macaev", "scan-lorentz", "s", "norm-p", "ratio-models", "hybrid-exponents",
-        "gamma1-N-list", "options-seed", "s-scalar", "options-refine", "transfer-no-norms"])
+        "gamma1-N-list", "options-seed", "s-scalar", "options-refine", "transfer-no-norms",
+        "options-restarts-float", "options-max-iters-float", "options-restarts-bool"])
 def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # each of these used to end in a traceback (exit 1) or in a run that
     # misread the field: a Schatten-2 scan for the Lorentz norm, a refined
-    # solve for refine "false", an empty report for an empty norm list
+    # solve for refine "false", an empty report for an empty norm list, a
+    # run with 10.5 iterations or True restarts
     code = run(tmp_path, [command, "--inline", json.dumps(payload), "--out", "OUT"])
     err = capsys.readouterr().err
     assert code == 2

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from qcmod import _solvers, plaplace
-from qcmod._solvers import Multistart, _huber, _smooth_max, projected_descent
-from qcmod.cayley import GroupSpec, build_ball, graph_capacity, truncated_regular_rep
+from qcmod._solvers import Multistart, _huber, _smooth_max, _smooth_schatten, projected_descent
+from qcmod.cayley import (GroupSpec, build_ball, graph_capacity, harmonic_capacity_oracle,
+                          truncated_regular_rep)
 from qcmod.condenser_solver import SolveOptions, solve_condenser
 from qcmod.operator_core import OperatorTuple, make_condenser
 from qcmod.plaplace import SmoothProblem, minimize_smooth
-from qcmod.ri_norms import NormSpec
+from qcmod.ri_norms import NormSpec, vector_norm
 
 from conftest import rand_hermitian
 
@@ -172,6 +173,41 @@ def test_huber_gradient_is_zero_where_mu_underflows():
     f, g = _huber(np.array([0.0, -2.0, 3.0]), 1e-302)
     assert f == 5.0
     np.testing.assert_array_equal(g, [0.0, -1.0, 1.0])
+
+
+class TestSmoothSchatten:
+    X = np.array([0.7, -1.3, 0.2, -0.05, 2.1])
+
+    @pytest.mark.parametrize("p, mu", [(1.0, 0.1), (1.5, 0.0), (2.0, 0.0), (3.0, 0.0)])
+    def test_gradient_matches_finite_differences(self, p, mu):
+        f, g = _smooth_schatten(self.X, p, mu)
+        h = 1e-6
+        fd = [(_smooth_schatten(self.X + h * e, p, mu)[0] - _smooth_schatten(self.X - h * e, p, mu)[0])
+              / (2 * h) for e in np.eye(self.X.size)]
+        np.testing.assert_allclose(g, fd, rtol=1e-8, atol=1e-9)
+        if p == 1:
+            assert f == _huber(self.X, mu)[0]
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.25])
+    def test_value_is_the_schatten_norm(self, p):
+        f, _ = _smooth_schatten(self.X, p, 0.0)
+        assert f == pytest.approx(vector_norm(self.X, NormSpec.schatten(p)), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_zero_vector(self, p):
+        f, g = _smooth_schatten(np.zeros(4), p, 0.0)
+        assert f == 0.0
+        np.testing.assert_array_equal(g, np.zeros(4))
+
+
+def test_graph_capacity_z3_matches_the_harmonic_oracle():
+    # Z^3 R = 14 at the CLI's graphcap options: the smooth route's value sits
+    # on the harmonic solve's to rounding (each log-sum-exp stage is scaled by
+    # the value the previous one returned, not by the start potential's)
+    ball = build_ball(GroupSpec("zd", d=3), 14, X1="origin")
+    rep = graph_capacity(ball, NormSpec.schatten(2),
+                         SolveOptions(max_iters=2000, tol=1e-8, seed=0, restarts=2))
+    assert rep.value == pytest.approx(harmonic_capacity_oracle(ball)["capacity"], rel=1e-14, abs=0.0)
 
 
 def test_smooth_max_single_term_passes_through():
