@@ -311,16 +311,6 @@ def _smooth_max(fs, grads, eps, scale):
 # -- extrapolation fits ------------------------------------------------------------
 
 
-def fit_richardson(scales, values):
-    """Least-squares fit value = limit + a / scale; exact for that model class."""
-    s = np.asarray(scales, dtype=float)
-    v = np.asarray(values, dtype=float)
-    A = np.column_stack([np.ones_like(s), 1.0 / s])
-    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
-    resid = float(np.linalg.norm(A @ coef - v))
-    return float(coef[0]), float(coef[1]), resid
-
-
 def fit_power(scales, values):
     """Fit value = v_inf + a * scale**exponent (exponent < 0 for decay).
 

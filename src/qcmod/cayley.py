@@ -443,11 +443,11 @@ def _smooth_graph_refine(op, spec, assemble, x, f0):
         return obj
 
     x = np.asarray(x, dtype=float)
-    bounds = [(0.0, 1.0)] * x.size
     iterations, f = 0, f0
     for eps in SMOOTHING_LADDER:
         res = scipy.optimize.minimize(
-            make_obj(eps, max(f, 1e-300)), x, jac=True, method="L-BFGS-B", bounds=bounds,
+            make_obj(eps, max(f, 1e-300)), x, jac=True, method="L-BFGS-B",
+            bounds=scipy.optimize.Bounds(0.0, 1.0),
             options={"maxiter": 3000, "ftol": 1e-17, "gtol": 1e-14},
         )
         x, f = res.x, float(res.fun)

@@ -26,7 +26,6 @@ from ._solvers import (
     _smooth_max,
     _smooth_schatten,
     fit_power,
-    fit_richardson,
     projected_descent,
 )
 from .errors import ValidationError
@@ -250,65 +249,42 @@ def sup_over_projections(tau, P_family, Q, specs, opts=None):
     }
 
 
-def scale_sweep(problems, specs, opts=None, extrapolation="power_fit"):
-    """Solve an indexed family of condenser problems in order and extrapolate
-    the limit.
+def _extrapolate(scales, values):
+    """The power-law limit of a series and the one rule for trusting it.
 
-    ``problems`` is a sequence of ``(scale, tau, condenser)`` triples or
-    ``(scale, callable)`` pairs where the callable maps ``(specs, opts)`` to a
-    SolveReport. At least 3 scales are required when extrapolating.
-
-    A fitted limit is ``reliable`` when every value is positive and the limit
-    lies in [0.5 min, 1.5 max] of the values: a decay fit on a short flat or
-    noisy series can extrapolate far outside the data. ``estimate`` is the
-    limit when reliable and the largest-scale value otherwise.
+    With at least 3 scales, value = limit + a * scale**exponent is fitted
+    (``fit_power``); fewer scales give no fit. A fitted limit is ``reliable``
+    when every value is positive and the limit lies in [0.5 min, 1.5 max] of
+    the values: a decay fit on a short flat or noisy series can extrapolate
+    far outside the data. ``estimate`` is the limit when reliable and the
+    last value otherwise.
     """
-    opts = opts or SolveOptions()
-    if extrapolation not in ("none", "richardson", "power_fit"):
-        raise ValidationError("extrapolation must be none, richardson, or power_fit")
-    items = list(problems)
-    if extrapolation != "none" and len(items) < 3:
-        raise ValidationError("extrapolation requires at least 3 scales")
-
-    def solve_item(item):
-        if len(item) == 3:
-            scale, tau, cond = item
-            return scale, solve_condenser(tau, cond, specs, opts)
-        scale, fn = item
-        return scale, fn(specs, opts)
-
-    solved = [solve_item(item) for item in items]
-    scales = [s for s, _ in solved]
-    reports = [r for _, r in solved]
-    values = [r.value for r in reports]
-    out = {
-        "scales": scales,
-        "values": values,
-        "converged": [r.converged for r in reports],
-        "reports": reports,
-        "extrapolation": extrapolation,
-        "extrapolation_available": False,
-        "limit": None,
-        "exponent": None,
-        "fit_residual": None,
-        "reliable": False,
-        "estimate": values[-1] if values else None,
-    }
-    if extrapolation == "none":
+    out = {"extrapolation_available": False, "limit": None, "exponent": None,
+           "fit_residual": None, "reliable": False, "estimate": values[-1] if values else None}
+    if len(values) < 3:
         return out
     try:
-        if extrapolation == "richardson":
-            limit, coeff, resid = fit_richardson(scales, values)
-            out.update(limit=limit, fit_residual=resid, coefficient=coeff, extrapolation_available=True)
-        else:
-            v_inf, a, expo, resid = fit_power(scales, values)
-            out.update(
-                limit=v_inf, exponent=expo, fit_residual=resid, coefficient=a,
-                extrapolation_available=True,
-            )
+        limit, _, expo, resid = fit_power(scales, values)
     except (np.linalg.LinAlgError, ValueError):
         return out
-    lo, hi = min(values), max(values)
-    if lo > 0 and 0.5 * lo <= out["limit"] <= 1.5 * hi:
-        out.update(reliable=True, estimate=out["limit"])
+    out.update(limit=limit, exponent=expo, fit_residual=resid, extrapolation_available=True)
+    if min(values) > 0 and 0.5 * min(values) <= limit <= 1.5 * max(values):
+        out.update(reliable=True, estimate=limit)
     return out
+
+
+def scale_sweep(problems, specs, opts=None):
+    """Solve a family of ``(scale, tau, condenser)`` problems in order and
+    extrapolate the values to the limit along the scale.
+
+    Returns the scales, values, converged flags and reports in the order
+    given, with the fit fields of ``_extrapolate``: ``extrapolation_available``,
+    ``limit``, ``exponent``, ``fit_residual``, ``reliable`` and ``estimate``.
+    """
+    opts = opts or SolveOptions()
+    problems = list(problems)
+    scales = [scale for scale, _, _ in problems]
+    reports = [solve_condenser(tau, cond, specs, opts) for _, tau, cond in problems]
+    values = [r.value for r in reports]
+    return {"scales": scales, "values": values, "converged": [r.converged for r in reports],
+            "reports": reports, **_extrapolate(scales, values)}

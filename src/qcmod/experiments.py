@@ -83,7 +83,7 @@ def timefreq_condenser(N, M, K):
     return cond, {"low": low, "mid": mid, "high": high}
 
 
-def position_tuple(N, multiplicity=1, scale=1.0, variant="sawtooth"):
+def position_tuple(N, multiplicity=1, variant="sawtooth"):
     """tau = (position operator on the cyclic N-grid), direct-summed ``multiplicity`` times.
 
     ``variant="sawtooth"`` is diag(j/N): spectrum [0, 1) with multiplicity 1,
@@ -99,7 +99,7 @@ def position_tuple(N, multiplicity=1, scale=1.0, variant="sawtooth"):
         diag = 2.0 * np.minimum(frac, 1.0 - frac)
     else:
         raise ValidationError(f"unknown position variant {variant!r}")
-    X = np.diag(np.repeat(diag, multiplicity).astype(float)) * scale
+    X = np.diag(np.repeat(diag, multiplicity).astype(float))
     return OperatorTuple.of([X], selfadjoint=[True])
 
 
@@ -112,7 +112,7 @@ def _kron_basis(V, m):
     return np.kron(V, np.eye(m))
 
 
-def timefreq_problem(N, M, K, multiplicity=1, scale=1.0, variant="sawtooth"):
+def timefreq_problem(N, M, K, multiplicity=1, variant="sawtooth"):
     """(tau, condenser) for the multiplicity-m position operator on the N-grid.
 
     Multiplicity is realized as a direct sum of m identical copies; the
@@ -120,12 +120,12 @@ def timefreq_problem(N, M, K, multiplicity=1, scale=1.0, variant="sawtooth"):
     """
     cond1, _ = timefreq_condenser(N, M, K)
     if multiplicity == 1:
-        return position_tuple(N, 1, scale, variant), cond1
+        return position_tuple(N, 1, variant), cond1
     Vp = _kron_basis(cond1.basis_p, multiplicity)
     Vq = _kron_basis(cond1.basis_q, multiplicity)
     Vm = _kron_basis(cond1.basis_mid, multiplicity)
     cond = make_condenser(("basis", Vp), ("basis", Vq), dim=N * multiplicity, middle_basis=Vm)
-    return position_tuple(N, multiplicity, scale, variant), cond
+    return position_tuple(N, multiplicity, variant), cond
 
 
 def default_M_rule(N):
@@ -139,9 +139,13 @@ def default_K_rule(N):
 # -- gamma_1 experiment ----------------------------------------------------------------
 
 
-def gamma1_experiment(N_list, M_rule=None, K_rule=None, opts=None, spec=None, variant="sawtooth"):
+def gamma1_experiment(N_list, opts=None, variant="sawtooth"):
     """Trace-norm condenser values on the time-frequency family, extrapolated
     along N and compared (diagnostically) with (1/pi) * integral(m).
+
+    Each N gets M = ``default_M_rule(N)`` inner and K = ``default_K_rule(N)``
+    first outer Fourier modes; ``scale_sweep`` fits the limit when N_list has
+    at least 3 scales and reports the largest-N value otherwise.
 
     The default ``variant="sawtooth"`` uses the raw grid position diag(j/N)
     (multiplicity 1). That operator is discontinuous across the cyclic wrap,
@@ -151,28 +155,19 @@ def gamma1_experiment(N_list, M_rule=None, K_rule=None, opts=None, spec=None, va
     seam-free. No hard pass/fail either way: the ratio is a SOFT diagnostic.
     """
     opts = opts or SolveOptions(max_iters=800, tol=1e-7, seed=0, restarts=2)
-    spec = spec or NormSpec.schatten(1)
-    M_rule = M_rule or default_M_rule
-    K_rule = K_rule or default_K_rule
+    spec = NormSpec.schatten(1)
     N_list = list(N_list)
     if not N_list:
         raise ValidationError("N_list needs at least one scale")
     reference = GAMMA1 * position_multiplicity_integral(variant)
 
-    schedule = [(N, int(M_rule(N)), int(K_rule(N))) for N in N_list]
+    schedule = [(N, default_M_rule(N), default_K_rule(N)) for N in N_list]
     problems = [(N, *timefreq_problem(N, M, K, variant=variant)) for (N, M, K) in schedule]
-    extrap = "power_fit" if len(N_list) >= 3 else "none"
-    sweep = scale_sweep(problems, spec, opts, extrapolation=extrap)
+    sweep = scale_sweep(problems, spec, opts)
     values = sweep["values"]
     estimate = sweep["estimate"]
-    extrapolation = None
-    if sweep["extrapolation_available"]:
-        extrapolation = {
-            "limit": float(sweep["limit"]),
-            "exponent": sweep["exponent"],
-            "fit_residual": sweep["fit_residual"],
-            "reliable": sweep["reliable"],
-        }
+    extrapolation = ({k: sweep[k] for k in ("limit", "exponent", "fit_residual", "reliable")}
+                     if sweep["extrapolation_available"] else None)
 
     # Monotone-in-P diagnostic at the largest scale: shrinking the inner plate
     # cannot increase the value.
@@ -208,9 +203,10 @@ def gamma1_experiment(N_list, M_rule=None, K_rule=None, opts=None, spec=None, va
 class MultiplicityModel:
     """A region/measure surrogate in R^n realized as condenser problem families.
 
-    ``kind`` is "box_step" (an interval/box with an integer step multiplicity
-    function) or "cantor_product" (an n-fold product of a self-similar Cantor
-    set with ``pieces`` maps of ratio ``ratio`` at a given depth).
+    ``kind`` is "box_step" (an interval with an integer step multiplicity
+    function; n = 1) or "cantor_product" (the square of a self-similar Cantor
+    set with ``pieces`` maps of ratio ``ratio`` at a given depth; n = 2).
+    Construction rejects every model ``model_problem`` cannot build.
     """
 
     kind: str
@@ -227,14 +223,18 @@ class MultiplicityModel:
     def __post_init__(self):
         if self.kind not in ("box_step", "cantor_product"):
             raise ValidationError(f"unknown model kind {self.kind!r}")
+        if any(int(m) != m or m < 0 for m in self.multiplicity) or not any(self.multiplicity):
+            raise ValidationError("multiplicities must be nonnegative integers, not all 0")
         if self.kind == "box_step":
+            if self.n != 1:
+                raise ValidationError("box models are implemented for n = 1")
             if len(self.multiplicity) != len(self.cell_lengths):
                 raise ValidationError("one multiplicity per cell required")
-            if any(int(m) != m or m < 0 for m in self.multiplicity):
-                raise ValidationError("multiplicities must be nonnegative integers")
         else:
             if not (0 < self.ratio < 1.0 / self.pieces if self.pieces > 1 else 0 < self.ratio < 1):
                 raise ValidationError("cantor pieces must not overlap (ratio * pieces < 1)")
+            if self.n != 2:
+                raise ValidationError("cantor products are implemented for n = 2")
             if self.n * self.hausdorff_dimension_factor < 1.0:
                 raise ValidationError(
                     "the product dimension n*log(c)/log(1/r) must be >= 1 for a Lorentz norm"
@@ -254,18 +254,18 @@ class MultiplicityModel:
         if self.kind == "box_step":
             base = sum(m * ln for m, ln in zip(self.multiplicity, self.cell_lengths))
             cover = 2.0 if self.position_variant == "triangle" else 1.0
-            return base * cover * (self.scale ** self.n)
+            return base * cover * self.scale
         # Hutchinson measure has total mass 1 per factor.
         return float(self.multiplicity[0]) * (self.scale ** self.hausdorff_dimension)
 
     def norm_spec(self):
         if self.kind == "box_step":
-            return NormSpec.lorentz(self.n) if self.n > 1 else NormSpec.schatten(1)
+            return NormSpec.schatten(1)
         return NormSpec.lorentz(self.hausdorff_dimension)
 
     def exponent(self):
         """Power applied to the modulus estimate in the predicted-constant ratio."""
-        return self.n if self.kind == "box_step" else self.hausdorff_dimension
+        return 1 if self.kind == "box_step" else self.hausdorff_dimension
 
     def to_json(self):
         return {
@@ -307,11 +307,7 @@ def cantor_points(ratio, pieces, depth):
 def model_problem(model, scale_index):
     """(tau, condenser) for the model at an increasing-dimension scale index."""
     if model.kind == "box_step":
-        if model.n != 1:
-            raise ValidationError("box models are implemented for n = 1")
         N = 16 * (2 ** scale_index)
-        mvals = model.multiplicity
-        cells = len(mvals)
         # Step multiplicity: repeat each grid point according to its cell's m.
         edges = np.cumsum((0.0,) + model.cell_lengths)
         total = edges[-1]
@@ -320,38 +316,28 @@ def model_problem(model, scale_index):
             pos = 2.0 * np.minimum(frac, 1.0 - frac) * total
         else:
             pos = frac * total
-        mults = np.empty(N, dtype=int)
-        for i in range(N):
-            c = min(np.searchsorted(edges, pos[i], side="right") - 1, cells - 1)
-            mults[i] = mvals[max(c, 0)]
-        diag = np.repeat(pos, mults) * model.scale
+        cell = np.clip(np.searchsorted(edges, pos, side="right") - 1, 0, len(edges) - 2)
+        diag = np.repeat(pos, np.asarray(model.multiplicity, dtype=int)[cell]) * model.scale
         if diag.size == 0:
             raise ValidationError("model has empty spectrum")
         D = diag.size
-        Mr, Kr = default_M_rule(D), default_K_rule(D)
-        cond, _ = timefreq_condenser(D, Mr, Kr)
-        tau = OperatorTuple.of([np.diag(diag)], selfadjoint=[True])
-        return tau, cond
-    # cantor_product
-    depth = model.depth + scale_index
-    pts1 = cantor_points(model.ratio, model.pieces, depth) * model.scale
-    m = int(model.multiplicity[0])
-    if model.n == 1:
-        diag = np.repeat(pts1, m)
-        D = diag.size
         cond, _ = timefreq_condenser(D, default_M_rule(D), default_K_rule(D))
         return OperatorTuple.of([np.diag(diag)], selfadjoint=[True]), cond
-    if model.n != 2:
-        raise ValidationError("cantor products are implemented for n in {1, 2}")
-    g = pts1.size
-    X = np.kron(np.diag(pts1), np.eye(g))
-    Y = np.kron(np.eye(g), np.diag(pts1))
-    if m > 1:
-        X, Y = np.kron(X, np.eye(m)), np.kron(Y, np.eye(m))
-    tau = OperatorTuple.of([X, Y], selfadjoint=[True, True])
-    D = g * g * m
-    cond = grid2_condenser(g, m)
-    return tau, cond
+    pts = cantor_points(model.ratio, model.pieces, model.depth + scale_index) * model.scale
+    return _grid2_problem(pts, int(model.multiplicity[0]))
+
+
+def _grid2_problem(pts, multiplicity=1, swap=False):
+    """(tau, condenser) for the two coordinate operators of the grid pts x pts
+    (exchanged with ``swap``), each direct-summed ``multiplicity`` times, with
+    the 2-d Fourier condenser."""
+    g = pts.size
+    X = np.kron(np.diag(pts), np.eye(g))
+    Y = np.kron(np.eye(g), np.diag(pts))
+    if multiplicity > 1:
+        X, Y = np.kron(X, np.eye(multiplicity)), np.kron(Y, np.eye(multiplicity))
+    tau = OperatorTuple.of([Y, X] if swap else [X, Y], selfadjoint=[True, True])
+    return tau, grid2_condenser(g, multiplicity)
 
 
 def grid2_condenser(g, multiplicity=1):
@@ -417,12 +403,9 @@ def ratio_experiment(models, opts=None, n_scales=3):
 
     rows = []
     for model in models:
-        problems = []
-        for s in range(n_scales):
-            tau, cond = model_problem(model, s)
-            problems.append((tau.dim, tau, cond))
-        extrap = "power_fit" if n_scales >= 3 else "none"
-        sweep = scale_sweep(problems, model.norm_spec(), opts, extrapolation=extrap)
+        problems = [(tau.dim, tau, cond)
+                    for tau, cond in (model_problem(model, s) for s in range(n_scales))]
+        sweep = scale_sweep(problems, model.norm_spec(), opts)
         values = sweep["values"]
         est = sweep["estimate"]
         conv = all(sweep["converged"])
@@ -465,12 +448,7 @@ def hybrid_exponent_scan(gridsize, exponent_sets, opts=None, swap=False):
         if len(ps) != 2:
             raise ValidationError("the grid model is two-dimensional; give 2 exponents")
 
-    pts = (np.arange(g) + 0.5) / g
-    X = np.kron(np.diag(pts), np.eye(g))
-    Y = np.kron(np.eye(g), np.diag(pts))
-    comps = (Y, X) if swap else (X, Y)
-    tau = OperatorTuple.of(list(comps), selfadjoint=[True, True])
-    cond = grid2_condenser(g)
+    tau, cond = _grid2_problem((np.arange(g) + 0.5) / g, swap=swap)
 
     results = []
     for ps in exponent_sets:

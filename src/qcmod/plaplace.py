@@ -155,7 +155,7 @@ def minimize_smooth(prob, opts=None):
     proj = lambda B: project_middle(cond, B)
 
     def restart(ms, B0):
-        f0, _ = fg(B0)
+        f0 = smooth_objective(prob, cond.embed_middle(B0))
         ms.run(
             projected_descent, fg, proj, B0,
             max_iters=opts.max_iters,

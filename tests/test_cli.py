@@ -252,15 +252,28 @@ _Z1 = {"kind": "Z^d", "d": 1}
     ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"restarts": 2.5}), "options"),
     ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"max_iters": 10.5}), "options"),
     ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"restarts": True}), "options"),
+    ("experiment", {"experiment": "ratio", "n_scales": 2, "options": {"max_iters": 50},
+                    "models": [{"kind": "box_step", "label": "a"},
+                               {"kind": "box_step", "n": 2, "label": "b"}]}, "models"),
+    ("experiment", {"experiment": "ratio", "n_scales": 2, "options": {"max_iters": 50},
+                    "models": [{"kind": "box_step", "label": "a"},
+                               {"kind": "cantor_product", "n": 3, "label": "c"}]}, "models"),
+    ("experiment", {"experiment": "ratio", "n_scales": 2, "options": {"max_iters": 50},
+                    "models": [{"kind": "box_step", "label": "a"},
+                               {"kind": "box_step", "multiplicity": [], "cell_lengths": []},
+                               {"kind": "cantor_product", "n": 2, "multiplicity": 0}]}, "models"),
 ], ids=["tuple-components", "options-max-iters", "P-re", "group-d", "R", "x1-sphere",
         "scan-macaev", "scan-lorentz", "s", "norm-p", "ratio-models", "hybrid-exponents",
         "gamma1-N-list", "options-seed", "s-scalar", "options-refine", "transfer-no-norms",
-        "options-restarts-float", "options-max-iters-float", "options-restarts-bool"])
+        "options-restarts-float", "options-max-iters-float", "options-restarts-bool",
+        "ratio-box-n2", "ratio-cantor-n3", "ratio-no-multiplicity"])
 def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # each of these used to end in a traceback (exit 1) or in a run that
     # misread the field: a Schatten-2 scan for the Lorentz norm, a refined
     # solve for refine "false", an empty report for an empty norm list, a
-    # run with 10.5 iterations or True restarts
+    # run with 10.5 iterations or True restarts; an unsupported ratio model
+    # used to fail only after the models before it were solved, an empty
+    # multiplicity list with an IndexError traceback
     code = run(tmp_path, [command, "--inline", json.dumps(payload), "--out", "OUT"])
     err = capsys.readouterr().err
     assert code == 2

@@ -3,7 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from qcmod.condenser_solver import SolveOptions, scale_sweep, solve_condenser, sup_over_projections
+from qcmod.condenser_solver import (
+    SolveOptions,
+    _extrapolate,
+    scale_sweep,
+    solve_condenser,
+    sup_over_projections,
+)
 from qcmod.errors import ValidationError
 from qcmod.operator_core import ContractionVariable, OperatorTuple, embed, make_condenser, objective
 from qcmod.ri_norms import NormSpec
@@ -226,17 +232,9 @@ class TestSupOverProjections:
 
 class TestScaleSweep:
     def test_constant_family(self):
-        def make_cb(v):
-            def cb(specs, opts):
-                from qcmod.condenser_solver import SolveReport
-
-                return SolveReport(v, None, [(0, v, 0.0)], {}, True, 0.0, 1)
-
-            return cb
-
-        out = scale_sweep([(r, make_cb(3.25)) for r in (2, 4, 8)], NormSpec.schatten(2),
-                          OPTS, extrapolation="richardson")
+        out = _extrapolate([2, 4, 8], [3.25, 3.25, 3.25])
         assert out["limit"] == pytest.approx(3.25, abs=1e-10)
+        assert out["reliable"] is True
 
     def test_power_fit_exact_for_model_class(self):
         # 0.7 + 0.9 / N: the exponent lies between grid points, so a grid
@@ -249,46 +247,19 @@ class TestScaleSweep:
         assert a == pytest.approx(0.9, abs=1e-8)
         assert expo == pytest.approx(-1.0, abs=1e-8)
 
-    def test_richardson_exact_for_model_class(self):
-        c, a = 1.7, -4.2
-        def make_cb(v):
-            def cb(specs, opts):
-                from qcmod.condenser_solver import SolveReport
-
-                return SolveReport(v, None, [(0, v, 0.0)], {}, True, 0.0, 1)
-
-            return cb
-
-        scales = [3, 6, 12]
-        out = scale_sweep(
-            [(r, make_cb(c + a / r)) for r in scales], NormSpec.schatten(2),
-            OPTS, extrapolation="richardson",
-        )
-        assert out["limit"] == pytest.approx(c, abs=1e-8)
-
-    @staticmethod
-    def _series(scales, values):
-        from qcmod.condenser_solver import SolveReport
-
-        def make_cb(v):
-            return lambda specs, opts: SolveReport(v, None, [(0, v, 0.0)], {}, True, 0.0, 1)
-
-        return [(s, make_cb(v)) for s, v in zip(scales, values)]
-
     def test_exact_decay_is_reliable(self):
         c, a, b = 0.7, 0.9, 1.0
         scales = [8, 16, 32, 64]
-        out = scale_sweep(self._series(scales, [c + a * s ** (-b) for s in scales]),
-                          NormSpec.schatten(1), OPTS)
+        out = _extrapolate(scales, [c + a * s ** (-b) for s in scales])
         assert out["reliable"] is True
         assert out["estimate"] == out["limit"]
-        assert out["limit"] == pytest.approx(c, rel=1e-3)  # exponent found on a grid
+        assert out["limit"] == pytest.approx(c, rel=1e-3)
 
     def test_limit_outside_band_falls_back_to_last_value(self):
         # a slow, nearly logarithmic decline fits with a tiny exponent and a
         # limit far below the data
         values = [1.0, 0.9, 0.8]
-        out = scale_sweep(self._series([1, 2, 4], values), NormSpec.schatten(1), OPTS)
+        out = _extrapolate([1, 2, 4], values)
         assert out["extrapolation_available"]
         assert not (0.5 * 0.8 <= out["limit"] <= 1.5 * 1.0)
         assert out["reliable"] is False
@@ -297,14 +268,15 @@ class TestScaleSweep:
     def test_nonpositive_value_is_never_reliable(self):
         c, a = 0.5, -0.5  # exact decay through 0 at the first scale
         scales = [1, 2, 4]
-        out = scale_sweep(self._series(scales, [c + a / s for s in scales]),
-                          NormSpec.schatten(1), OPTS)
+        out = _extrapolate(scales, [c + a / s for s in scales])
         assert out["reliable"] is False
         assert out["estimate"] == c + a / 4
 
-    def test_requires_three_scales(self):
-        with pytest.raises(ValidationError):
-            scale_sweep([(1, None), (2, None)], NormSpec.schatten(2), OPTS, "power_fit")
+    def test_two_scales_give_no_fit(self):
+        out = _extrapolate([1, 2], [1.0, 0.9])
+        assert out["extrapolation_available"] is False
+        assert out["limit"] is None and out["reliable"] is False
+        assert out["estimate"] == 0.9
 
     def test_zball_lorentz_exponent(self):
         # Capacity family on growing line-graph balls, realized as matrix
@@ -325,7 +297,7 @@ class TestScaleSweep:
             cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
             problems.append((R, tau, cond))
         opts = SolveOptions(max_iters=1500, tol=1e-8, seed=2, restarts=1)
-        out = scale_sweep(problems, spec, opts, extrapolation="power_fit")
+        out = scale_sweep(problems, spec, opts)
         for R, v in zip(radii, out["values"]):
             ramp_exact = float(np.sum(np.arange(1, 2 * R + 1) ** -0.5) / R)
             assert v <= ramp_exact * (1 + 1e-6)

@@ -194,17 +194,16 @@ class TestCliHybridExperiment:
 class TestConcurrencyModel:
     def test_parallel_sweep_merges_by_index(self):
         # sweep members come back in the order they were given
-        from qcmod.condenser_solver import scale_sweep, SolveReport
+        from qcmod.condenser_solver import scale_sweep
 
-        def make_cb(v):
-            def cb(specs, opts):
-                return SolveReport(v, None, [(0, v, 0.0)], {}, True, 0.0, 1)
-
-            return cb
-
-        problems = [(r, make_cb(10.0 + r)) for r in (1, 2, 3, 4, 5)]
-        out = scale_sweep(problems, NormSpec.schatten(2), OPTS, "none")
-        assert out["values"] == [11.0, 12.0, 13.0, 14.0, 15.0]
+        path = np.diag(np.ones(2), 1) + np.diag(np.ones(2), -1)
+        cond = make_condenser([0], [2], dim=3)
+        spec = NormSpec.schatten(2)
+        problems = [(r, OperatorTuple.of([r * path]), cond) for r in (3.0, 1.0, 2.0)]
+        out = scale_sweep(problems, spec, OPTS)
+        assert out["scales"] == [3.0, 1.0, 2.0]
+        assert out["values"] == [solve_condenser(tau, c, spec, OPTS).value for _, tau, c in problems]
+        assert out["values"][0] > out["values"][2] > out["values"][1]
 
 
 class TestMatrixProjectionFamilies:

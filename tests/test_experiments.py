@@ -52,9 +52,8 @@ class TestFourierMachinery:
 
 class TestGamma1:
     def test_empty_inner_plate_value_zero(self):
-        out = gamma1_experiment([24], M_rule=lambda N: 0, K_rule=lambda N: N // 2 + 1, opts=FAST)
-        assert out["values"] == [0.0]
-        assert out["ratio_to_reference"] == 0.0
+        tau, cond = timefreq_problem(24, 0, 13)
+        assert solve_condenser(tau, cond, NormSpec.schatten(1), FAST).value == 0.0
 
     def test_single_scale_positive_and_bounded(self):
         tau, cond = timefreq_problem(32, 3, 17)

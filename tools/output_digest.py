@@ -77,6 +77,7 @@ def runs():
     lorentz = {"kind": "lorentz_p1", "p": 2}
     z = lambda dim: {"kind": "Z^d", "d": dim}
     f2 = {"kind": "free", "k": 2}
+    cantor = {"kind": "cantor_product", "n": 2, "ratio": 1 / 3, "pieces": 2, "depth": 1}
     return [
         ("norm_s_lorentz", "norm", {"s": [3.0, -1.0, 2.5, 0.5, -4.0], "norm": lorentz}),
         ("norm_matrix_s3", "norm", {"matrix": _matrix(twist), "norm": s3}),
@@ -106,6 +107,18 @@ def runs():
                       "position_variant": "triangle"}]}),
         ("experiment_hybrid", "experiment",
          {"experiment": "hybrid", "gridsize": 4, "exponent_sets": [[2, 2], [3, 1.5]]}),
+        ("experiment_hybrid_swap", "experiment",
+         {"experiment": "hybrid", "gridsize": 4, "exponent_sets": [[3, 1.5]], "swap": True}),
+        ("experiment_ratio_cantor", "experiment",
+         {"experiment": "ratio", "n_scales": 2, "options": {"max_iters": 100},
+          "models": [dict(cantor, label="c1"), dict(cantor, multiplicity=2, label="c2")]}),
+        ("experiment_ratio_box", "experiment",
+         {"experiment": "ratio", "n_scales": 3, "options": {"max_iters": 100},
+          "models": [{"kind": "box_step", "multiplicity": [1, 2, 0],
+                      "cell_lengths": [0.5, 0.3, 0.2], "label": "steps"},
+                     {"kind": "box_step", "label": "flat"}]}),
+        ("experiment_gamma1_two", "experiment",
+         {"experiment": "gamma1", "schedule": {"N_list": [24, 32]}}),
     ]
 
 
