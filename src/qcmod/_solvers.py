@@ -4,10 +4,13 @@ extrapolation fits.
 The engines operate on numpy arrays of any shape with the real Frobenius
 inner product; feasibility is delegated to a ``project`` callback, so the same
 loop drives spectral-box middle blocks and pinned [0,1] vertex potentials.
-``Multistart`` runs every solver's restarts: it owns the shared history and
-its iteration numbering, each restart's best point and value, the best point
-of the solve and the converged flag; ``Multistart.run_phases`` holds the one
-rule for which phases a nonsmooth restart runs.
+``Multistart`` holds every restart rule of the three solvers: the start
+points (``_starts``: the solver's center, then seeded draws), the shared
+history and its iteration numbering, each restart's best point and value,
+the ε-ladder loop (``Multistart.ladder``), the final history row (the exact
+value the solve returns) and the converged flag, which only a phase's own
+stopping test sets; ``Multistart.run_phases`` holds the one rule for which
+phases a nonsmooth restart runs.
 """
 
 import numpy as np
@@ -167,17 +170,17 @@ def projected_descent(
 
 # -- multistart driver ---------------------------------------------------------------
 
+#: Smoothing parameters of the refinement stages, coarse to fine (relative to
+#: each solver's reference scales).
+SMOOTHING_LADDER = (1e-2, 1e-4, 1e-6, 1e-9)
 
-def _tail_converged(history, tol):
-    """Plateau criterion: the running best improved by <= tol * scale over the
-    final quarter of all recorded iterations."""
-    if len(history) < 8:
-        return False
-    objs = np.asarray([h[1] for h in history], dtype=float)
-    best = np.minimum.accumulate(objs)
-    cut = int(0.75 * len(best))
-    scale = max(objs[0], best[-1], 1e-300)
-    return bool(best[cut] - best[-1] <= tol * scale)
+
+def _starts(center, draw, opts):
+    """The start points of a solve: ``center``, then ``draw(rng)`` for each
+    further restart, every rng seeded from its own child of
+    ``SeedSequence(opts.seed)``."""
+    seqs = np.random.SeedSequence(int(opts.seed)).spawn(opts.restarts - 1)
+    return [center] + [draw(np.random.default_rng(sq)) for sq in seqs]
 
 
 class Multistart:
@@ -185,9 +188,10 @@ class Multistart:
 
     ``history`` holds the (iteration, objective, step) rows of every phase of
     every restart, numbered consecutively; ``iters`` is the next number. A
-    restart body runs its phases through ``run`` and ``record``; the lowest
-    value they offer is the restart's result (the first offer always counts).
-    ``converged`` is true once any phase converged.
+    restart body runs its phases through ``run``, ``record`` and ``ladder``;
+    the lowest value they offer is the restart's result (the first offer
+    always counts). ``converged`` is true once an offered phase's own
+    stopping test fired.
     """
 
     def __init__(self):
@@ -199,12 +203,10 @@ class Multistart:
         self.minimizer = self.value = None  # set by solve
 
     @classmethod
-    def solve(cls, starts, restart, finish, *, tail_tol=None):
+    def solve(cls, starts, restart, finish):
         """Run ``restart(ms, x0)`` from every start point; ``finish`` maps the
         best restart's point to (minimizer, value), stored on the returned
-        driver. With ``tail_tol`` (the nonsmooth solvers) the value is logged as
-        a final history row and the plateau check can also set ``converged``.
-        """
+        driver, and the value is logged as the last history row."""
         ms = cls()
         best_f, best_x = np.inf, None
         for x0 in starts:
@@ -215,9 +217,7 @@ class Multistart:
             if f < best_f:
                 best_f, best_x = f, x
         ms.minimizer, ms.value = finish(best_x)
-        if tail_tol is not None:
-            ms.record(ms.minimizer, ms.value)
-            ms.converged = ms.converged or _tail_converged(ms.history, tail_tol)
+        ms.record(ms.minimizer, ms.value)
         return ms
 
     def _offer(self, x, f, converged=False):
@@ -240,6 +240,16 @@ class Multistart:
         self.history.append((self.iters, f, 0.0))
         self.iters += 1
         self._offer(x, f, converged)
+
+    def ladder(self, x, f0, stage, value):
+        """The smoothing stages from x of exact value f0: ``stage(k, eps, fref, x)``
+        returns (x, f, converged) for the k-th ε of ``SMOOTHING_LADDER``, with
+        ``fref`` f0 first and then the previous stage's f; the exact ``value(x)``
+        of the last point is then recorded with the last stage's flag."""
+        fref, conv = f0, False
+        for k, eps in enumerate(SMOOTHING_LADDER):
+            x, fref, conv = stage(k, eps, fref, x)
+        self.record(x, value(x), conv)
 
     def run_phases(self, x0, specs, opts, fg, project, refine):
         """One nonsmooth restart from x0 on the exact objective ``fg`` with
@@ -269,10 +279,6 @@ class Multistart:
 
 
 # -- smoothing -----------------------------------------------------------------------
-
-#: Smoothing parameters of the refinement stages, coarse to fine (relative to
-#: each solver's reference scales).
-SMOOTHING_LADDER = (1e-2, 1e-4, 1e-6, 1e-9)
 
 
 def _huber(x, mu):

@@ -40,10 +40,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from ._solvers import (
-    SMOOTHING_LADDER,
     Multistart,
     _smooth_max,
     _smooth_schatten,
+    _starts,
     fit_loglog,
 )
 from .condenser_solver import SolveOptions, SolveReport, solve_condenser
@@ -99,13 +99,6 @@ class GroupSpec:
         if self.kind == "free":
             return self.k
         return len(self.tables)
-
-    def to_json(self):
-        if self.kind == "zd":
-            return {"kind": "Z^d", "d": self.d}
-        if self.kind == "free":
-            return {"kind": "free", "k": self.k}
-        return {"kind": "custom", "tables": [list(t) for t in self.tables]}
 
     @staticmethod
     def from_json(obj):
@@ -354,9 +347,10 @@ def graph_capacity(ball, spec, opts=None):
 
     The box constraint and pins are kept exactly at every iterate. Each
     restart runs the phases ``Multistart.run_phases`` picks, as in the
-    condenser solve; the smooth refinement for Schatten norms is
-    ``_smooth_graph_refine`` (log-sum-exp over generators, L-BFGS-B on the
-    free coordinates), for p > 1 straight from the start potential.
+    condenser solve; the smooth refinement for Schatten norms is the ε ladder
+    of ``Multistart.ladder`` with one L-BFGS-B stage per ε (log-sum-exp over
+    generators, on the free coordinates), for p > 1 straight from the start
+    potential.
     """
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
@@ -389,20 +383,35 @@ def graph_capacity(ball, spec, opts=None):
     proj = lambda x: np.clip(x, 0.0, 1.0)
 
     def refine(ms, x, f0):
-        x, iterations = _smooth_graph_refine(op, spec, assemble, x, f0)
-        ms.iters += iterations
-        ms.record(x, op.max_norm(assemble(x), spec), True)
+        """The ε stages from (x, f0), each a warm-started L-BFGS-B run (counted in
+        ``ms.iters``) on log-sum-exp over generators of ``_smooth_schatten`` of the
+        differences; the Huber scale (p = 1) is the largest difference at x."""
+        d_scale = max(max(float(np.abs(d).max(initial=0.0)) for d in op.diffs(assemble(x))), 1e-300)
+
+        def stage(k, eps, fref, x):
+            def obj(x):
+                fs, grads = [], []
+                for d, Dt in zip(op.diffs(assemble(x)), op.Dt_free):
+                    fj, dd = _smooth_schatten(d, spec.p, eps * d_scale)
+                    fs.append(fj)
+                    grads.append(Dt @ dd)
+                return _smooth_max(fs, grads, eps, max(fref, 1e-300))
+
+            res = scipy.optimize.minimize(obj, x, jac=True, method="L-BFGS-B",
+                                          bounds=scipy.optimize.Bounds(0.0, 1.0),
+                                          options={"maxiter": 3000, "ftol": 1e-17, "gtol": 1e-14})
+            ms.iters += int(res.nit)
+            return res.x, float(res.fun), True
+
+        ms.ladder(x, f0, stage, lambda x: op.max_norm(assemble(proj(x)), spec))
 
     def finish(x):
         full = assemble(proj(x))
         return full, op.max_norm(full, spec)
 
-    starts = [np.full(free.size, 0.5)]
-    seqs = np.random.SeedSequence(int(opts.seed)).spawn(max(0, opts.restarts - 1))
-    for sq in seqs:
-        starts.append(np.random.default_rng(sq).uniform(0.0, 1.0, size=free.size))
-    ms = Multistart.solve(starts, lambda ms, x0: ms.run_phases(x0, [spec], opts, fg, proj, refine),
-                          finish, tail_tol=opts.tol)
+    draw = lambda rng: rng.uniform(0.0, 1.0, size=free.size)
+    ms = Multistart.solve(_starts(np.full(free.size, 0.5), draw, opts),
+                          lambda ms, x0: ms.run_phases(x0, [spec], opts, fg, proj, refine), finish)
     full = ms.minimizer
     extra = {"n_vertices": nv}
     if spec.kind == "schatten" and spec.p == 1 and nv <= 400:
@@ -417,42 +426,6 @@ def graph_capacity(ball, spec, opts=None):
                           np.abs(full[ball.X2]).max(initial=0.0))),
     }
     return SolveReport.of_multistart(t0, ms, feasibility, **extra)
-
-
-def _smooth_graph_refine(op, spec, assemble, x, f0):
-    """L-BFGS-B on the smoothed max-of-norms objective from the free
-    coordinates x of exact value f0, one warm-started stage per ε of the
-    ladder; returns (x clipped to the box, L-BFGS-B iterations).
-
-    ``assemble`` maps the free coordinates to the full pinned potential. A
-    stage's log-sum-exp temperature scale is the value the previous stage
-    returned, f0 for the first; the Huber scale (p = 1) is the largest
-    difference magnitude at x.
-    """
-    d_scale = max(max(float(np.abs(d).max(initial=0.0)) for d in op.diffs(assemble(x))), 1e-300)
-
-    def make_obj(eps, f_scale):
-        def obj(x):
-            fs, grads = [], []
-            for d, Dt in zip(op.diffs(assemble(x)), op.Dt_free):
-                fj, dd = _smooth_schatten(d, spec.p, eps * d_scale)
-                fs.append(fj)
-                grads.append(Dt @ dd)
-            return _smooth_max(fs, grads, eps, f_scale)
-
-        return obj
-
-    x = np.asarray(x, dtype=float)
-    iterations, f = 0, f0
-    for eps in SMOOTHING_LADDER:
-        res = scipy.optimize.minimize(
-            make_obj(eps, max(f, 1e-300)), x, jac=True, method="L-BFGS-B",
-            bounds=scipy.optimize.Bounds(0.0, 1.0),
-            options={"maxiter": 3000, "ftol": 1e-17, "gtol": 1e-14},
-        )
-        x, f = res.x, float(res.fun)
-        iterations += int(res.nit)
-    return np.clip(x, 0.0, 1.0), iterations
 
 
 # -- exact oracles --------------------------------------------------------------------

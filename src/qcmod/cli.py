@@ -27,6 +27,7 @@ from .experiments import (
     gamma1_experiment,
     hybrid_exponent_scan,
     ratio_experiment,
+    ratio_problems,
 )
 from .jsonio import matrix_from_json, matrix_to_json, projection_from_json, write_csv, write_json
 from .operator_core import OperatorTuple, make_condenser
@@ -273,7 +274,11 @@ def _read_experiment(r):
         }
     if kind == "ratio":
         models = r("models", lambda v: [MultiplicityModel.from_json(m) for m in v])
-        return _ratio, {"models": models, "n_scales": r("n_scales", int, 3)}
+        n_scales = r("n_scales", int, 3)
+        if models is not None and n_scales is not None:
+            # an empty spectrum shows once built; building twice costs milliseconds
+            r.build("models", ratio_problems, models, n_scales)
+        return _ratio, {"models": models, "n_scales": n_scales}
     if kind == "hybrid":
         return _hybrid, {
             "gridsize": r("gridsize", int, 8),

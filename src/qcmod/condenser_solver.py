@@ -5,13 +5,13 @@ A = P (+) B0 (+) 0 by first-order descent on the middle block. The reported
 value is always an upper bound on the infimum: every iterate is exactly
 feasible.
 
-Each restart runs the phases ``Multistart.run_phases`` picks, the same rule
-the graph capacity follows. With ``refine`` on and every J_j Schatten with
-p > 1, the objective is smooth wherever its maximizing norm is nonzero, so
-the smoothing ladder (projected descent on ``_smooth_fg``) starts at the
-start block. Otherwise a projected subgradient phase comes first, followed,
-with ``refine`` on, by the ladder for all-Schatten norm lists or by
-projected descent on the exact objective for weighted norms.
+``Multistart`` holds the restart rules the graph capacity shares. With
+``refine`` on and every J_j Schatten with p > 1, the objective is smooth
+wherever its maximizing norm is nonzero, so the ε ladder (one projected
+descent stage on ``_smooth_fg`` per ε) starts at the start block. Otherwise
+a projected subgradient phase comes first, followed, with ``refine`` on, by
+the ladder for all-Schatten norm lists or by projected descent on the exact
+objective for weighted norms.
 """
 
 import dataclasses
@@ -20,20 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._solvers import (
-    SMOOTHING_LADDER,
-    Multistart,
-    _smooth_max,
-    _smooth_schatten,
-    fit_power,
-    projected_descent,
-)
+from ._solvers import (Multistart, _smooth_max, _smooth_schatten, _starts, fit_power,
+                       projected_descent)
 from .errors import ValidationError
 from .jsonio import matrix_to_json
 from .operator_core import (
     ContractionVariable,
     _herm,
-    _initial_middles,
+    _middle_starts,
     commutator,
     embed,
     make_condenser,
@@ -100,13 +94,8 @@ class SolveReport:
     def to_json(self, history_csv=None):
         if isinstance(self.minimizer, ContractionVariable):
             mini = matrix_to_json(embed(self.minimizer))
-        elif isinstance(self.minimizer, np.ndarray):
-            if self.minimizer.ndim == 1:
-                mini = [float(x) for x in self.minimizer]
-            else:
-                mini = matrix_to_json(self.minimizer)
-        else:
-            mini = self.minimizer
+        else:  # a graph potential
+            mini = [float(x) for x in self.minimizer]
         obj = {
             "value_upper": float(self.value),
             "converged": bool(self.converged),
@@ -196,29 +185,28 @@ def solve_condenser(tau, cond, specs, opts=None):
     proj = lambda B: project_middle(cond, B)
 
     def refine(ms, x, f0):
-        """The ε stages of ``_smooth_fg`` from (x, f0), then the exact value of
-        their point. A stage's temperature scale is the value the previous one
-        returned, f0 for the first; the Huber scale sref[j] of a p = 1
+        """The ε stages of ``_smooth_fg`` from (x, f0) (``Multistart.ladder``),
+        each a run of projected descent; the Huber scale sref[j] of a p = 1
         component is its commutator's largest singular value at x."""
         A0 = cond.embed_middle(x)
         sref = [float(np.linalg.svd(commutator(A0, T, t), compute_uv=False).max(initial=0.0))
                 if sp.p == 1 else 0.0 for T, t, sp in zip(tau.components, tau.diagonals, specs)]
-        f0 = fref = max(f0, 1e-300)
-        for eps, iters in zip(SMOOTHING_LADDER, (150, 150, 300, max(300, opts.max_iters // 2))):
-            x, f, conv = ms.run(
-                projected_descent, _smooth_fg(tau, cond, specs, eps, sref, fref), proj, x,
-                max_iters=iters, residual_tol=max(1e-14, 1e-3 * opts.tol) * f0, offer=False,
-            )
-            fref = max(f, 1e-300)
-        ms.record(x, fg(x)[0], conv)
+        residual_tol = max(1e-14, 1e-3 * opts.tol) * max(f0, 1e-300)
+        budgets = (150, 150, 300, max(300, opts.max_iters // 2))
+
+        def stage(k, eps, fref, x):
+            sfg = _smooth_fg(tau, cond, specs, eps, sref, max(fref, 1e-300))
+            return ms.run(projected_descent, sfg, proj, x, max_iters=budgets[k],
+                          residual_tol=residual_tol, offer=False)
+
+        ms.ladder(x, f0, stage, lambda x: fg(x)[0])
 
     def finish(B):
         var = ContractionVariable(cond, project_middle(cond, B))
         return var, objective(tau, embed(var), specs)
 
-    starts = _initial_middles(cond, opts.restarts, opts.seed, np.sqrt(max(cond.m0, 1)))
-    ms = Multistart.solve(starts, lambda ms, B0: ms.run_phases(B0, specs, opts, fg, proj, refine),
-                          finish, tail_tol=opts.tol)
+    ms = Multistart.solve(_starts(*_middle_starts(cond, np.sqrt(max(cond.m0, 1))), opts),
+                          lambda ms, B0: ms.run_phases(B0, specs, opts, fg, proj, refine), finish)
     return SolveReport.of_multistart(t0, ms, _feasibility(cond, ms.minimizer), m0=cond.m0)
 
 

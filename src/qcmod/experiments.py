@@ -206,7 +206,8 @@ class MultiplicityModel:
     ``kind`` is "box_step" (an interval with an integer step multiplicity
     function; n = 1) or "cantor_product" (the square of a self-similar Cantor
     set with ``pieces`` maps of ratio ``ratio`` at a given depth; n = 2).
-    Construction rejects every model ``model_problem`` cannot build.
+    Construction requires a positive ``integral``; ``model_problem`` rejects
+    a box model whose grid misses every cell of positive multiplicity.
     """
 
     kind: str
@@ -225,6 +226,8 @@ class MultiplicityModel:
             raise ValidationError(f"unknown model kind {self.kind!r}")
         if any(int(m) != m or m < 0 for m in self.multiplicity) or not any(self.multiplicity):
             raise ValidationError("multiplicities must be nonnegative integers, not all 0")
+        if not all(0 < x < np.inf for x in (*self.cell_lengths, self.scale)):
+            raise ValidationError("cell lengths and scale must be finite and positive")
         if self.kind == "box_step":
             if self.n != 1:
                 raise ValidationError("box models are implemented for n = 1")
@@ -235,6 +238,8 @@ class MultiplicityModel:
                 raise ValidationError("cantor pieces must not overlap (ratio * pieces < 1)")
             if self.n != 2:
                 raise ValidationError("cantor products are implemented for n = 2")
+            if len(self.multiplicity) != 1:
+                raise ValidationError("a cantor product takes one positive integer multiplicity")
             if self.n * self.hausdorff_dimension_factor < 1.0:
                 raise ValidationError(
                     "the product dimension n*log(c)/log(1/r) must be >= 1 for a Lorentz norm"
@@ -266,14 +271,6 @@ class MultiplicityModel:
     def exponent(self):
         """Power applied to the modulus estimate in the predicted-constant ratio."""
         return 1 if self.kind == "box_step" else self.hausdorff_dimension
-
-    def to_json(self):
-        return {
-            "kind": self.kind, "n": self.n, "multiplicity": list(self.multiplicity),
-            "cell_lengths": list(self.cell_lengths), "ratio": self.ratio,
-            "pieces": self.pieces, "depth": self.depth, "scale": self.scale,
-            "label": self.label or self.kind, "position_variant": self.position_variant,
-        }
 
     @staticmethod
     def from_json(obj):
@@ -386,6 +383,13 @@ def _grid2_basis(g, modes):
     return np.column_stack(cols)
 
 
+def ratio_problems(models, n_scales):
+    """Per model, the ``scale_sweep`` problems (dim, tau, condenser) of its
+    first ``n_scales`` scales, all built before anything is solved."""
+    return [[(tau.dim, tau, cond) for tau, cond in (model_problem(m, s) for s in range(n_scales))]
+            for m in models]
+
+
 def ratio_experiment(models, opts=None, n_scales=3):
     """Estimate the modulus for each model and tabulate estimate^n / integral.
 
@@ -402,14 +406,12 @@ def ratio_experiment(models, opts=None, n_scales=3):
         raise ValidationError("n_scales must be >= 1")
 
     rows = []
-    for model in models:
-        problems = [(tau.dim, tau, cond)
-                    for tau, cond in (model_problem(model, s) for s in range(n_scales))]
+    for model, problems in zip(models, ratio_problems(models, n_scales)):
         sweep = scale_sweep(problems, model.norm_spec(), opts)
         values = sweep["values"]
         est = sweep["estimate"]
         conv = all(sweep["converged"])
-        ratio = (est ** model.exponent()) / model.integral if model.integral > 0 else np.inf
+        ratio = (est ** model.exponent()) / model.integral
         rows.append({
             "label": model.label or model.kind,
             "values": values,
@@ -420,7 +422,7 @@ def ratio_experiment(models, opts=None, n_scales=3):
             "converged": bool(conv),
             "histories": [r.history for r in sweep["reports"]],
         })
-    used = [r["ratio"] for r in rows if r["converged"] and np.isfinite(r["ratio"])]
+    used = [r["ratio"] for r in rows if r["converged"]]
     cv = float(np.std(used) / np.mean(used)) if len(used) >= 2 and np.mean(used) > 0 else None
     return {"rows": rows, "ratio_cv": cv, "claim_level": "SOFT"}
 

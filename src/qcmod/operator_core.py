@@ -179,9 +179,6 @@ class Condenser:
         return {"AP_minus_P": float(np.linalg.norm(A @ self.P - self.P)),
                 "AQ": float(np.linalg.norm(A @ self.Q))}
 
-    def to_json(self):
-        return {"P": matrix_to_json(self.P), "Q": matrix_to_json(self.Q)}
-
 
 def _readonly(M):
     M.flags.writeable = False
@@ -317,20 +314,19 @@ def project_middle(condenser, B_raw):
     return (V * w) @ V.conj().T
 
 
-def _initial_middles(cond, restarts, seed, divisor):
-    """0.5 I, then seeded projected perturbations 0.5 I + 0.35 herm(W) / divisor."""
-    m0 = cond.m0
-    dtype = complex if cond.is_complex else float
-    out = [0.5 * np.eye(m0, dtype=dtype)]
-    seqs = np.random.SeedSequence(int(seed)).spawn(max(0, restarts - 1))
-    for sq in seqs:
-        rng = np.random.default_rng(sq)
-        W = rng.standard_normal((m0, m0))
-        if dtype is complex:
-            W = W + 1j * rng.standard_normal((m0, m0))
-        B = 0.5 * np.eye(m0, dtype=dtype) + 0.35 * _herm(W) / divisor
-        out.append(project_middle(cond, B))
-    return out
+def _middle_starts(cond, divisor):
+    """The center 0.5 I of the middle blocks and the draw of a further start
+    from an rng: the projected perturbation 0.5 I + 0.35 herm(W) / divisor,
+    W standard Gaussian (complex on a complex condenser, real part drawn first)."""
+    center = 0.5 * np.eye(cond.m0, dtype=complex if cond.is_complex else float)
+
+    def draw(rng):
+        W = rng.standard_normal(center.shape)
+        if cond.is_complex:
+            W = W + 1j * rng.standard_normal(center.shape)
+        return project_middle(cond, center + 0.35 * _herm(W) / divisor)
+
+    return center, draw
 
 
 def project_to_feasible(condenser, A_raw):

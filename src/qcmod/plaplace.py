@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._solvers import Multistart, projected_descent
+from ._solvers import Multistart, _starts, projected_descent
 from .condenser_solver import SolveOptions, SolveReport
 from .errors import ValidationError
 from .operator_core import (
@@ -31,7 +31,7 @@ from .operator_core import (
     ContractionVariable,
     OperatorTuple,
     _herm,
-    _initial_middles,
+    _middle_starts,
     commutators,
     embed,
     project_middle,
@@ -166,7 +166,7 @@ def minimize_smooth(prob, opts=None):
         var = ContractionVariable(cond, project_middle(cond, B))
         return var, smooth_objective(prob, embed(var))
 
-    ms = Multistart.solve(_initial_middles(cond, opts.restarts, opts.seed, 1.0), restart, finish)
+    ms = Multistart.solve(_starts(*_middle_starts(cond, 1.0), opts), restart, finish)
     return SolveReport.of_multistart(t0, ms, cond.plate_residuals(embed(ms.minimizer)), p=prob.p)
 
 

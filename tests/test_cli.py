@@ -230,6 +230,12 @@ _S2 = {"kind": "schatten", "p": 2}
 _Z1 = {"kind": "Z^d", "d": 1}
 
 
+def _ratio_second(model):
+    """A ratio payload whose second model is ``model``."""
+    return {"experiment": "ratio", "n_scales": 2, "options": {"max_iters": 50},
+            "models": [{"kind": "box_step", "label": "a"}, model]}
+
+
 @pytest.mark.parametrize("command, payload, field", [
     ("plaplace", dict(_PLATES, tuple={"components": 5}, p=3), "tuple"),
     ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, options={"max_iters": "x"}), "options"),
@@ -262,18 +268,32 @@ _Z1 = {"kind": "Z^d", "d": 1}
                     "models": [{"kind": "box_step", "label": "a"},
                                {"kind": "box_step", "multiplicity": [], "cell_lengths": []},
                                {"kind": "cantor_product", "n": 2, "multiplicity": 0}]}, "models"),
+    ("experiment", _ratio_second({"kind": "cantor_product", "n": 2, "scale": -1.0}), "models"),
+    ("experiment", _ratio_second({"kind": "box_step", "cell_lengths": [-1.0]}), "models"),
+    ("experiment", _ratio_second({"kind": "box_step", "scale": 0}), "models"),
+    ("experiment", _ratio_second({"kind": "cantor_product", "n": 2, "multiplicity": [0, 1]}),
+     "models"),
+    ("experiment", {"experiment": "ratio", "options": {"max_iters": 50},
+                    "models": [{"kind": "box_step"},
+                               {"kind": "box_step", "multiplicity": [0, 1],
+                                "cell_lengths": [0.99, 0.01]}]}, "models"),
 ], ids=["tuple-components", "options-max-iters", "P-re", "group-d", "R", "x1-sphere",
         "scan-macaev", "scan-lorentz", "s", "norm-p", "ratio-models", "hybrid-exponents",
         "gamma1-N-list", "options-seed", "s-scalar", "options-refine", "transfer-no-norms",
         "options-restarts-float", "options-max-iters-float", "options-restarts-bool",
-        "ratio-box-n2", "ratio-cantor-n3", "ratio-no-multiplicity"])
+        "ratio-box-n2", "ratio-cantor-n3", "ratio-no-multiplicity", "ratio-cantor-negative-scale",
+        "ratio-box-negative-length", "ratio-box-zero-scale", "ratio-cantor-two-multiplicities",
+        "ratio-box-empty-spectrum"])
 def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # each of these used to end in a traceback (exit 1) or in a run that
     # misread the field: a Schatten-2 scan for the Lorentz norm, a refined
     # solve for refine "false", an empty report for an empty norm list, a
     # run with 10.5 iterations or True restarts; an unsupported ratio model
     # used to fail only after the models before it were solved, an empty
-    # multiplicity list with an IndexError traceback
+    # multiplicity list with an IndexError traceback; a second ratio model with
+    # no positive integral or an empty spectrum used to fail only after the
+    # first model was solved (a traceback, an unserializable inf ratio, or an
+    # error without the payload.models prefix)
     code = run(tmp_path, [command, "--inline", json.dumps(payload), "--out", "OUT"])
     err = capsys.readouterr().err
     assert code == 2

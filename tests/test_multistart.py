@@ -53,7 +53,9 @@ def test_smooth_bookkeeping(p):
     tau = OperatorTuple.of([rand_hermitian(rng, 4), rand_hermitian(rng, 4)],
                            selfadjoint=[True, True])
     prob = SmoothProblem(tau, make_condenser([0], [3], dim=4), p)
-    _check_bookkeeping(minimize_smooth(prob, OPTS3))
+    rep = minimize_smooth(prob, OPTS3)
+    _check_bookkeeping(rep)
+    assert rep.history[-1] == (rep.iters - 1, rep.value, 0.0)
 
 
 def _count_fg(monkeypatch, module):
@@ -146,7 +148,7 @@ class TestMultistart:
             ms.run(_engine([9.0], False), x, offer=False)  # a smoothed stage: not a candidate
             ms.record(x * 10, 3.5)
 
-        ms = Multistart.solve([0, 1], restart, lambda x: (x, float(x)), tail_tol=1e-9)
+        ms = Multistart.solve([0, 1], restart, lambda x: (x, float(x)))
         # restart 0: offers 4.0 (run) then 3.5 (record); restart 1: 3.0 then 3.5
         assert ms.restart_values == [3.5, 3.0]
         assert ms.minimizer == 2 and ms.value == 2.0  # best point of restart 1
@@ -163,10 +165,39 @@ class TestMultistart:
         assert done.converged
         assert not Multistart.solve([0], restart, lambda x: (x, 0.0)).converged
 
-    def test_without_tail_tol_no_final_row(self):
-        ms = Multistart.solve([0], lambda ms, x0: ms.run(_engine([1.0, 0.5], False), x0),
-                              lambda x: (x, 0.5))
-        assert ms.iters == 2 and len(ms.history) == 2
+    def test_plateau_is_not_convergence(self, monkeypatch):
+        # a subgradient phase whose running best is flat over the last three
+        # quarters of the history, but whose own stopping test never fired
+        def flat(fg, project, x0, *, max_iters, tol, history, iter_offset):
+            x = project(x0)
+            f = fg(x)[0]
+            for k, fk in enumerate([4 * f, 3 * f, 2 * f] + [f] * 9):
+                history.append((iter_offset + k, fk, 1.0))
+            return x, f, 12, False
+
+        monkeypatch.setattr(_solvers, "projected_subgradient", flat)
+        tau = OperatorTuple.of([np.diag(np.ones(2), 1) + np.diag(np.ones(2), -1)])
+        rep = solve_condenser(tau, make_condenser([0], [2], dim=3), NormSpec.schatten(1),
+                              SolveOptions(restarts=1, refine=False))
+        assert not rep.converged
+        assert rep.history[-1] == (12, rep.value, 0.0)
+
+    def test_ladder_chains_fref_and_records_once(self):
+        calls = []
+
+        def stage(k, eps, fref, x):
+            calls.append((k, eps, fref, x))
+            return x + 1, 10.0 - k, k == 3
+
+        def restart(ms, x0):
+            ms.ladder(x0, 20.0, stage, lambda x: 100.0 + x)
+
+        ms = Multistart.solve([0], restart, lambda x: (x, 100.0 + x))
+        assert calls == [(k, eps, fref, k) for k, (eps, fref) in
+                         enumerate(zip(_solvers.SMOOTHING_LADDER, [20.0, 10.0, 9.0, 8.0]))]
+        # one row for the ladder's exact value, one for the solve's
+        assert ms.history == [(0, 104.0, 0.0), (1, 104.0, 0.0)]
+        assert ms.restart_values == [104.0] and ms.converged
 
 
 def test_huber_gradient_is_zero_where_mu_underflows():

@@ -78,6 +78,9 @@ def runs():
     z = lambda dim: {"kind": "Z^d", "d": dim}
     f2 = {"kind": "free", "k": 2}
     cantor = {"kind": "cantor_product", "n": 2, "ratio": 1 / 3, "pieces": 2, "depth": 1}
+    # a complex rank-one plate: the only run on the complex start draw and the
+    # matrix-projection path
+    v = (np.eye(d)[0] + 1j * np.eye(d)[1]) / np.sqrt(2)
     return [
         ("norm_s_lorentz", "norm", {"s": [3.0, -1.0, 2.5, 0.5, -4.0], "norm": lorentz}),
         ("norm_matrix_s3", "norm", {"matrix": _matrix(twist), "norm": s3}),
@@ -87,6 +90,11 @@ def runs():
         ("condenser_hybrid_s1_s3", "condenser", dict(plates, tuple=tied, norm=[s1, s3], options=opts)),
         ("condenser_macaev", "condenser",
          dict(plates, tuple={"components": [_matrix(twist)]}, norm={"kind": "macaev"}, options=opts)),
+        ("condenser_s2_norefine", "condenser",
+         dict(plates, tuple=tied, norm=s2, options=dict(opts, refine=False))),
+        ("condenser_complex_plate", "condenser",
+         {"tuple": one, "P": _matrix(np.outer(v, v.conj())), "Q": {"basis_indices": [d - 1]},
+          "norm": s1, "options": opts}),
         ("graphcap_z3_R14_s2", "graphcap", {"group": z(3), "R": 14, "x1": "origin", "norm": s2}),
         ("graphcap_z2_R6_s1", "graphcap", {"group": z(2), "R": 6, "x1": "origin", "norm": s1}),
         ("graphcap_z2_R6_s3", "graphcap", {"group": z(2), "R": 6, "x1": "origin", "norm": s3}),
