@@ -1,20 +1,31 @@
-"""Shared first-order engines, the multistart driver, smoothing and
-extrapolation fits.
+"""Shared first-order engines, the multistart driver and its report,
+smoothing and extrapolation fits.
 
 The engines operate on numpy arrays of any shape with the real Frobenius
 inner product; feasibility is delegated to a ``project`` callback, so the same
 loop drives spectral-box middle blocks and pinned [0,1] vertex potentials.
+Each iteration appends one row (i, f, step) to the ``history`` it is given,
+with i the row's position there.
 ``Multistart`` holds every restart rule of the three solvers: the start
 points (``_starts``: the solver's center, then seeded draws), the shared
-history and its iteration numbering, each restart's best point and value,
-the ε-ladder loop (``Multistart.ladder``), the final history row (the exact
-value the solve returns) and the converged flag, which only a phase's own
-stopping test sets; ``Multistart.run_phases`` holds the one rule for which
-phases a nonsmooth restart runs.
+history, each restart's best point and value, the ε-ladder loop
+(``Multistart.ladder``), the final history row (the exact value the solve
+returns) and the converged flag, which only a phase's own stopping test sets;
+``Multistart.run_phases`` holds the one rule for which phases a nonsmooth
+restart runs. ``Multistart.solve`` returns the ``SolveReport``, whose
+``iters`` is the length of its history (one row for a closed form).
 """
+
+import dataclasses
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
+
+from .errors import ValidationError
+from .jsonio import matrix_to_json
+from .operator_core import ContractionVariable, embed
 
 
 def _inner(x, y):
@@ -25,16 +36,7 @@ def _norm(x):
     return float(np.linalg.norm(x.ravel()))
 
 
-def projected_subgradient(
-    fg,
-    project,
-    x0,
-    *,
-    max_iters,
-    tol,
-    history=None,
-    iter_offset=0,
-):
+def projected_subgradient(fg, project, x0, *, max_iters, tol, history):
     """Projected subgradient loop with Polyak steps and best-iterate tracking.
 
     The Polyak step aims at the estimate best - delta, halving delta whenever
@@ -57,16 +59,14 @@ def projected_subgradient(
     while k < max_iters:
         if gn2 <= 0.0:
             # zero subgradient: global minimizer of a convex objective
-            if history is not None:
-                history.append((iter_offset + k, f, 0.0))
+            history.append((len(history), f, 0.0))
             converged = True
             k += 1
             break
         alpha = max(f - max(best_f - delta, 0.0), 0.0) / gn2
         if alpha <= 0.0:
             alpha = 1e-3 * a0 / np.sqrt(k + 1.0)
-        if history is not None:
-            history.append((iter_offset + k, f, alpha))
+        history.append((len(history), f, alpha))
         x = project(x - alpha * g)
         f, g = fg(x)
         gn2 = _inner(g, g)
@@ -84,16 +84,7 @@ def projected_subgradient(
     return best_x, best_f, k, converged
 
 
-def projected_descent(
-    fg,
-    project,
-    x0,
-    *,
-    max_iters,
-    residual_tol,
-    history=None,
-    iter_offset=0,
-):
+def projected_descent(fg, project, x0, *, max_iters, residual_tol, history):
     """Projected gradient descent with Barzilai-Borwein steps and Armijo backtracking.
 
     Intended for (locally) smooth convex objectives; on a nonsmooth objective
@@ -114,8 +105,7 @@ def projected_descent(
     converged = False
     k = 0
     while k < max_iters:
-        if history is not None:
-            history.append((iter_offset + k, f, step))
+        history.append((len(history), f, step))
         d = project(x - step * g) - x
         dn = _norm(d)
         if dn <= residual_tol * step:
@@ -175,6 +165,70 @@ def projected_descent(
 SMOOTHING_LADDER = (1e-2, 1e-4, 1e-6, 1e-9)
 
 
+@dataclass(frozen=True)
+class SolveOptions:
+    max_iters: int = 2000
+    tol: float = 1e-7
+    seed: int = 0
+    restarts: int = 2
+    refine: bool = True
+
+    def __post_init__(self):
+        for name in ("max_iters", "restarts", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {v!r}")
+        if self.max_iters < 1:
+            raise ValidationError("max_iters must be >= 1")
+        if not (self.tol > 0):
+            raise ValidationError("tol must be > 0")
+        if self.restarts < 1:
+            raise ValidationError("restarts must be >= 1")
+        if not isinstance(self.refine, (bool, np.bool_)):
+            raise ValidationError(f"refine must be a boolean, got {self.refine!r}")
+
+    @staticmethod
+    def from_json(obj):
+        obj = obj or {}
+        return SolveOptions(**{f.name: obj[f.name] for f in dataclasses.fields(SolveOptions) if f.name in obj})
+
+    def residual_tol(self, f0):
+        """``projected_descent``'s residual tolerance for a run from a point of value f0."""
+        return max(1e-14, 1e-3 * self.tol) * max(f0, 1e-300)
+
+
+@dataclass
+class SolveReport:
+    """Outcome of a variational solve: ``value`` is an upper bound on the inf,
+    and ``history`` ends with the row (iters - 1, value, 0.0)."""
+
+    value: float
+    minimizer: object
+    history: list
+    feasibility_residuals: dict
+    converged: bool
+    wall_time: float
+    extra: dict = field(default_factory=dict)
+
+    @property
+    def iters(self):
+        return len(self.history)
+
+    @classmethod
+    def closed_form(cls, t0, value, minimizer, feasibility, **extra):
+        """Report of a solve with nothing to optimize, started at ``t0``."""
+        return cls(value, minimizer, [(0, value, 0.0)], feasibility, True,
+                   time.perf_counter() - t0, extra)
+
+    def to_json(self, history_csv=None):
+        mini = (matrix_to_json(embed(self.minimizer)) if isinstance(self.minimizer, ContractionVariable)
+                else [float(x) for x in self.minimizer])  # else a graph potential
+        return {"value_upper": float(self.value), "converged": bool(self.converged),
+                "iters": self.iters, "history_csv": history_csv, "minimizer": mini,
+                "feasibility_residuals": {k: float(v) for k, v in self.feasibility_residuals.items()},
+                **self.extra}
+
+
 def _starts(center, draw, opts):
     """The start points of a solve: ``center``, then ``draw(rng)`` for each
     further restart, every rng seeded from its own child of
@@ -187,26 +241,23 @@ class Multistart:
     """One multistart solve: shared history, restart results and the best point.
 
     ``history`` holds the (iteration, objective, step) rows of every phase of
-    every restart, numbered consecutively; ``iters`` is the next number. A
-    restart body runs its phases through ``run``, ``record`` and ``ladder``;
-    the lowest value they offer is the restart's result (the first offer
-    always counts). ``converged`` is true once an offered phase's own
-    stopping test fired.
+    every restart, each numbered by its position. A restart body runs its
+    phases through ``run``, ``record`` and ``ladder``; the lowest value they
+    offer is the restart's result (the first offer always counts).
+    ``converged`` is true once an offered phase's own stopping test fired.
     """
 
     def __init__(self):
         self.history = []
-        self.iters = 0
         self.converged = False
         self.restart_values = []
         self._best = None
-        self.minimizer = self.value = None  # set by solve
 
     @classmethod
-    def solve(cls, starts, restart, finish):
-        """Run ``restart(ms, x0)`` from every start point; ``finish`` maps the
-        best restart's point to (minimizer, value), stored on the returned
-        driver, and the value is logged as the last history row."""
+    def solve(cls, t0, starts, restart, finish, **extra):
+        """Run ``restart(ms, x0)`` from every start; ``finish`` maps the best
+        restart's point to (minimizer, value, feasibility residuals), and the value
+        is the last history row. Returns the report (``restart_values``, ``extra``)."""
         ms = cls()
         best_f, best_x = np.inf, None
         for x0 in starts:
@@ -216,29 +267,26 @@ class Multistart:
             ms.restart_values.append(f)
             if f < best_f:
                 best_f, best_x = f, x
-        ms.minimizer, ms.value = finish(best_x)
-        ms.record(ms.minimizer, ms.value)
-        return ms
+        minimizer, value, feasibility = finish(best_x)
+        ms.record(minimizer, value)
+        return SolveReport(value, minimizer, ms.history, feasibility, ms.converged,
+                           time.perf_counter() - t0, {"restart_values": ms.restart_values, **extra})
 
     def _offer(self, x, f, converged=False):
         if self._best is None or f < self._best[1]:
             self._best = (x, f)
         self.converged = self.converged or converged
 
-    def run(self, engine, *args, offer=True, **kwargs):
-        """Run ``engine(*args, history=..., iter_offset=..., **kwargs)``, an
-        engine returning (x, f, iterations, converged); offer its point unless
-        ``offer`` is false. Returns (x, f, converged)."""
-        x, f, k, conv = engine(*args, history=self.history, iter_offset=self.iters, **kwargs)
-        self.iters += k
-        if offer:
-            self._offer(x, f, conv)
-        return x, f, conv
+    def run(self, engine, *args, **kwargs):
+        """Run ``engine(*args, history=..., **kwargs)``, an engine returning
+        (x, f, iterations, converged), and offer its point. Returns (x, f)."""
+        x, f, _, conv = engine(*args, history=self.history, **kwargs)
+        self._offer(x, f, conv)
+        return x, f
 
     def record(self, x, f, converged=False):
         """Offer an exactly evaluated point and log it as one history row."""
-        self.history.append((self.iters, f, 0.0))
-        self.iters += 1
+        self.history.append((len(self.history), f, 0.0))
         self._offer(x, f, converged)
 
     def ladder(self, x, f0, stage, value):
@@ -267,7 +315,7 @@ class Multistart:
             self.record(x0, f)
             refine(self, x0, f)
             return
-        x, f, _ = self.run(projected_subgradient, fg, project, x0,
+        x, f = self.run(projected_subgradient, fg, project, x0,
                            max_iters=opts.max_iters, tol=opts.tol)
         if not opts.refine:
             return
@@ -275,7 +323,7 @@ class Multistart:
             refine(self, x, f)
         else:
             self.run(projected_descent, fg, project, x, max_iters=max(200, opts.max_iters // 2),
-                     residual_tol=max(1e-14, 1e-3 * opts.tol) * max(f, 1e-300))
+                     residual_tol=opts.residual_tol(f))
 
 
 # -- smoothing -----------------------------------------------------------------------

@@ -41,12 +41,14 @@ import scipy.sparse.linalg
 
 from ._solvers import (
     Multistart,
+    SolveOptions,
+    SolveReport,
     _smooth_max,
     _smooth_schatten,
     _starts,
     fit_loglog,
 )
-from .condenser_solver import SolveOptions, SolveReport, solve_condenser
+from .condenser_solver import solve_condenser
 from .errors import ValidationError
 from .operator_core import (
     ContractionVariable,
@@ -383,9 +385,11 @@ def graph_capacity(ball, spec, opts=None):
     proj = lambda x: np.clip(x, 0.0, 1.0)
 
     def refine(ms, x, f0):
-        """The ε stages from (x, f0), each a warm-started L-BFGS-B run (counted in
-        ``ms.iters``) on log-sum-exp over generators of ``_smooth_schatten`` of the
-        differences; the Huber scale (p = 1) is the largest difference at x."""
+        """The ε stages from (x, f0), each a warm-started L-BFGS-B run on
+        log-sum-exp over generators of ``_smooth_schatten`` of the differences,
+        logging each iteration's smoothed value; the Huber scale (p = 1) is the
+        largest difference at x. Only a stop by the limits (status 1) is not
+        converged: a line-search stop (2) is, like the rounding floor."""
         d_scale = max(max(float(np.abs(d).max(initial=0.0)) for d in op.diffs(assemble(x))), 1e-300)
 
         def stage(k, eps, fref, x):
@@ -397,22 +401,25 @@ def graph_capacity(ball, spec, opts=None):
                     grads.append(Dt @ dd)
                 return _smooth_max(fs, grads, eps, max(fref, 1e-300))
 
+            # scipy passes the iterate's result only to a parameter of this name
+            log = lambda intermediate_result: ms.history.append(
+                (len(ms.history), float(intermediate_result.fun), 0.0))
             res = scipy.optimize.minimize(obj, x, jac=True, method="L-BFGS-B",
-                                          bounds=scipy.optimize.Bounds(0.0, 1.0),
+                                          bounds=scipy.optimize.Bounds(0.0, 1.0), callback=log,
                                           options={"maxiter": 3000, "ftol": 1e-17, "gtol": 1e-14})
-            ms.iters += int(res.nit)
-            return res.x, float(res.fun), True
+            return res.x, float(res.fun), res.status != 1
 
         ms.ladder(x, f0, stage, lambda x: op.max_norm(assemble(proj(x)), spec))
 
     def finish(x):
         full = assemble(proj(x))
-        return full, op.max_norm(full, spec)
+        feasibility = {
+            "box": float(max(0.0, full.max() - 1.0, -full.min())),
+            "pins": float(max(np.abs(full[ball.X1] - 1.0).max(initial=0.0),
+                              np.abs(full[ball.X2]).max(initial=0.0))),
+        }
+        return full, op.max_norm(full, spec), feasibility
 
-    draw = lambda rng: rng.uniform(0.0, 1.0, size=free.size)
-    ms = Multistart.solve(_starts(np.full(free.size, 0.5), draw, opts),
-                          lambda ms, x0: ms.run_phases(x0, [spec], opts, fg, proj, refine), finish)
-    full = ms.minimizer
     extra = {"n_vertices": nv}
     if spec.kind == "schatten" and spec.p == 1 and nv <= 400:
         try:
@@ -420,12 +427,10 @@ def graph_capacity(ball, spec, opts=None):
         except Exception as exc:
             logger.warning("LP cross-check of the trace-norm capacity failed: %s", exc, exc_info=True)
             extra["lp_crosscheck_error"] = f"{type(exc).__name__}: {exc}"
-    feasibility = {
-        "box": float(max(0.0, full.max() - 1.0, -full.min())),
-        "pins": float(max(np.abs(full[ball.X1] - 1.0).max(initial=0.0),
-                          np.abs(full[ball.X2]).max(initial=0.0))),
-    }
-    return SolveReport.of_multistart(t0, ms, feasibility, **extra)
+    draw = lambda rng: rng.uniform(0.0, 1.0, size=free.size)
+    return Multistart.solve(t0, _starts(np.full(free.size, 0.5), draw, opts),
+                            lambda ms, x0: ms.run_phases(x0, [spec], opts, fg, proj, refine), finish,
+                            **extra)
 
 
 # -- exact oracles --------------------------------------------------------------------
@@ -517,10 +522,6 @@ def truncated_regular_rep(ball):
     return OperatorTuple(tuple(mats), (False,) * len(mats), nv)
 
 
-def multiplication_operator(ball, u):
-    return np.diag(np.asarray(u, dtype=float))
-
-
 def verify_transfer(ball, spec, opts=None):
     """Compare cap_J(X1, X2) with k_J(lambda(gamma); P_X1, P_X2) on the ball.
 
@@ -541,7 +542,7 @@ def verify_transfer(ball, spec, opts=None):
     if ball.X1.size and ball.X2.size:
         # Feasible diagonal candidate from the graph minimizer.
         u = np.asarray(cap_report.minimizer, dtype=float)
-        B_cand = cond.compress_middle(multiplication_operator(ball, u))
+        B_cand = cond.compress_middle(np.diag(u))
         var = ContractionVariable(cond, project_middle(cond, B_cand))
         cand_val = objective(tau, embed(var), spec)
         if cand_val < k_value:
@@ -562,6 +563,16 @@ def verify_transfer(ball, spec, opts=None):
 # -- parabolicity ---------------------------------------------------------------------
 
 
+def scan_radii(R_list):
+    """The radii of a capacity scan as a list: at least 3, strictly increasing."""
+    R_list = list(R_list)
+    if len(R_list) < 3:
+        raise ValidationError("R_list needs at least 3 entries")
+    if any(b <= a for a, b in zip(R_list, R_list[1:])):
+        raise ValidationError("R_list must be strictly increasing")
+    return R_list
+
+
 def parabolicity_scan(group, p, X1, R_list, opts=None):
     """Capacity decay scan: cap(X1, boundary-at-infinity) along growing balls.
 
@@ -573,11 +584,7 @@ def parabolicity_scan(group, p, X1, R_list, opts=None):
     solver tolerance.
     """
     opts = opts or SolveOptions()
-    R_list = list(R_list)
-    if len(R_list) < 3:
-        raise ValidationError("R_list needs at least 3 entries")
-    if any(b <= a for a, b in zip(R_list, R_list[1:])):
-        raise ValidationError("R_list must be strictly increasing")
+    R_list = scan_radii(R_list)
     spec = NormSpec.schatten(p)
 
     def solve_R(R):

@@ -19,13 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .cayley import GroupSpec, build_ball, graph_capacity, parabolicity_scan, verify_transfer
+from .cayley import (GroupSpec, build_ball, graph_capacity, parabolicity_scan, scan_radii,
+                     verify_transfer)
 from .condenser_solver import SolveOptions, solve_condenser
 from .errors import NumericError, QcmodError, ValidationError
 from .experiments import (
     MultiplicityModel,
     gamma1_experiment,
+    gamma1_schedule,
     hybrid_exponent_scan,
+    hybrid_exponents,
+    hybrid_gridsize,
     ratio_experiment,
     ratio_problems,
 )
@@ -195,7 +199,7 @@ def _condenser(config, tau, cond, specs):
 def _read_graphcap(r):
     if "R_list" not in r.payload:
         return _graphcap, {"ball": _read_ball(r), "spec": r("norm", NormSpec.from_json)}
-    group, R_list = r("group", GroupSpec.from_json), r("R_list", _ints)
+    group, R_list = r("group", GroupSpec.from_json), r("R_list", lambda v: scan_radii(_ints(v)))
     p = r("p" if "p" in r.payload else "norm", _schatten_p)
     x1 = r("x1", default="origin")
     if group is not None and R_list:
@@ -268,21 +272,23 @@ def _read_experiment(r):
     kind = r("experiment", _choice("gamma1", "ratio", "hybrid"))
     if kind == "gamma1":
         schedule = r("schedule", _object, {}) or {}
-        return _gamma1, {
-            "N_list": r.build("schedule.N_list", _ints, schedule.get("N_list", [64, 128, 256])),
-            "variant": r("variant", _choice("sawtooth", "triangle"), "sawtooth"),
-        }
+        N_list = r.build("schedule.N_list", _ints, schedule.get("N_list", [64, 128, 256]))
+        if N_list is not None:
+            r.build("schedule.N_list", gamma1_schedule, N_list)
+        return _gamma1, {"N_list": N_list,
+                         "variant": r("variant", _choice("sawtooth", "triangle"), "sawtooth")}
     if kind == "ratio":
         models = r("models", lambda v: [MultiplicityModel.from_json(m) for m in v])
         n_scales = r("n_scales", int, 3)
         if models is not None and n_scales is not None:
             # an empty spectrum shows once built; building twice costs milliseconds
-            r.build("models", ratio_problems, models, n_scales)
+            r.build("models/n_scales", ratio_problems, models, n_scales)
         return _ratio, {"models": models, "n_scales": n_scales}
     if kind == "hybrid":
         return _hybrid, {
-            "gridsize": r("gridsize", int, 8),
-            "exponent_sets": r("exponent_sets", lambda v: [tuple(map(float, ps)) for ps in v]),
+            "gridsize": r("gridsize", hybrid_gridsize, 8),
+            "exponent_sets": r("exponent_sets",
+                               lambda v: hybrid_exponents([tuple(map(float, ps)) for ps in v])),
             "swap": bool(r("swap", default=False)),
         }
     return None, {}

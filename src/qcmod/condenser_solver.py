@@ -5,25 +5,23 @@ A = P (+) B0 (+) 0 by first-order descent on the middle block. The reported
 value is always an upper bound on the infimum: every iterate is exactly
 feasible.
 
-``Multistart`` holds the restart rules the graph capacity shares. With
-``refine`` on and every J_j Schatten with p > 1, the objective is smooth
-wherever its maximizing norm is nonzero, so the ε ladder (one projected
-descent stage on ``_smooth_fg`` per ε) starts at the start block. Otherwise
-a projected subgradient phase comes first, followed, with ``refine`` on, by
-the ladder for all-Schatten norm lists or by projected descent on the exact
-objective for weighted norms.
+``Multistart`` (in ``_solvers``, with the ``SolveOptions`` and ``SolveReport``
+this module re-exports) holds the restart rules the graph capacity shares and
+returns the report. With ``refine`` on and every J_j Schatten with p > 1, the
+objective is smooth wherever its maximizing norm is nonzero, so the ε ladder
+(one projected descent stage on ``_smooth_fg`` per ε) starts at the start
+block. Otherwise a projected subgradient phase comes first, followed, with
+``refine`` on, by the ladder for all-Schatten norm lists or by projected
+descent on the exact objective for weighted norms.
 """
 
-import dataclasses
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._solvers import (Multistart, _smooth_max, _smooth_schatten, _starts, fit_power,
-                       projected_descent)
+from ._solvers import (Multistart, SolveOptions, SolveReport, _smooth_max, _smooth_schatten,
+                       _starts, fit_power, projected_descent)
 from .errors import ValidationError
-from .jsonio import matrix_to_json
 from .operator_core import (
     ContractionVariable,
     _herm,
@@ -35,78 +33,6 @@ from .operator_core import (
     project_middle,
 )
 from .ri_norms import matrix_norm, norm_subgradient, spec_list
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    max_iters: int = 2000
-    tol: float = 1e-7
-    seed: int = 0
-    restarts: int = 2
-    refine: bool = True
-
-    def __post_init__(self):
-        for name in ("max_iters", "restarts", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {v!r}")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
-        if not (self.tol > 0):
-            raise ValidationError("tol must be > 0")
-        if self.restarts < 1:
-            raise ValidationError("restarts must be >= 1")
-        if not isinstance(self.refine, (bool, np.bool_)):
-            raise ValidationError(f"refine must be a boolean, got {self.refine!r}")
-
-    @staticmethod
-    def from_json(obj):
-        obj = obj or {}
-        return SolveOptions(**{f.name: obj[f.name] for f in dataclasses.fields(SolveOptions) if f.name in obj})
-
-
-@dataclass
-class SolveReport:
-    """Outcome of a variational solve; ``value`` is an upper bound on the inf."""
-
-    value: float
-    minimizer: object
-    history: list
-    feasibility_residuals: dict
-    converged: bool
-    wall_time: float
-    iters: int
-    extra: dict = field(default_factory=dict)
-
-    @classmethod
-    def closed_form(cls, t0, value, minimizer, feasibility, iters=1, **extra):
-        """Report of a solve with nothing to optimize, started at ``t0``."""
-        return cls(value, minimizer, [(0, value, 0.0)], feasibility, True,
-                   time.perf_counter() - t0, iters, extra)
-
-    @classmethod
-    def of_multistart(cls, t0, ms, feasibility, **extra):
-        """Report of a finished ``Multistart`` solve started at ``t0``."""
-        return cls(ms.value, ms.minimizer, ms.history, feasibility, ms.converged,
-                   time.perf_counter() - t0, ms.iters,
-                   {"restart_values": ms.restart_values, **extra})
-
-    def to_json(self, history_csv=None):
-        if isinstance(self.minimizer, ContractionVariable):
-            mini = matrix_to_json(embed(self.minimizer))
-        else:  # a graph potential
-            mini = [float(x) for x in self.minimizer]
-        obj = {
-            "value_upper": float(self.value),
-            "converged": bool(self.converged),
-            "iters": int(self.iters),
-            "history_csv": history_csv,
-            "minimizer": mini,
-        }
-        obj["feasibility_residuals"] = {k: float(v) for k, v in self.feasibility_residuals.items()}
-        for k, v in self.extra.items():
-            obj[k] = v
-        return obj
 
 
 def _exact_fg(tau, cond, specs):
@@ -191,23 +117,24 @@ def solve_condenser(tau, cond, specs, opts=None):
         A0 = cond.embed_middle(x)
         sref = [float(np.linalg.svd(commutator(A0, T, t), compute_uv=False).max(initial=0.0))
                 if sp.p == 1 else 0.0 for T, t, sp in zip(tau.components, tau.diagonals, specs)]
-        residual_tol = max(1e-14, 1e-3 * opts.tol) * max(f0, 1e-300)
+        residual_tol = opts.residual_tol(f0)
         budgets = (150, 150, 300, max(300, opts.max_iters // 2))
 
         def stage(k, eps, fref, x):
             sfg = _smooth_fg(tau, cond, specs, eps, sref, max(fref, 1e-300))
-            return ms.run(projected_descent, sfg, proj, x, max_iters=budgets[k],
-                          residual_tol=residual_tol, offer=False)
+            x, f, _, conv = projected_descent(sfg, proj, x, max_iters=budgets[k],
+                                              residual_tol=residual_tol, history=ms.history)
+            return x, f, conv
 
         ms.ladder(x, f0, stage, lambda x: fg(x)[0])
 
     def finish(B):
         var = ContractionVariable(cond, project_middle(cond, B))
-        return var, objective(tau, embed(var), specs)
+        return var, objective(tau, embed(var), specs), _feasibility(cond, var)
 
-    ms = Multistart.solve(_starts(*_middle_starts(cond, np.sqrt(max(cond.m0, 1))), opts),
-                          lambda ms, B0: ms.run_phases(B0, specs, opts, fg, proj, refine), finish)
-    return SolveReport.of_multistart(t0, ms, _feasibility(cond, ms.minimizer), m0=cond.m0)
+    return Multistart.solve(t0, _starts(*_middle_starts(cond, np.sqrt(max(cond.m0, 1))), opts),
+                            lambda ms, B0: ms.run_phases(B0, specs, opts, fg, proj, refine), finish,
+                            m0=cond.m0)
 
 
 def sup_over_projections(tau, P_family, Q, specs, opts=None):

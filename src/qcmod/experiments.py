@@ -66,14 +66,18 @@ def real_fourier_basis_1d(N, freqs):
     return np.column_stack(cols)
 
 
+def _check_modes(N, M, K):
+    if not (0 <= M < K < N):
+        raise ValidationError("need 0 <= M < K < N")
+
+
 def timefreq_condenser(N, M, K):
     """Condenser (P = M lowest Fourier modes, Q = modes at index >= K) on C^N.
 
     M and K should be odd so the mode sets are closed under conjugation and
     the bases are real. Returns (condenser, mode_table).
     """
-    if not (0 <= M < K < N):
-        raise ValidationError("need 0 <= M < K < N")
+    _check_modes(N, M, K)
     order = mode_order_1d(N)
     low, mid, high = order[:M], order[M:K], order[K:]
     Vp = real_fourier_basis_1d(N, low) if M else np.zeros((N, 0))
@@ -136,6 +140,17 @@ def default_K_rule(N):
     return (N // 2) | 1
 
 
+def gamma1_schedule(N_list):
+    """(N, M, K) per gamma1 scale: M = ``default_M_rule(N)`` inner and K =
+    ``default_K_rule(N)`` first outer modes, checked as in ``timefreq_condenser``."""
+    schedule = [(N, default_M_rule(N), default_K_rule(N)) for N in N_list]
+    if not schedule:
+        raise ValidationError("N_list needs at least one scale")
+    for N, M, K in schedule:
+        _check_modes(N, M, K)
+    return schedule
+
+
 # -- gamma_1 experiment ----------------------------------------------------------------
 
 
@@ -143,9 +158,9 @@ def gamma1_experiment(N_list, opts=None, variant="sawtooth"):
     """Trace-norm condenser values on the time-frequency family, extrapolated
     along N and compared (diagnostically) with (1/pi) * integral(m).
 
-    Each N gets M = ``default_M_rule(N)`` inner and K = ``default_K_rule(N)``
-    first outer Fourier modes; ``scale_sweep`` fits the limit when N_list has
-    at least 3 scales and reports the largest-N value otherwise.
+    Each N gets the modes of ``gamma1_schedule``; ``scale_sweep`` fits the
+    limit when N_list has at least 3 scales and reports the largest-N value
+    otherwise.
 
     The default ``variant="sawtooth"`` uses the raw grid position diag(j/N)
     (multiplicity 1). That operator is discontinuous across the cyclic wrap,
@@ -156,12 +171,9 @@ def gamma1_experiment(N_list, opts=None, variant="sawtooth"):
     """
     opts = opts or SolveOptions(max_iters=800, tol=1e-7, seed=0, restarts=2)
     spec = NormSpec.schatten(1)
-    N_list = list(N_list)
-    if not N_list:
-        raise ValidationError("N_list needs at least one scale")
+    schedule = gamma1_schedule(N_list)
     reference = GAMMA1 * position_multiplicity_integral(variant)
 
-    schedule = [(N, default_M_rule(N), default_K_rule(N)) for N in N_list]
     problems = [(N, *timefreq_problem(N, M, K, variant=variant)) for (N, M, K) in schedule]
     sweep = scale_sweep(problems, spec, opts)
     values = sweep["values"]
@@ -385,7 +397,9 @@ def _grid2_basis(g, modes):
 
 def ratio_problems(models, n_scales):
     """Per model, the ``scale_sweep`` problems (dim, tau, condenser) of its
-    first ``n_scales`` scales, all built before anything is solved."""
+    first ``n_scales`` scales (at least 1), all built before anything is solved."""
+    if n_scales < 1:
+        raise ValidationError("n_scales must be >= 1")
     return [[(tau.dim, tau, cond) for tau, cond in (model_problem(m, s) for s in range(n_scales))]
             for m in models]
 
@@ -402,8 +416,6 @@ def ratio_experiment(models, opts=None, n_scales=3):
     models = list(models)
     if len(models) < 2:
         raise ValidationError("ratio experiment needs at least 2 comparable models")
-    if n_scales < 1:
-        raise ValidationError("n_scales must be >= 1")
 
     rows = []
     for model, problems in zip(models, ratio_problems(models, n_scales)):
@@ -430,6 +442,26 @@ def ratio_experiment(models, opts=None, n_scales=3):
 # -- hybrid exponent scan ---------------------------------------------------------------
 
 
+def hybrid_gridsize(gridsize):
+    """The number of cells per axis of a hybrid scan's grid, at least 1."""
+    g = int(gridsize)
+    if g < 1:
+        raise ValidationError("gridsize must be >= 1")
+    return g
+
+
+def hybrid_exponents(exponent_sets):
+    """The exponent sets of a hybrid scan, each two p_j > 1 with sum 1/p_j = 1."""
+    for ps in exponent_sets:
+        if any(p <= 1 for p in ps):
+            raise ValidationError("hybrid exponents must satisfy p_j > 1")
+        if abs(sum(1.0 / p for p in ps) - 1.0) > 1e-12:
+            raise ValidationError(f"exponents {ps} violate sum 1/p_j = 1")
+        if len(ps) != 2:
+            raise ValidationError("the grid model is two-dimensional; give 2 exponents")
+    return exponent_sets
+
+
 def hybrid_exponent_scan(gridsize, exponent_sets, opts=None, swap=False):
     """Per-component Lorentz (p_j, 1) condenser values on the 2-d grid model.
 
@@ -439,21 +471,11 @@ def hybrid_exponent_scan(gridsize, exponent_sets, opts=None, swap=False):
     with the model.
     """
     opts = opts or SolveOptions(max_iters=600, tol=1e-6, seed=0, restarts=2)
-    g = int(gridsize)
-    if g < 1:
-        raise ValidationError("gridsize must be >= 1")
-    for ps in exponent_sets:
-        if any(p <= 1 for p in ps):
-            raise ValidationError("hybrid exponents must satisfy p_j > 1")
-        if abs(sum(1.0 / p for p in ps) - 1.0) > 1e-12:
-            raise ValidationError(f"exponents {ps} violate sum 1/p_j = 1")
-        if len(ps) != 2:
-            raise ValidationError("the grid model is two-dimensional; give 2 exponents")
-
+    g = hybrid_gridsize(gridsize)
     tau, cond = _grid2_problem((np.arange(g) + 0.5) / g, swap=swap)
 
     results = []
-    for ps in exponent_sets:
+    for ps in hybrid_exponents(exponent_sets):  # every set is checked before the first solve
         specs = [NormSpec.lorentz(p) for p in ps]
         rep = solve_condenser(tau, cond, specs, opts)
         results.append({

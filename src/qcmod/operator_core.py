@@ -294,10 +294,6 @@ class ContractionVariable:
             if w.size and (w.min() < -1e-10 or w.max() > 1 + 1e-10):
                 raise ValidationError("middle block spectrum leaves [0, 1]")
 
-    @property
-    def matrix(self):
-        return embed(self)
-
 
 def embed(variable):
     """Full-space matrix A = P (+) B0 (+) 0 of a feasible variable."""

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._solvers import Multistart, _starts, projected_descent
-from .condenser_solver import SolveOptions, SolveReport
+from ._solvers import Multistart, SolveOptions, SolveReport, _starts, projected_descent
 from .errors import ValidationError
 from .operator_core import (
     Condenser,
@@ -68,10 +67,8 @@ class ThetaReport:
         return all(self.checks.values()) if self.checks else False
 
 
-def _as_matrix(prob, A):
-    if isinstance(A, ContractionVariable):
-        return embed(A)
-    return np.asarray(A)
+def _as_matrix(A):
+    return embed(A) if isinstance(A, ContractionVariable) else np.asarray(A)
 
 
 def _S_of(prob, A):
@@ -111,13 +108,13 @@ def _theta_of(prob, S, Cs):
 
 def smooth_objective(prob, A):
     """I(A) = trace(S^(p/2)); zero exactly when A commutes with every component."""
-    S, _ = _S_of(prob, _as_matrix(prob, A))
+    S, _ = _S_of(prob, _as_matrix(A))
     return _objective_of(prob, S)
 
 
 def theta(prob, X):
     """The Theta operator at X (selfadjoint); gradient of I is -(p/2) Theta."""
-    S, Cs = _S_of(prob, _as_matrix(prob, X))
+    S, Cs = _S_of(prob, _as_matrix(X))
     return ThetaReport(Theta=_theta_of(prob, S, Cs))
 
 
@@ -148,7 +145,7 @@ def minimize_smooth(prob, opts=None):
         # A = 0 is feasible with I(0) = 0.
         var = ContractionVariable(cond, np.zeros((m0, m0), dtype=cond.basis_mid.dtype))
         val = smooth_objective(prob, embed(var))
-        return SolveReport.closed_form(t0, val, var, cond.plate_residuals(embed(var)), iters=0,
+        return SolveReport.closed_form(t0, val, var, cond.plate_residuals(embed(var)),
                                        restart_values=[val], p=prob.p)
 
     fg = _middle_fg(prob)
@@ -156,18 +153,15 @@ def minimize_smooth(prob, opts=None):
 
     def restart(ms, B0):
         f0 = smooth_objective(prob, cond.embed_middle(B0))
-        ms.run(
-            projected_descent, fg, proj, B0,
-            max_iters=opts.max_iters,
-            residual_tol=max(1e-14 * max(f0, 1.0), opts.tol * 1e-3 * max(f0, 1e-300)),
-        )
+        ms.run(projected_descent, fg, proj, B0, max_iters=opts.max_iters,
+               residual_tol=opts.residual_tol(f0))
 
     def finish(B):
         var = ContractionVariable(cond, project_middle(cond, B))
-        return var, smooth_objective(prob, embed(var))
+        X = embed(var)
+        return var, smooth_objective(prob, X), cond.plate_residuals(X)
 
-    ms = Multistart.solve(_starts(*_middle_starts(cond, 1.0), opts), restart, finish)
-    return SolveReport.of_multistart(t0, ms, cond.plate_residuals(embed(ms.minimizer)), p=prob.p)
+    return Multistart.solve(t0, _starts(*_middle_starts(cond, 1.0), opts), restart, finish, p=prob.p)
 
 
 def euler_lagrange_report(prob, X, eps1=1e-6, delta=None):
@@ -187,7 +181,7 @@ def euler_lagrange_report(prob, X, eps1=1e-6, delta=None):
     (eps1, 2 eps1) or (1 - 2 eps1, 1 - eps1) make the level-set extraction
     ambiguous; the report is then flagged "boundary-ambiguous".
     """
-    Xm = _as_matrix(prob, X)
+    Xm = _as_matrix(X)
     d = prob.tau.dim
     w, V = np.linalg.eigh(_herm(Xm))
     hi = w >= 1.0 - eps1

