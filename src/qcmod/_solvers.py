@@ -17,7 +17,6 @@ restart runs. ``Multistart.solve`` returns the ``SolveReport``, whose
 """
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +91,11 @@ def projected_descent(fg, project, x0, *, max_iters, residual_tol, history):
     projected-gradient residual ||x - project(x - s g)|| / s drops below
     ``residual_tol``, or a backtracking trial's whole first-order decrease
     t * slope no longer changes f in floating point (the rounding floor: no
-    decrease can be verified; Hager & Zhang 2005). Other exits: more than 12
-    iterations in a row without an accepted step, and ``max_iters``.
+    decrease can be verified; Hager & Zhang 2005). Other exits: a failure
+    streak, more than 12 iterations in a row that either accept no step or
+    accept one whose Barzilai-Borwein step ss / sy falls below its 1e-14
+    clamp (the step has collapsed, as at a kink of a nonsmooth objective,
+    and the run would crawl on at 1e-14), and ``max_iters``.
 
     Returns (best_x, best_f, iters_done, converged).
     """
@@ -142,11 +144,12 @@ def projected_descent(fg, project, x0, *, max_iters, residual_tol, history):
             if fail_streak > 12:
                 break
             continue
-        fail_streak = 0
         s_vec = xn - x
         y_vec = gn_ - g
         sy = _inner(s_vec, y_vec)
         ss = _inner(s_vec, s_vec)
+        collapsed = sy > 1e-300 and ss / sy < 1e-14
+        fail_streak = fail_streak + 1 if collapsed else 0
         if sy > 1e-300:
             step = min(max(ss / sy, 1e-14), 1e14)
         else:
@@ -155,6 +158,8 @@ def projected_descent(fg, project, x0, *, max_iters, residual_tol, history):
         if f < best_f:
             best_f, best_x = f, x.copy()
         k += 1
+        if fail_streak > 12:
+            break
     return best_x, best_f, k, converged
 
 
@@ -207,7 +212,6 @@ class SolveReport:
     history: list
     feasibility_residuals: dict
     converged: bool
-    wall_time: float
     extra: dict = field(default_factory=dict)
 
     @property
@@ -215,10 +219,9 @@ class SolveReport:
         return len(self.history)
 
     @classmethod
-    def closed_form(cls, t0, value, minimizer, feasibility, **extra):
-        """Report of a solve with nothing to optimize, started at ``t0``."""
-        return cls(value, minimizer, [(0, value, 0.0)], feasibility, True,
-                   time.perf_counter() - t0, extra)
+    def closed_form(cls, value, minimizer, feasibility, **extra):
+        """Report of a solve with nothing to optimize."""
+        return cls(value, minimizer, [(0, value, 0.0)], feasibility, True, extra)
 
     def to_json(self, history_csv=None):
         mini = (matrix_to_json(embed(self.minimizer)) if isinstance(self.minimizer, ContractionVariable)
@@ -254,7 +257,7 @@ class Multistart:
         self._best = None
 
     @classmethod
-    def solve(cls, t0, starts, restart, finish, **extra):
+    def solve(cls, starts, restart, finish, **extra):
         """Run ``restart(ms, x0)`` from every start; ``finish`` maps the best
         restart's point to (minimizer, value, feasibility residuals), and the value
         is the last history row. Returns the report (``restart_values``, ``extra``)."""
@@ -270,7 +273,7 @@ class Multistart:
         minimizer, value, feasibility = finish(best_x)
         ms.record(minimizer, value)
         return SolveReport(value, minimizer, ms.history, feasibility, ms.converged,
-                           time.perf_counter() - t0, {"restart_values": ms.restart_values, **extra})
+                           {"restart_values": ms.restart_values, **extra})
 
     def _offer(self, x, f, converged=False):
         if self._best is None or f < self._best[1]:

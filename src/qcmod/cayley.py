@@ -30,7 +30,6 @@ convergence and are sensitive to roundoff.
 import logging
 import math
 import operator
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -355,7 +354,6 @@ def graph_capacity(ball, spec, opts=None):
     potential.
     """
     opts = opts or SolveOptions()
-    t0 = time.perf_counter()
     nv = ball.n_vertices
     op = ball.incidence
     u = np.zeros(nv)
@@ -364,11 +362,11 @@ def graph_capacity(ball, spec, opts=None):
 
     if ball.X1.size == 0:
         # u = 0 is feasible and makes every difference vanish.
-        return SolveReport.closed_form(t0, 0.0, u, {"box": 0.0, "pins": 0.0},
+        return SolveReport.closed_form(0.0, u, {"box": 0.0, "pins": 0.0},
                                        empty_inner_plate=True, n_vertices=nv)
     if free.size == 0:
         # every vertex pinned: the single feasible potential is the pin pattern
-        return SolveReport.closed_form(t0, op.max_norm(u, spec), u, {"box": 0.0, "pins": 0.0},
+        return SolveReport.closed_form(op.max_norm(u, spec), u, {"box": 0.0, "pins": 0.0},
                                        n_vertices=nv, fully_pinned=True)
 
     def assemble(x):
@@ -428,7 +426,7 @@ def graph_capacity(ball, spec, opts=None):
             logger.warning("LP cross-check of the trace-norm capacity failed: %s", exc, exc_info=True)
             extra["lp_crosscheck_error"] = f"{type(exc).__name__}: {exc}"
     draw = lambda rng: rng.uniform(0.0, 1.0, size=free.size)
-    return Multistart.solve(t0, _starts(np.full(free.size, 0.5), draw, opts),
+    return Multistart.solve(_starts(np.full(free.size, 0.5), draw, opts),
                             lambda ms, x0: ms.run_phases(x0, [spec], opts, fg, proj, refine), finish,
                             **extra)
 

@@ -15,8 +15,6 @@ block. Otherwise a projected subgradient phase comes first, followed, with
 descent on the exact objective for weighted norms.
 """
 
-import time
-
 import numpy as np
 
 from ._solvers import (Multistart, SolveOptions, SolveReport, _smooth_max, _smooth_schatten,
@@ -27,6 +25,7 @@ from .operator_core import (
     _herm,
     _middle_starts,
     commutator,
+    commutator_blocks,
     embed,
     make_condenser,
     objective,
@@ -35,19 +34,37 @@ from .operator_core import (
 from .ri_norms import matrix_norm, norm_subgradient, spec_list
 
 
-def _exact_fg(tau, cond, specs):
-    """Exact objective and a subgradient with respect to the middle block."""
+def _block(C, blk):
+    """The block ``blk`` of C (``commutator_blocks``); C itself for None."""
+    return C if blk is None else C[blk]
+
+
+def _scatter(G, blk, d):
+    """A block-shaped G as the d x d matrix that is zero outside ``blk``."""
+    if blk is None:
+        return G
+    out = np.zeros((d, d), dtype=G.dtype)
+    out[blk] = G
+    return out
+
+
+def _exact_fg(tau, cond, specs, blocks):
+    """Exact objective and a subgradient with respect to the middle block.
+    Norms and subgradients are taken on each commutator's ``blocks`` entry:
+    the block has the commutator's nonzero singular values, and its
+    subgradient, scattered back, is one of the whole commutator's norm."""
     Vm = cond.basis_mid
     Tcs = [T.conj().T for T in tau.components]
     diags = tau.diagonals
 
     def fg(B):
         A = cond.embed_middle(B)
-        comms = [commutator(A, T, t) for T, t in zip(tau.components, diags)]
+        comms = [_block(commutator(A, T, t), blk)
+                 for T, t, blk in zip(tau.components, diags, blocks)]
         vals = [matrix_norm(C, sp) for C, sp in zip(comms, specs)]
         jstar = int(np.argmax(vals))
         f = vals[jstar]
-        G = norm_subgradient(comms[jstar], specs[jstar])
+        G = _scatter(norm_subgradient(comms[jstar], specs[jstar]), blocks[jstar], cond.dim)
         W = commutator(G, Tcs[jstar], diags[jstar])
         g = _herm(Vm.conj().T @ W @ Vm)
         return f, g
@@ -55,24 +72,33 @@ def _exact_fg(tau, cond, specs):
     return fg
 
 
-def _smooth_fg(tau, cond, specs, eps, sref, fref):
+def _padded(s, d):
+    """The singular values s of a block padded with zeros to the d of the
+    whole commutator."""
+    return s if s.size == d else np.concatenate((s, np.zeros(d - s.size)))
+
+
+def _smooth_fg(tau, cond, specs, blocks, eps, sref, fref):
     """Smoothed objective/gradient: ``_smooth_schatten`` of each commutator's
     singular values (Huber at mu = eps * sref[j] for p = 1 components),
     log-sum-exp across components at temperature scale ``fref``.
-    Upper-bounds the exact objective."""
+    Upper-bounds the exact objective. Only each commutator's ``blocks`` entry
+    is decomposed; its singular values are padded with the d - r structural
+    zeros, so each still adds mu to a Huber term."""
     Vm = cond.basis_mid
     Tcs = [T.conj().T for T in tau.components]
     diags = tau.diagonals
+    d = cond.dim
 
     def fg(B):
         A = cond.embed_middle(B)
         fs, Gs = [], []
         for j, (T, sp) in enumerate(zip(tau.components, specs)):
-            C = commutator(A, T, diags[j])
+            C = _block(commutator(A, T, diags[j]), blocks[j])
             U, s, Vh = np.linalg.svd(C, full_matrices=False)
-            fj, ds = _smooth_schatten(s, sp.p, eps * max(sref[j], 1e-300))
+            fj, ds = _smooth_schatten(_padded(s, d), sp.p, eps * max(sref[j], 1e-300))
             fs.append(fj)
-            Gs.append(commutator((U * ds) @ Vh, Tcs[j], diags[j]))
+            Gs.append(commutator(_scatter((U * ds[:s.size]) @ Vh, blocks[j], d), Tcs[j], diags[j]))
         f, W = _smooth_max(fs, Gs, eps, fref)
         return f, _herm(Vm.conj().T @ W @ Vm)
 
@@ -97,17 +123,17 @@ def solve_condenser(tau, cond, specs, opts=None):
     if cond.dim != tau.dim:
         raise ValidationError(f"condenser dimension {cond.dim} != tuple dimension {tau.dim}")
     specs = spec_list(specs, tau.n)
-    t0 = time.perf_counter()
 
     if cond.m0 == 0 or cond.rank_p == 0:
         # Nothing to optimize: A = P is the only feasible point, or P = 0 and
         # A = 0 is feasible with zero commutators.
         var = ContractionVariable(cond, np.zeros((cond.m0, cond.m0), dtype=cond.basis_mid.dtype))
         value = objective(tau, embed(var), specs)
-        return SolveReport.closed_form(t0, value, var, _feasibility(cond, var),
+        return SolveReport.closed_form(value, var, _feasibility(cond, var),
                                        restart_values=[value], m0=cond.m0)
 
-    fg = _exact_fg(tau, cond, specs)
+    blocks = commutator_blocks(tau, cond)
+    fg = _exact_fg(tau, cond, specs, blocks)
     proj = lambda B: project_middle(cond, B)
 
     def refine(ms, x, f0):
@@ -115,13 +141,14 @@ def solve_condenser(tau, cond, specs, opts=None):
         each a run of projected descent; the Huber scale sref[j] of a p = 1
         component is its commutator's largest singular value at x."""
         A0 = cond.embed_middle(x)
-        sref = [float(np.linalg.svd(commutator(A0, T, t), compute_uv=False).max(initial=0.0))
-                if sp.p == 1 else 0.0 for T, t, sp in zip(tau.components, tau.diagonals, specs)]
+        sref = [float(np.linalg.svd(_block(commutator(A0, T, t), blk), compute_uv=False)
+                      .max(initial=0.0)) if sp.p == 1 else 0.0
+                for T, t, sp, blk in zip(tau.components, tau.diagonals, specs, blocks)]
         residual_tol = opts.residual_tol(f0)
         budgets = (150, 150, 300, max(300, opts.max_iters // 2))
 
         def stage(k, eps, fref, x):
-            sfg = _smooth_fg(tau, cond, specs, eps, sref, max(fref, 1e-300))
+            sfg = _smooth_fg(tau, cond, specs, blocks, eps, sref, max(fref, 1e-300))
             x, f, _, conv = projected_descent(sfg, proj, x, max_iters=budgets[k],
                                               residual_tol=residual_tol, history=ms.history)
             return x, f, conv
@@ -132,7 +159,7 @@ def solve_condenser(tau, cond, specs, opts=None):
         var = ContractionVariable(cond, project_middle(cond, B))
         return var, objective(tau, embed(var), specs), _feasibility(cond, var)
 
-    return Multistart.solve(t0, _starts(*_middle_starts(cond, np.sqrt(max(cond.m0, 1))), opts),
+    return Multistart.solve(_starts(*_middle_starts(cond, np.sqrt(max(cond.m0, 1))), opts),
                             lambda ms, B0: ms.run_phases(B0, specs, opts, fg, proj, refine), finish,
                             m0=cond.m0)
 

@@ -18,7 +18,6 @@ by finite differences in the test suite before the certificates are trusted.
 """
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,7 +135,6 @@ def minimize_smooth(prob, opts=None):
     of 1 / |gradient|, Armijo backtracking) on the middle block, one run per
     restart. Convex, so restarts must agree."""
     opts = opts or SolveOptions()
-    t0 = time.perf_counter()
     cond = prob.condenser
     m0 = cond.m0
 
@@ -145,7 +143,7 @@ def minimize_smooth(prob, opts=None):
         # A = 0 is feasible with I(0) = 0.
         var = ContractionVariable(cond, np.zeros((m0, m0), dtype=cond.basis_mid.dtype))
         val = smooth_objective(prob, embed(var))
-        return SolveReport.closed_form(t0, val, var, cond.plate_residuals(embed(var)),
+        return SolveReport.closed_form(val, var, cond.plate_residuals(embed(var)),
                                        restart_values=[val], p=prob.p)
 
     fg = _middle_fg(prob)
@@ -161,7 +159,7 @@ def minimize_smooth(prob, opts=None):
         X = embed(var)
         return var, smooth_objective(prob, X), cond.plate_residuals(X)
 
-    return Multistart.solve(t0, _starts(*_middle_starts(cond, 1.0), opts), restart, finish, p=prob.p)
+    return Multistart.solve(_starts(*_middle_starts(cond, 1.0), opts), restart, finish, p=prob.p)
 
 
 def euler_lagrange_report(prob, X, eps1=1e-6, delta=None):

@@ -286,6 +286,7 @@ def _ratio_second(model):
     ("experiment", {"experiment": "hybrid", "gridsize": 0, "exponent_sets": [[2, 2]]}, "gridsize"),
     ("experiment", {"experiment": "hybrid", "exponent_sets": [[3, 3]]}, "exponent_sets"),
     ("experiment", {"experiment": "gamma1", "schedule": {"N_list": [4]}}, "schedule.N_list"),
+    ("experiment", {"experiment": "gamma1", "schedule": {"N_list": []}}, "schedule.N_list"),
 ], ids=["tuple-components", "options-max-iters", "P-re", "group-d", "R", "x1-sphere",
         "scan-macaev", "scan-lorentz", "s", "norm-p", "ratio-models", "hybrid-exponents",
         "gamma1-N-list", "options-seed", "s-scalar", "options-refine", "transfer-no-norms",
@@ -293,7 +294,7 @@ def _ratio_second(model):
         "ratio-box-n2", "ratio-cantor-n3", "ratio-no-multiplicity", "ratio-cantor-negative-scale",
         "ratio-box-negative-length", "ratio-box-zero-scale", "ratio-cantor-two-multiplicities",
         "ratio-box-empty-spectrum", "scan-unordered", "scan-two-radii", "ratio-no-scales",
-        "hybrid-empty-grid", "hybrid-bad-exponents", "gamma1-small-N"])
+        "hybrid-empty-grid", "hybrid-bad-exponents", "gamma1-small-N", "gamma1-no-scales"])
 def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # each of these used to end in a traceback (exit 1) or in a run that
     # misread the field: a Schatten-2 scan for the Lorentz norm, a refined
@@ -305,23 +306,11 @@ def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # first model was solved (a traceback, an unserializable inf ratio, or an
     # error without the payload.models prefix); a scan's radii, a ratio's
     # n_scales, a hybrid grid or exponent set and a gamma1 N too small for its
-    # modes used to be rejected by the solve, without the payload prefix
+    # modes used to be rejected by the solve, without the payload prefix; a
+    # ratio with no scales, an empty hybrid grid and a gamma1 schedule with no
+    # N used to fail with a TypeError, ZeroDivisionError or IndexError
     code = run(tmp_path, [command, "--inline", json.dumps(payload), "--out", "OUT"])
     err = capsys.readouterr().err
     assert code == 2
     assert f"payload.{field}" in err
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("payload", [
-    {"experiment": "ratio", "n_scales": 0, "models": _MODELS},
-    {"experiment": "hybrid", "gridsize": 0, "exponent_sets": [[2, 2]]},
-    {"experiment": "gamma1", "schedule": {"N_list": []}},
-], ids=["ratio-no-scales", "hybrid-empty-grid", "gamma1-no-scales"])
-def test_empty_experiment_exit_2(tmp_path, capsys, payload):
-    # well-formed fields whose values leave nothing to solve: rejected by the
-    # experiment itself, which used to fail with a TypeError, ZeroDivisionError
-    # or IndexError
-    code = run(tmp_path, ["experiment", "--inline", json.dumps(payload), "--out", "OUT"])
-    assert code == 2
-    assert "Traceback" not in capsys.readouterr().err

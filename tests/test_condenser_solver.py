@@ -2,17 +2,24 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qcmod._solvers import _smooth_schatten
 from qcmod.condenser_solver import (
     SolveOptions,
+    _block,
     _extrapolate,
+    _padded,
+    _scatter,
     scale_sweep,
     solve_condenser,
     sup_over_projections,
 )
 from qcmod.errors import ValidationError
-from qcmod.operator_core import ContractionVariable, OperatorTuple, embed, make_condenser, objective
-from qcmod.ri_norms import NormSpec
+from qcmod.experiments import timefreq_problem
+from qcmod.operator_core import (ContractionVariable, OperatorTuple, commutator, commutator_blocks,
+                                 embed, make_condenser, objective, project_middle)
+from qcmod.ri_norms import NormSpec, matrix_norm, norm_subgradient
 
 from conftest import rand_hermitian, rand_unitary, tridiag_oracle
 
@@ -206,6 +213,92 @@ class TestSolveOptions:
 
     def test_numpy_bool_refine_is_accepted(self):
         assert not SolveOptions(refine=np.bool_(False)).refine
+
+
+BLOCK_SPECS = [NormSpec.schatten(1), NormSpec.schatten(2), NormSpec.schatten(3), NormSpec.lorentz(2),
+               NormSpec.macaev(), NormSpec.from_weights([3.0, 2.0, 2.0, 1.0, 0.5])]
+
+
+@st.composite
+def plate_problems(draw):
+    """A random index-plate condenser (d <= 12) with partial-permutation,
+    real diagonal and dense (real or complex) components, and the commutators
+    [A, T_j] at a random feasible A."""
+    d = draw(st.integers(3, 12))
+    kinds = draw(st.lists(st.sampled_from(["perm", "diag", "dense", "complex"]), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    order = rng.permutation(d)
+    n_p = int(rng.integers(1, d - 1))
+    n_q = int(rng.integers(0, d - n_p))
+    cond = make_condenser(order[:n_p].tolist(), order[n_p:n_p + n_q].tolist(), dim=d)
+    comps = []
+    for kind in kinds:
+        if kind == "perm":
+            T = np.zeros((d, d))
+            src = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+            T[rng.permutation(d)[:src.size], src] = 1.0
+        elif kind == "diag":
+            T = np.diag(rng.standard_normal(d))
+        else:
+            T = rng.standard_normal((d, d))
+            if kind == "complex":
+                T = T + 1j * rng.standard_normal((d, d))
+        comps.append(T)
+    tau = OperatorTuple.of(comps)
+    A = cond.embed_middle(project_middle(cond, rand_hermitian(rng, cond.m0)))
+    comms = [commutator(A, T, t) for T, t in zip(tau.components, tau.diagonals)]
+    return cond, comms, commutator_blocks(tau, cond), rng
+
+
+class TestCommutatorBlocks:
+    """Norms, subgradients and the Huber term from the block outside which
+    each commutator vanishes (``commutator_blocks``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(plate_problems())
+    def test_block_norm_is_the_full_norm(self, problem):
+        cond, comms, blocks, _ = problem
+        for C, blk in zip(comms, blocks):
+            if blk is not None:
+                outside = C.copy()
+                outside[blk] = 0
+                assert not outside.any()
+            for sp in BLOCK_SPECS:
+                full = matrix_norm(C, sp)
+                assert abs(matrix_norm(_block(C, blk), sp) - full) <= 1e-12 * max(1.0, full)
+
+    @settings(max_examples=60, deadline=None)
+    @given(plate_problems())
+    def test_scattered_subgradient(self, problem):
+        cond, comms, blocks, rng = problem
+        d = cond.dim
+        for C, blk in zip(comms, blocks):
+            for sp in BLOCK_SPECS:
+                G = _scatter(norm_subgradient(_block(C, blk), sp), blk, d)
+                assert G.shape == (d, d)
+                fC = matrix_norm(C, sp)
+                for t in (1e-3, 0.1, 1.0):
+                    E = rng.standard_normal((d, d))
+                    if np.iscomplexobj(C):
+                        E = E + 1j * rng.standard_normal((d, d))
+                    N = C + t * E
+                    lin = fC + float(np.real(np.vdot(G, N - C)))
+                    assert matrix_norm(N, sp) >= lin - 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(plate_problems())
+    def test_padded_huber_is_the_full_huber(self, problem):
+        cond, comms, blocks, _ = problem
+        for C, blk in zip(comms, blocks):
+            s = np.linalg.svd(C, compute_uv=False)
+            mu = 1e-2 * max(s.max(), 1e-3)
+            full = _smooth_schatten(s, 1, mu)[0]
+            sb = np.linalg.svd(_block(C, blk), compute_uv=False)
+            padded = _smooth_schatten(_padded(sb, cond.dim), 1, mu)[0]
+            assert abs(padded - full) <= 1e-12 * max(1.0, full)
+
+    def test_dense_basis_condenser_has_no_block(self):
+        assert commutator_blocks(*timefreq_problem(128, 7, 65)) == [None]
 
 
 class TestSupOverProjections:

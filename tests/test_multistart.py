@@ -1,7 +1,5 @@
 """The multistart driver's bookkeeping, shared by all three solvers."""
 
-import time
-
 import numpy as np
 import pytest
 import scipy.optimize
@@ -169,9 +167,53 @@ class TestRoundingFloor:
         rep = solve_condenser(truncated_regular_rep(ball), cond, NormSpec.lorentz(2),
                               SolveOptions(seed=7, restarts=1))
         assert len(counts) == 1 and counts[0] <= 200
-        # a loose check only: the refine stalls about 2.6e-7 relative above the
+        # a loose check only: the refine stalls about 3.5e-7 relative above the
         # capacity 1 + 1/sqrt(2) (see CHANGES.md), well above the default tol
         assert abs(rep.value - (1 + 1 / np.sqrt(2))) <= 1e-6
+
+
+class TestCollapsedStep:
+    """An accepted step whose Barzilai-Borwein value ss / sy falls below the
+    1e-14 clamp counts towards ``projected_descent``'s failure streak."""
+
+    def test_kink_ends_the_run(self):
+        # f = |x_1 - 0.3| + 3 |x_2 - 0.3|: once x_2 sits at its kink every
+        # accepted step crosses it and ss / sy collapses; without the exit the
+        # run crawls at step 1e-14 until max_iters (467 of its 500 rows)
+        w = np.array([1.0, 3.0])
+        fg = lambda x: (float(np.sum(w * np.abs(x - 0.3))), w * np.sign(x - 0.3))
+        history = []
+        x, f, k, converged = projected_descent(fg, lambda x: np.clip(x, -1.0, 1.0),
+                                               np.array([0.9, -0.4]), max_iters=500,
+                                               residual_tol=1e-12, history=history)
+        assert not converged and k == len(history) <= 60
+        assert sum(step == 1e-14 for _, _, step in history) == 12
+        # the crawl's 500 iterations end at 0.0015884576658666272
+        assert f <= 0.0015884576658666272 + 1e-12
+
+    # (f, step) rows of this run, logged before collapsed steps were counted
+    QUADRATIC = [
+        (43.26125130670791, 0.011032162806057217), (9.629914613769998, 0.010439297713937057),
+        (9.002222560778026, 0.04657828830017718), (8.050798287100307, 0.04666941314672236),
+        (8.042737406807419, 0.3215969313186094), (8.018118216095061, 0.36304681992355425),
+        (8.007460971589296, 0.45490465407823955), (8.00297938362123, 0.43136123186377373),
+        (8.00164715656888, 0.2810977582449476), (8.000423764128566, 0.23785110015081962),
+        (8.000192768030422, 0.32576222039413877), (8.000087436783932, 0.9198285948200896),
+        (8.00000339956969, 0.9516689735437021), (8.000000356294324, 0.22256436410323757),
+        (8.000000196706871, 0.4730506324386646), (8.000000054659585, 0.9971099453146167),
+        (8.00000000063567, 0.9853434977507775), (8.000000000013316, 0.21546961767163805),
+        (8.000000000000156, 0.2161652131101531), (8.000000000000094, 0.9999796076490554),
+        (7.9999999999999964, 0.999999999627498),
+    ]
+
+    def test_smooth_quadratic_history_unchanged(self):
+        w, c = np.geomspace(1.0, 100.0, 4), np.linspace(0.2, 1.4, 4)
+        fg = lambda x: (0.5 * float(np.sum(w * (x - c) ** 2)), w * (x - c))
+        history = []
+        _, _, _, converged = projected_descent(fg, lambda x: np.clip(x, 0.0, 1.0), np.full(4, 0.5),
+                                               max_iters=500, residual_tol=1e-8, history=history)
+        assert converged
+        assert [(f, step) for _, f, step in history] == self.QUADRATIC
 
 
 def _engine(fs, conv):
@@ -188,8 +230,7 @@ def _engine(fs, conv):
 def _solve(starts, restart, value):
     """``Multistart.solve`` with a finish step that evaluates ``value`` and
     reports one feasibility residual of 0."""
-    return Multistart.solve(time.perf_counter(), starts, restart,
-                            lambda x: (x, value(x), {"r": 0.0}), tag="t")
+    return Multistart.solve(starts, restart, lambda x: (x, value(x), {"r": 0.0}), tag="t")
 
 
 class TestMultistart:
