@@ -307,10 +307,22 @@ def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # error without the payload.models prefix); a scan's radii, a ratio's
     # n_scales, a hybrid grid or exponent set and a gamma1 N too small for its
     # modes used to be rejected by the solve, without the payload prefix; a
-    # ratio with no scales, an empty hybrid grid and a gamma1 schedule with no
-    # N used to fail with a TypeError, ZeroDivisionError or IndexError
+    # gamma1 schedule with no N used to fail with an IndexError
     code = run(tmp_path, [command, "--inline", json.dumps(payload), "--out", "OUT"])
     err = capsys.readouterr().err
     assert code == 2
     assert f"payload.{field}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"experiment": "ratio", "n_scales": 0, "models": _MODELS},
+    {"experiment": "hybrid", "gridsize": 0, "exponent_sets": [[2, 2]]},
+], ids=["ratio-no-scales", "hybrid-empty-grid"])
+def test_empty_experiment_exit_2(tmp_path, capsys, payload):
+    # well-formed fields whose values leave nothing to solve: rejected by the
+    # experiment itself, which used to fail with a TypeError or
+    # ZeroDivisionError
+    code = run(tmp_path, ["experiment", "--inline", json.dumps(payload), "--out", "OUT"])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
