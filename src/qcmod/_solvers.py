@@ -1,5 +1,6 @@
 """Shared first-order engines, the multistart driver and its report,
-smoothing and extrapolation fits.
+smoothing, the max-of-norms objective of the condenser and the graph
+capacity (exact and smoothed) and extrapolation fits.
 
 The engines operate on numpy arrays of any shape with the real Frobenius
 inner product; feasibility is delegated to a ``project`` callback, so the same
@@ -25,6 +26,7 @@ import scipy.optimize
 from .errors import ValidationError
 from .jsonio import matrix_to_json
 from .operator_core import ContractionVariable, embed
+from .ri_norms import _vector_subgradient, vector_norm
 
 
 def _inner(x, y):
@@ -363,6 +365,44 @@ def _smooth_max(fs, grads, eps, scale):
     f = float(fmax + nu * np.log(total))
     ws /= total
     return f, sum(w * g for w, g in zip(ws, grads))
+
+
+# -- the max-of-norms objective ------------------------------------------------------
+
+
+def max_norm_fg(spectra, specs, pull):
+    """Exact fg of max_j |K_j x|_{J_j}. ``spectra(x)`` lists per component a
+    real vector v_j, whose magnitudes are the spectral values of K_j x, and a
+    ``lift`` that maps a vector in those coordinates back through K_j^*;
+    ``pull`` maps a lifted gradient to the variable. The value is
+    ``vector_norm`` of the first maximizing v_j, the subgradient
+    pull(lift(g)) with g the ``vector_norm`` subgradient at v_j."""
+
+    def fg(x):
+        comps = spectra(x)
+        vals = [vector_norm(v, sp) for (v, _), sp in zip(comps, specs)]
+        j = int(np.argmax(vals))
+        v, lift = comps[j]
+        return vals[j], pull(lift(_vector_subgradient(v, specs[j], vals[j])))
+
+    return fg
+
+
+def smooth_max_norm_fg(spectra, specs, mus, eps, fref, pull):
+    """Smoothed fg of the ``max_norm_fg`` objective: ``_smooth_schatten`` of
+    each v_j (Huber at mus[j] for p = 1), log-sum-exp across components at
+    temperature scale ``fref`` (``_smooth_max``). Upper-bounds the exact one."""
+
+    def fg(x):
+        fs, grads = [], []
+        for (v, lift), sp, mu in zip(spectra(x), specs, mus):
+            f, dv = _smooth_schatten(v, sp.p, mu)
+            fs.append(f)
+            grads.append(lift(dv))
+        f, g = _smooth_max(fs, grads, eps, max(fref, 1e-300))
+        return f, pull(g)
+
+    return fg
 
 
 # -- extrapolation fits ------------------------------------------------------------

@@ -42,10 +42,10 @@ from ._solvers import (
     Multistart,
     SolveOptions,
     SolveReport,
-    _smooth_max,
-    _smooth_schatten,
     _starts,
     fit_loglog,
+    max_norm_fg,
+    smooth_max_norm_fg,
 )
 from .condenser_solver import solve_condenser
 from .errors import ValidationError
@@ -57,7 +57,7 @@ from .operator_core import (
     objective,
     project_middle,
 )
-from .ri_norms import NormSpec, _vector_subgradient, vector_norm
+from .ri_norms import NormSpec, vector_norm
 
 #: Largest dense regular representation ``truncated_regular_rep`` builds, in
 #: bytes (n_generators * n_vertices^2 doubles); F2 balls up to R = 6 fit.
@@ -374,31 +374,25 @@ def graph_capacity(ball, spec, opts=None):
         full[free] = x
         return full
 
-    def fg(x):
-        diffs = op.diffs(assemble(x))
-        vals = [vector_norm(d, spec) for d in diffs]
-        jstar = int(np.argmax(vals))
-        return vals[jstar], op.Dt_free[jstar] @ _vector_subgradient(diffs[jstar], spec, vals[jstar])
-
+    # the spectra of max_norm_fg: each d_j(u) itself, lifted by D_j^T on the free vertices
+    lifts = [Dt.__matmul__ for Dt in op.Dt_free]
+    spectra = lambda x: list(zip(op.diffs(assemble(x)), lifts))
+    specs = [spec] * len(lifts)
+    same = lambda g: g
+    fg = max_norm_fg(spectra, specs, same)
     proj = lambda x: np.clip(x, 0.0, 1.0)
 
     def refine(ms, x, f0):
         """The ε stages from (x, f0), each a warm-started L-BFGS-B run on
-        log-sum-exp over generators of ``_smooth_schatten`` of the differences,
-        logging each iteration's smoothed value; the Huber scale (p = 1) is the
-        largest difference at x. Only a stop by the limits (status 1) is not
-        converged: a line-search stop (2) is, like the rounding floor."""
+        ``smooth_max_norm_fg`` (log-sum-exp over generators of
+        ``_smooth_schatten`` of the differences), logging each iteration's
+        smoothed value; the Huber scale (p = 1) is the largest difference at x.
+        Only a stop by the limits (status 1) is not converged: a line-search
+        stop (2) is, like the rounding floor."""
         d_scale = max(max(float(np.abs(d).max(initial=0.0)) for d in op.diffs(assemble(x))), 1e-300)
 
         def stage(k, eps, fref, x):
-            def obj(x):
-                fs, grads = [], []
-                for d, Dt in zip(op.diffs(assemble(x)), op.Dt_free):
-                    fj, dd = _smooth_schatten(d, spec.p, eps * d_scale)
-                    fs.append(fj)
-                    grads.append(Dt @ dd)
-                return _smooth_max(fs, grads, eps, max(fref, 1e-300))
-
+            obj = smooth_max_norm_fg(spectra, specs, [eps * d_scale] * len(specs), eps, fref, same)
             # scipy passes the iterate's result only to a parameter of this name
             log = lambda intermediate_result: ms.history.append(
                 (len(ms.history), float(intermediate_result.fun), 0.0))

@@ -7,18 +7,22 @@ feasible.
 
 ``Multistart`` (in ``_solvers``, with the ``SolveOptions`` and ``SolveReport``
 this module re-exports) holds the restart rules the graph capacity shares and
-returns the report. With ``refine`` on and every J_j Schatten with p > 1, the
-objective is smooth wherever its maximizing norm is nonzero, so the ε ladder
-(one projected descent stage on ``_smooth_fg`` per ε) starts at the start
-block. Otherwise a projected subgradient phase comes first, followed, with
+returns the report. The objective and its smoothing are the max-of-norms
+kernels of ``_solvers`` (``max_norm_fg``, ``smooth_max_norm_fg``); this module
+supplies their ``spectra``: one SVD per component per evaluation, of the block
+outside which the commutator vanishes (``commutator_blocks``). With
+``refine`` on and every J_j Schatten with p > 1, the objective is smooth
+wherever its maximizing norm is nonzero, so the ε ladder (one projected
+descent stage on ``smooth_max_norm_fg`` per ε) starts at the start block.
+Otherwise a projected subgradient phase comes first, followed, with
 ``refine`` on, by the ladder for all-Schatten norm lists or by projected
 descent on the exact objective for weighted norms.
 """
 
 import numpy as np
 
-from ._solvers import (Multistart, SolveOptions, SolveReport, _smooth_max, _smooth_schatten,
-                       _starts, fit_power, projected_descent)
+from ._solvers import (Multistart, SolveOptions, SolveReport, _starts, fit_power, max_norm_fg,
+                       projected_descent, smooth_max_norm_fg)
 from .errors import ValidationError
 from .operator_core import (
     ContractionVariable,
@@ -31,7 +35,7 @@ from .operator_core import (
     objective,
     project_middle,
 )
-from .ri_norms import matrix_norm, norm_subgradient, spec_list
+from .ri_norms import spec_list
 
 
 def _block(C, blk):
@@ -48,61 +52,36 @@ def _scatter(G, blk, d):
     return out
 
 
-def _exact_fg(tau, cond, specs, blocks):
-    """Exact objective and a subgradient with respect to the middle block.
-    Norms and subgradients are taken on each commutator's ``blocks`` entry:
-    the block has the commutator's nonzero singular values, and its
-    subgradient, scattered back, is one of the whole commutator's norm."""
-    Vm = cond.basis_mid
-    Tcs = [T.conj().T for T in tau.components]
-    diags = tau.diagonals
-
-    def fg(B):
-        A = cond.embed_middle(B)
-        comms = [_block(commutator(A, T, t), blk)
-                 for T, t, blk in zip(tau.components, diags, blocks)]
-        vals = [matrix_norm(C, sp) for C, sp in zip(comms, specs)]
-        jstar = int(np.argmax(vals))
-        f = vals[jstar]
-        G = _scatter(norm_subgradient(comms[jstar], specs[jstar]), blocks[jstar], cond.dim)
-        W = commutator(G, Tcs[jstar], diags[jstar])
-        g = _herm(Vm.conj().T @ W @ Vm)
-        return f, g
-
-    return fg
-
-
 def _padded(s, d):
     """The singular values s of a block padded with zeros to the d of the
     whole commutator."""
     return s if s.size == d else np.concatenate((s, np.zeros(d - s.size)))
 
 
-def _smooth_fg(tau, cond, specs, blocks, eps, sref, fref):
-    """Smoothed objective/gradient: ``_smooth_schatten`` of each commutator's
-    singular values (Huber at mu = eps * sref[j] for p = 1 components),
-    log-sum-exp across components at temperature scale ``fref``.
-    Upper-bounds the exact objective. Only each commutator's ``blocks`` entry
-    is decomposed; its singular values are padded with the d - r structural
-    zeros, so each still adds mu to a Huber term."""
-    Vm = cond.basis_mid
+def _spectra(tau, cond):
+    """(``spectra``, ``pull``) of the condenser objective for ``max_norm_fg``.
+    ``spectra(B)`` takes per component one full SVD U s V* of the
+    ``commutator_blocks`` entry of [A, T_j], A = embed_middle(B), and gives s
+    padded with the d - r structural zeros (the block has the commutator's
+    nonzero singular values) and the lift w -> [scatter(U diag(w[:r]) V*), T_j^*];
+    ``pull`` maps a lifted d x d gradient W to herm(Vm^* W Vm)."""
     Tcs = [T.conj().T for T in tau.components]
-    diags = tau.diagonals
+    blocks = commutator_blocks(tau, cond)
+    Vm = cond.basis_mid
     d = cond.dim
 
-    def fg(B):
-        A = cond.embed_middle(B)
-        fs, Gs = [], []
-        for j, (T, sp) in enumerate(zip(tau.components, specs)):
-            C = _block(commutator(A, T, diags[j]), blocks[j])
-            U, s, Vh = np.linalg.svd(C, full_matrices=False)
-            fj, ds = _smooth_schatten(_padded(s, d), sp.p, eps * max(sref[j], 1e-300))
-            fs.append(fj)
-            Gs.append(commutator(_scatter((U * ds[:s.size]) @ Vh, blocks[j], d), Tcs[j], diags[j]))
-        f, W = _smooth_max(fs, Gs, eps, fref)
-        return f, _herm(Vm.conj().T @ W @ Vm)
+    def lift(U, Vh, Tc, t, blk):
+        return lambda w: commutator(_scatter((U * w[:Vh.shape[0]]) @ Vh, blk, d), Tc, t)
 
-    return fg
+    def spectra(B):
+        A = cond.embed_middle(B)
+        out = []
+        for T, Tc, t, blk in zip(tau.components, Tcs, tau.diagonals, blocks):
+            U, s, Vh = np.linalg.svd(_block(commutator(A, T, t), blk), full_matrices=False)
+            out.append((_padded(s, d), lift(U, Vh, Tc, t, blk)))
+        return out
+
+    return spectra, lambda W: _herm(Vm.conj().T @ W @ Vm)
 
 
 def _feasibility(cond, var):
@@ -132,23 +111,23 @@ def solve_condenser(tau, cond, specs, opts=None):
         return SolveReport.closed_form(value, var, _feasibility(cond, var),
                                        restart_values=[value], m0=cond.m0)
 
-    blocks = commutator_blocks(tau, cond)
-    fg = _exact_fg(tau, cond, specs, blocks)
+    spectra, pull = _spectra(tau, cond)
+    fg = max_norm_fg(spectra, specs, pull)
     proj = lambda B: project_middle(cond, B)
 
     def refine(ms, x, f0):
-        """The ε stages of ``_smooth_fg`` from (x, f0) (``Multistart.ladder``),
-        each a run of projected descent; the Huber scale sref[j] of a p = 1
-        component is its commutator's largest singular value at x."""
-        A0 = cond.embed_middle(x)
-        sref = [float(np.linalg.svd(_block(commutator(A0, T, t), blk), compute_uv=False)
-                      .max(initial=0.0)) if sp.p == 1 else 0.0
-                for T, t, sp, blk in zip(tau.components, tau.diagonals, specs, blocks)]
+        """The ε stages of ``smooth_max_norm_fg`` from (x, f0)
+        (``Multistart.ladder``), each a run of projected descent; the Huber
+        scale sref[j] of a p = 1 component is its commutator's largest
+        singular value at x, read from the spectra at x."""
+        sref = [max(float(s.max(initial=0.0)), 1e-300) for s, _ in spectra(x)]
         residual_tol = opts.residual_tol(f0)
         budgets = (150, 150, 300, max(300, opts.max_iters // 2))
 
         def stage(k, eps, fref, x):
-            sfg = _smooth_fg(tau, cond, specs, blocks, eps, sref, max(fref, 1e-300))
+            """Projected descent on the smoothing at ``eps`` (Huber scales
+            eps * sref[j], log-sum-exp scale fref), from x."""
+            sfg = smooth_max_norm_fg(spectra, specs, [eps * s for s in sref], eps, fref, pull)
             x, f, _, conv = projected_descent(sfg, proj, x, max_iters=budgets[k],
                                               residual_tol=residual_tol, history=ms.history)
             return x, f, conv

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._solvers import Multistart, SolveOptions, SolveReport, _starts, projected_descent
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .operator_core import (
     Condenser,
     ContractionVariable,
@@ -90,8 +90,6 @@ def _theta_of(prob, S, Cs):
         try:
             w, V = np.linalg.eigh(S)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-            from .errors import NumericError
-
             raise NumericError(
                 f"eigendecomposition of S failed: {exc}; "
                 f"norm(S)={np.linalg.norm(S):.3e}, dim={S.shape[0]}"

@@ -163,44 +163,19 @@ def _tie_averaged(values_sorted, w):
     return out
 
 
-def _schatten_gauge(s, spec, norm=None):
-    """Schatten gauge subgradient at s >= 0, s != 0; entrywise, so s needs no
-    sorting. ``norm`` is vector_norm(s, spec) when the caller already has it."""
-    if spec.p == 1:
-        return np.ones(s.size)
-    if norm is None:
-        norm = vector_norm(s, spec)
-    return (s / norm) ** (spec.p - 1.0)
-
-
-def _gauge_subgradient(s_sorted, spec):
-    """Subgradient of the sequence gauge at a nonincreasing nonnegative vector."""
-    n = s_sorted.size
-    if n == 0 or s_sorted[0] == 0.0:
-        return np.zeros(n)
-    if spec.kind == "schatten":
-        # The norm is recomputed through vector_norm (a sort) although s_sorted
-        # is sorted: vector_norm raises a reversed view to the power p, and numpy
-        # rounds a strided power differently from a contiguous one.
-        return _schatten_gauge(s_sorted, spec)
-    return _tie_averaged(s_sorted, _eval_weights(spec, n))
-
-
 def norm_subgradient(M, spec):
-    """Matrix G with norm(N) >= norm(M) + Re trace(G^*(N-M)) for all N.
+    """Matrix G with norm(N) >= norm(M) + Re trace(G^*(N-M)) for all N: U d V*
+    for M = U diag(s) V* and d the ``vector_norm`` subgradient at s.
 
-    Weight ties across equal singular values are averaged, which makes the
-    result independent of the SVD basis chosen inside tied blocks.
+    Weight ties across equal singular values are averaged, and zero singular
+    values get weight 0, which makes the result independent of the SVD basis
+    chosen inside tied blocks.
     """
-    M = np.asarray(M)
     try:
-        U, s, Vh = np.linalg.svd(M, full_matrices=False)
+        U, s, Vh = np.linalg.svd(np.asarray(M), full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericError(f"SVD failed: {exc}") from exc
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros_like(M)
-    d = _gauge_subgradient(s, spec)
-    return (U * d) @ Vh
+    return (U * _vector_subgradient(s, spec)) @ Vh
 
 
 def vector_norm_subgradient(v, spec):
@@ -209,19 +184,24 @@ def vector_norm_subgradient(v, spec):
 
 
 def _vector_subgradient(v, spec, norm=None):
-    """``vector_norm_subgradient``; ``norm`` is vector_norm(v, spec) when the
-    caller already has it, which spares the Schatten gauge a sort. Private so
-    that the public signature stays (v, spec); ``cayley`` passes its norms."""
+    """``vector_norm_subgradient``: the gauge subgradient d at |v| (Schatten:
+    entrywise (|v| / norm)^(p - 1), so |v| needs no sorting; weighted norms:
+    the weights, tie-averaged, at the rank of each entry), times the phase of
+    v (0 where v = 0). ``norm`` is vector_norm(v, spec) when the caller
+    already has it, which spares the Schatten gauge a sort. Private so that
+    the public signature stays (v, spec)."""
     v = np.asarray(v)
     a = np.abs(v)
     if a.size == 0 or a.max() == 0.0:
         return np.zeros_like(v, dtype=float if not np.iscomplexobj(v) else complex)
-    if spec.kind == "schatten":
-        d = _schatten_gauge(a, spec, norm)
-    else:
+    if spec.kind != "schatten":
         order = np.argsort(-a, kind="stable")
         d = np.empty(a.size)
-        d[order] = _gauge_subgradient(a[order], spec)
+        d[order] = _tie_averaged(a[order], _eval_weights(spec, a.size))
+    elif spec.p == 1:
+        d = np.ones(a.size)
+    else:
+        d = (a / (vector_norm(a, spec) if norm is None else norm)) ** (spec.p - 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         phase = np.where(a > 0, v / np.where(a > 0, a, 1.0), 0.0)
     return d * phase

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from qcmod._solvers import Multistart
 from qcmod.cayley import (
     CayleyBall,
     GroupSpec,
@@ -20,7 +21,7 @@ from qcmod.cayley import (
 )
 from qcmod.condenser_solver import SolveOptions
 from qcmod.errors import ValidationError
-from qcmod.ri_norms import NormSpec
+from qcmod.ri_norms import NormSpec, vector_norm, vector_norm_subgradient
 
 Z = GroupSpec("zd", d=1)
 Z2 = GroupSpec("zd", d=2)
@@ -309,6 +310,36 @@ class TestGraphCapacity:
         u0[b.X1], u0[b.X2] = 1.0, 0.0
         assert rep.history[0][:2] == (0, b.incidence.max_norm(u0, spec))
         assert (rep.history[0][2] == 0.0) == smooth
+
+    @pytest.mark.parametrize("spec", [
+        NormSpec.schatten(1), NormSpec.schatten(2), NormSpec.schatten(3), NormSpec.lorentz(2),
+        NormSpec.macaev(), NormSpec.from_weights([1.0, 0.5, 0.25]),
+    ], ids=["s1", "s2", "s3", "l21", "macaev", "weights"])
+    def test_kernel_is_the_norm_and_its_subgradient(self, monkeypatch, spec):
+        # the exact fg graph_capacity hands to run_phases: at the center (tied
+        # generators) and at random potentials, vector_norm of the maximizing
+        # d_j and D_j^T of its vector_norm_subgradient, bit for bit
+        b = build_ball(Z2, 3, X1="origin", X2={"sphere": 3})
+        op = b.incidence
+        captured = []
+
+        def capture(ms, x0, specs, opts, fg, project, refine):
+            captured.append(fg)
+            ms.record(x0, 0.0)
+
+        monkeypatch.setattr(Multistart, "run_phases", capture)
+        graph_capacity(b, spec, SolveOptions(restarts=1))
+        rng = np.random.default_rng(11)
+        for x in [np.full(op.free.size, 0.5)] + [rng.uniform(0, 1, op.free.size) for _ in range(5)]:
+            u = np.zeros(b.n_vertices)
+            u[b.X1] = 1.0
+            u[op.free] = x
+            diffs = op.diffs(u)
+            j = int(np.argmax([vector_norm(d, spec) for d in diffs]))
+            f, g = captured[0](x)
+            assert f == vector_norm(diffs[j], spec)
+            np.testing.assert_array_equal(
+                g.view(np.uint64), (op.Dt_free[j] @ vector_norm_subgradient(diffs[j], spec)).view(np.uint64))
 
     def test_monotone_in_X1(self):
         spec = NormSpec.schatten(2)

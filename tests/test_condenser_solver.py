@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcmod._solvers import _smooth_schatten
+from qcmod._solvers import Multistart, _inner, _smooth_schatten, max_norm_fg
+from qcmod.cayley import GroupSpec, build_ball, truncated_regular_rep
 from qcmod.condenser_solver import (
     SolveOptions,
     _block,
     _extrapolate,
     _padded,
     _scatter,
+    _spectra,
     scale_sweep,
     solve_condenser,
     sup_over_projections,
 )
 from qcmod.errors import ValidationError
-from qcmod.experiments import timefreq_problem
+from qcmod.experiments import gamma1_schedule, timefreq_problem
 from qcmod.operator_core import (ContractionVariable, OperatorTuple, commutator, commutator_blocks,
                                  embed, make_condenser, objective, project_middle)
 from qcmod.ri_norms import NormSpec, matrix_norm, norm_subgradient
@@ -150,6 +152,36 @@ class TestSolveCondenser:
         assert rep.value == 0.0
         assert all(np.isfinite(h[1]) for h in rep.history)
 
+    @pytest.mark.parametrize("problem", ["gamma1_N32", "f2_R3"])
+    def test_one_svd_per_component_per_fg(self, monkeypatch, problem):
+        # each exact evaluation decomposes every component's block once, with
+        # its singular vectors; only the final ``objective`` takes values alone
+        if problem == "gamma1_N32":
+            (tau, cond), spec = timefreq_problem(*gamma1_schedule([32])[0]), NormSpec.schatten(1)
+        else:
+            ball = build_ball(GroupSpec("free", k=2), 3, X1="origin", X2={"sphere": 3})
+            tau, spec = truncated_regular_rep(ball), NormSpec.lorentz(2)
+            cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
+        calls = {"full": 0, "values": 0, "fg": 0}
+        svd, run_phases = np.linalg.svd, Multistart.run_phases
+
+        def counted_svd(a, *args, compute_uv=True, **kwargs):
+            calls["full" if compute_uv else "values"] += 1
+            return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+        def counted_phases(ms, x0, specs, opts, fg, *rest):
+            def counted_fg(x):
+                calls["fg"] += 1
+                return fg(x)
+            return run_phases(ms, x0, specs, opts, counted_fg, *rest)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(Multistart, "run_phases", counted_phases)
+        solve_condenser(tau, cond, spec, SolveOptions(max_iters=20, restarts=2, refine=False))
+        assert calls["fg"] > 0
+        assert calls["full"] == tau.n * calls["fg"]
+        assert calls["values"] == tau.n
+
     def test_feasibility_residuals(self, tridiag_example):
         tau, cond = tridiag_example
         rep = solve_condenser(tau, cond, NormSpec.schatten(2), OPTS)
@@ -222,8 +254,9 @@ BLOCK_SPECS = [NormSpec.schatten(1), NormSpec.schatten(2), NormSpec.schatten(3),
 @st.composite
 def plate_problems(draw):
     """A random index-plate condenser (d <= 12) with partial-permutation,
-    real diagonal and dense (real or complex) components, and the commutators
-    [A, T_j] at a random feasible A."""
+    real diagonal and dense (real or complex) components: (tau, cond, B,
+    commutators [A, T_j] at A = embed_middle(B), ``commutator_blocks``, rng)
+    for a random feasible middle block B."""
     d = draw(st.integers(3, 12))
     kinds = draw(st.lists(st.sampled_from(["perm", "diag", "dense", "complex"]), min_size=1, max_size=3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -245,9 +278,10 @@ def plate_problems(draw):
                 T = T + 1j * rng.standard_normal((d, d))
         comps.append(T)
     tau = OperatorTuple.of(comps)
-    A = cond.embed_middle(project_middle(cond, rand_hermitian(rng, cond.m0)))
+    B = project_middle(cond, rand_hermitian(rng, cond.m0))
+    A = cond.embed_middle(B)
     comms = [commutator(A, T, t) for T, t in zip(tau.components, tau.diagonals)]
-    return cond, comms, commutator_blocks(tau, cond), rng
+    return tau, cond, B, comms, commutator_blocks(tau, cond), rng
 
 
 class TestCommutatorBlocks:
@@ -257,7 +291,7 @@ class TestCommutatorBlocks:
     @settings(max_examples=60, deadline=None)
     @given(plate_problems())
     def test_block_norm_is_the_full_norm(self, problem):
-        cond, comms, blocks, _ = problem
+        _, cond, _, comms, blocks, _ = problem
         for C, blk in zip(comms, blocks):
             if blk is not None:
                 outside = C.copy()
@@ -270,7 +304,7 @@ class TestCommutatorBlocks:
     @settings(max_examples=60, deadline=None)
     @given(plate_problems())
     def test_scattered_subgradient(self, problem):
-        cond, comms, blocks, rng = problem
+        _, cond, _, comms, blocks, rng = problem
         d = cond.dim
         for C, blk in zip(comms, blocks):
             for sp in BLOCK_SPECS:
@@ -288,7 +322,7 @@ class TestCommutatorBlocks:
     @settings(max_examples=60, deadline=None)
     @given(plate_problems())
     def test_padded_huber_is_the_full_huber(self, problem):
-        cond, comms, blocks, _ = problem
+        _, cond, _, comms, blocks, _ = problem
         for C, blk in zip(comms, blocks):
             s = np.linalg.svd(C, compute_uv=False)
             mu = 1e-2 * max(s.max(), 1e-3)
@@ -296,6 +330,22 @@ class TestCommutatorBlocks:
             sb = np.linalg.svd(_block(C, blk), compute_uv=False)
             padded = _smooth_schatten(_padded(sb, cond.dim), 1, mu)[0]
             assert abs(padded - full) <= 1e-12 * max(1.0, full)
+
+    @settings(max_examples=60, deadline=None)
+    @given(plate_problems())
+    def test_kernel_value_and_pulled_subgradient(self, problem):
+        # max_norm_fg on the block spectra: the value of ``objective`` and a
+        # subgradient of it in the middle block
+        tau, cond, B, _, _, rng = problem
+        spectra, pull = _spectra(tau, cond)
+        for sp in BLOCK_SPECS:
+            specs = [sp] * tau.n
+            f, g = max_norm_fg(spectra, specs, pull)(B)
+            assert abs(f - objective(tau, cond.embed_middle(B), specs)) <= 1e-12 * max(1.0, f)
+            for _ in range(3):
+                B2 = project_middle(cond, rand_hermitian(rng, cond.m0))
+                f2 = objective(tau, cond.embed_middle(B2), specs)
+                assert f2 >= f + _inner(g, B2 - B) - 1e-12
 
     def test_dense_basis_condenser_has_no_block(self):
         assert commutator_blocks(*timefreq_problem(128, 7, 65)) == [None]

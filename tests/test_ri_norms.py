@@ -5,7 +5,6 @@ from qcmod.errors import ValidationError
 from qcmod.ri_norms import (
     NormSpec,
     _eval_weights,
-    _gauge_subgradient,
     _tie_averaged,
     induced_weights,
     matrix_norm,
@@ -162,10 +161,19 @@ class TestSubgradientFastPaths:
 
     @staticmethod
     def _argsort_path(v, spec):
+        """The gauge subgradient taken at the sorted magnitudes s and scattered
+        back: tie-averaged weights, or (s / |s|_p)^(p - 1) for Schatten."""
         a = np.abs(v)
         order = np.argsort(-a, kind="stable")
+        s = a[order]
+        if spec.kind != "schatten":
+            gauge = _tie_averaged(s, _eval_weights(spec, s.size))
+        elif spec.p == 1:
+            gauge = np.ones(s.size)
+        else:
+            gauge = (s / vector_norm(s, spec)) ** (spec.p - 1.0)
         d = np.empty(a.size)
-        d[order] = _gauge_subgradient(a[order], spec)
+        d[order] = gauge
         with np.errstate(invalid="ignore", divide="ignore"):
             phase = np.where(a > 0, v / np.where(a > 0, a, 1.0), 0.0)
         return d * phase

@@ -75,6 +75,8 @@ def runs():
     opts = {"max_iters": 400, "restarts": 2}
     s1, s2, s3 = ({"kind": "schatten", "p": p} for p in (1, 2, 3))
     lorentz = {"kind": "lorentz_p1", "p": 2}
+    # shorter than every vector it meets, so the weights are padded with zeros
+    weights = {"kind": "weights", "weights": [1.0, 0.5, 0.25]}
     z = lambda dim: {"kind": "Z^d", "d": dim}
     f2 = {"kind": "free", "k": 2}
     cantor = {"kind": "cantor_product", "n": 2, "ratio": 1 / 3, "pieces": 2, "depth": 1}
@@ -90,6 +92,7 @@ def runs():
         ("condenser_hybrid_s1_s3", "condenser", dict(plates, tuple=tied, norm=[s1, s3], options=opts)),
         ("condenser_macaev", "condenser",
          dict(plates, tuple={"components": [_matrix(twist)]}, norm={"kind": "macaev"}, options=opts)),
+        ("condenser_weights", "condenser", dict(plates, tuple=one, norm=weights, options=opts)),
         ("condenser_s2_norefine", "condenser",
          dict(plates, tuple=tied, norm=s2, options=dict(opts, refine=False))),
         ("condenser_complex_plate", "condenser",
@@ -100,6 +103,7 @@ def runs():
         ("graphcap_z2_R6_s3", "graphcap", {"group": z(2), "R": 6, "x1": "origin", "norm": s3}),
         ("graphcap_f2_R3_lorentz", "graphcap",
          {"group": f2, "R": 3, "x1": "origin", "x2": {"sphere": 3}, "norm": lorentz}),
+        ("graphcap_z2_R4_weights", "graphcap", {"group": z(2), "R": 4, "x1": "origin", "norm": weights}),
         ("graphcap_z2_scan", "graphcap", {"group": z(2), "R_list": [3, 4, 5, 6], "p": 2}),
         ("transfer_f2_R3_lorentz", "transfer",
          {"group": f2, "R": 3, "x1": "origin", "x2": {"sphere": 3}, "norm": lorentz,
