@@ -9,12 +9,13 @@ Each iteration appends one row (i, f, step) to the ``history`` it is given,
 with i the row's position there.
 ``Multistart`` holds every restart rule of the three solvers: the start
 points (``_starts``: the solver's center, then seeded draws), the shared
-history, each restart's best point and value, the ε-ladder loop
-(``Multistart.ladder``), the final history row (the exact value the solve
-returns) and the converged flag, which only a phase's own stopping test sets;
-``Multistart.run_phases`` holds the one rule for which phases a nonsmooth
-restart runs. ``Multistart.solve`` returns the ``SolveReport``, whose
-``iters`` is the length of its history (one row for a closed form).
+history, each restart's best point and value, the final history row (the
+exact value the solve returns) and the converged flag, which only a phase's
+own stopping test sets. ``Multistart.solve`` returns the ``SolveReport``,
+whose ``iters`` is the length of its history (one row for a closed form).
+``solve_max_norm`` is the one restart body of the condenser and the graph
+capacity: it routes the phases and runs the ε stages, and each solver gives
+it only its spectra, projection, starts, final step and stage engine.
 """
 
 import dataclasses
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.optimize
 
 from .errors import ValidationError
-from .jsonio import matrix_to_json
+from .jsonio import as_bool, as_int, matrix_to_json
 from .operator_core import ContractionVariable, embed
 from .ri_norms import _vector_subgradient, vector_norm
 
@@ -182,17 +183,14 @@ class SolveOptions:
 
     def __post_init__(self):
         for name in ("max_iters", "restarts", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {v!r}")
+            as_int(getattr(self, name), name)
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
         if not (self.tol > 0):
             raise ValidationError("tol must be > 0")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
-        if not isinstance(self.refine, (bool, np.bool_)):
-            raise ValidationError(f"refine must be a boolean, got {self.refine!r}")
+        as_bool(self.refine, "refine")
 
     @staticmethod
     def from_json(obj):
@@ -247,8 +245,8 @@ class Multistart:
 
     ``history`` holds the (iteration, objective, step) rows of every phase of
     every restart, each numbered by its position. A restart body runs its
-    phases through ``run``, ``record`` and ``ladder``; the lowest value they
-    offer is the restart's result (the first offer always counts).
+    phases through ``run`` and ``record``; the lowest value they offer is the
+    restart's result (the first offer always counts).
     ``converged`` is true once an offered phase's own stopping test fired.
     """
 
@@ -293,42 +291,6 @@ class Multistart:
         """Offer an exactly evaluated point and log it as one history row."""
         self.history.append((len(self.history), f, 0.0))
         self._offer(x, f, converged)
-
-    def ladder(self, x, f0, stage, value):
-        """The smoothing stages from x of exact value f0: ``stage(k, eps, fref, x)``
-        returns (x, f, converged) for the k-th ε of ``SMOOTHING_LADDER``, with
-        ``fref`` f0 first and then the previous stage's f; the exact ``value(x)``
-        of the last point is then recorded with the last stage's flag."""
-        fref, conv = f0, False
-        for k, eps in enumerate(SMOOTHING_LADDER):
-            x, fref, conv = stage(k, eps, fref, x)
-        self.record(x, value(x), conv)
-
-    def run_phases(self, x0, specs, opts, fg, project, refine):
-        """One nonsmooth restart from x0 on the exact objective ``fg`` with
-        norms ``specs``; ``refine(ms, x, f)`` is the solver's smoothed
-        refinement from a point x of exact value f. With ``opts.refine`` on
-        and every norm Schatten with p > 1 (differentiable wherever nonzero)
-        the start value is logged and ``refine`` runs from x0. Otherwise the
-        projected subgradient phase runs, then, with ``opts.refine`` on,
-        ``refine`` for all-Schatten norm lists or projected descent on the
-        exact objective for weighted norms (valid once the tie pattern of the
-        sorted magnitudes stabilizes; its line search degrades gracefully)."""
-        schatten = all(sp.kind == "schatten" for sp in specs)
-        if opts.refine and schatten and all(sp.p > 1 for sp in specs):
-            f = fg(x0)[0]
-            self.record(x0, f)
-            refine(self, x0, f)
-            return
-        x, f = self.run(projected_subgradient, fg, project, x0,
-                           max_iters=opts.max_iters, tol=opts.tol)
-        if not opts.refine:
-            return
-        if schatten:
-            refine(self, x, f)
-        else:
-            self.run(projected_descent, fg, project, x, max_iters=max(200, opts.max_iters // 2),
-                     residual_tol=opts.residual_tol(f))
 
 
 # -- smoothing -----------------------------------------------------------------------
@@ -403,6 +365,54 @@ def smooth_max_norm_fg(spectra, specs, mus, eps, fref, pull):
         return f, pull(g)
 
     return fg
+
+
+def solve_max_norm(spectra, specs, pull, project, starts, finish, opts, stage, **extra):
+    """Minimize max_j |K_j x|_{J_j} over a convex set: the multistart solve
+    (``Multistart.solve``) of the condenser and the graph capacity. ``spectra``,
+    ``specs`` and ``pull`` are those of ``max_norm_fg``, ``project`` maps onto
+    the feasible set, and ``stage(k, fg, x, f0, history)`` runs the k-th ε
+    stage on the smoothed ``fg`` from x (f0: the exact value the stages start
+    from), logs to ``history`` and returns (x, f, converged).
+
+    A restart from x0 with ``opts.refine`` on and every norm Schatten with
+    p > 1 (smooth wherever nonzero) logs its start value and runs the stages
+    from x0. Otherwise it runs the projected subgradient phase and then, with
+    ``opts.refine`` on, the stages (all-Schatten norms) or projected descent on
+    the exact objective (weighted norms: valid once the tie pattern of the
+    sorted magnitudes stabilizes). The stages' Huber scales are eps * max|v_j|
+    at their start point, their log-sum-exp scale f0 and then each stage's f;
+    the exact value of the last point closes them with the last stage's flag.
+    """
+    fg = max_norm_fg(spectra, specs, pull)
+    value = lambda comps: max(vector_norm(v, sp) for (v, _), sp in zip(comps, specs))
+    schatten = all(sp.kind == "schatten" for sp in specs)
+
+    def ladder(ms, x, comps, f0):
+        scales = [max(float(np.abs(v).max(initial=0.0)), 1e-300) for v, _ in comps]
+        fref, conv = f0, False
+        for k, eps in enumerate(SMOOTHING_LADDER):
+            sfg = smooth_max_norm_fg(spectra, specs, [eps * s for s in scales], eps, fref, pull)
+            x, fref, conv = stage(k, sfg, x, f0, ms.history)
+        ms.record(x, value(spectra(x)), conv)
+
+    def restart(ms, x0):
+        if opts.refine and schatten and all(sp.p > 1 for sp in specs):
+            comps = spectra(x0)
+            f = value(comps)
+            ms.record(x0, f)
+            ladder(ms, x0, comps, f)
+            return
+        x, f = ms.run(projected_subgradient, fg, project, x0, max_iters=opts.max_iters, tol=opts.tol)
+        if not opts.refine:
+            return
+        if schatten:
+            ladder(ms, x, spectra(x), f)
+        else:
+            ms.run(projected_descent, fg, project, x, max_iters=max(200, opts.max_iters // 2),
+                   residual_tol=opts.residual_tol(f))
+
+    return Multistart.solve(starts, restart, finish, **extra)
 
 
 # -- extrapolation fits ------------------------------------------------------------

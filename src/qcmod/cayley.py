@@ -10,10 +10,10 @@ The capacity
     cap_J(X1, X2) = inf { max_j |u(g_j .) - u(.)|_J : 0 <= u <= 1,
                           u = 1 on X1, u = 0 on X2 }
 
-is convex and is minimized by projected first-order descent on the box
-[0, 1]^vertices with equality pins. Exact oracles (LP for the trace-norm
-case, sparse harmonic solve for the Frobenius case) live alongside for
-cross-checking.
+is convex and is minimized on the box [0, 1]^vertices with equality pins
+by ``solve_max_norm``, the solve the condenser shares, with one L-BFGS-B
+run per ε stage. Exact oracles (LP for the trace-norm case, sparse
+harmonic solve for the Frobenius case) live alongside for cross-checking.
 
 All of them read the difference structure from one sparse incidence
 operator per ball (``CayleyBall.incidence``): the generators' difference
@@ -38,17 +38,10 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ._solvers import (
-    Multistart,
-    SolveOptions,
-    SolveReport,
-    _starts,
-    fit_loglog,
-    max_norm_fg,
-    smooth_max_norm_fg,
-)
+from ._solvers import SolveOptions, SolveReport, _starts, fit_loglog, solve_max_norm
 from .condenser_solver import solve_condenser
 from .errors import ValidationError
+from .jsonio import as_int
 from .operator_core import (
     ContractionVariable,
     OperatorTuple,
@@ -107,11 +100,12 @@ class GroupSpec:
             raise ValidationError('group JSON needs a "kind" field')
         kind = obj["kind"]
         if kind in ("Z^d", "zd", "Zd"):
-            return GroupSpec("zd", d=int(obj["d"]))
+            return GroupSpec("zd", d=as_int(obj["d"], "d"))
         if kind == "free":
-            return GroupSpec("free", k=int(obj["k"]))
+            return GroupSpec("free", k=as_int(obj["k"], "k"))
         if kind == "custom":
-            return GroupSpec("custom", tables=tuple(tuple(int(x) for x in t) for t in obj["tables"]))
+            return GroupSpec("custom", tables=tuple(tuple(as_int(x, "a table entry") for x in t)
+                                                    for t in obj["tables"]))
         raise ValidationError(f"unknown group kind {kind!r}")
 
 
@@ -215,18 +209,18 @@ def _resolve_plate(descr, group, verts, index, word_lengths):
         raise ValidationError(f"unknown plate descriptor {descr!r}")
     if isinstance(descr, dict):
         if "sphere" in descr:
-            r = int(descr["sphere"])
+            r = as_int(descr["sphere"], "sphere")
             return np.flatnonzero(word_lengths == r).astype(int)
         if "radius_at_least" in descr:
-            r = int(descr["radius_at_least"])
+            r = as_int(descr["radius_at_least"], "radius_at_least")
             return np.flatnonzero(word_lengths >= r).astype(int)
         raise ValidationError(f"unknown plate descriptor {descr!r}")
     idx = []
     for key in descr:
         if group.kind == "custom":
-            key = int(key)
+            key = as_int(key, "a plate vertex")
         else:
-            key = tuple(int(x) for x in key)
+            key = tuple(as_int(x, "a plate vertex coordinate") for x in key)
         if key not in index:
             raise ValidationError(f"plate vertex {key!r} lies outside the ball")
         idx.append(index[key])
@@ -346,12 +340,10 @@ class IncidenceOperator:
 def graph_capacity(ball, spec, opts=None):
     """Condenser capacity of (X1, X2) on the ball for one RI norm.
 
-    The box constraint and pins are kept exactly at every iterate. Each
-    restart runs the phases ``Multistart.run_phases`` picks, as in the
-    condenser solve; the smooth refinement for Schatten norms is the ε ladder
-    of ``Multistart.ladder`` with one L-BFGS-B stage per ε (log-sum-exp over
-    generators, on the free coordinates), for p > 1 straight from the start
-    potential.
+    The box constraint and pins are kept exactly at every iterate. The
+    solve is ``solve_max_norm`` on the free coordinates, as in the condenser
+    solve, with one component per generator (its difference function) and
+    one L-BFGS-B run per ε stage.
     """
     opts = opts or SolveOptions()
     nv = ball.n_vertices
@@ -377,31 +369,19 @@ def graph_capacity(ball, spec, opts=None):
     # the spectra of max_norm_fg: each d_j(u) itself, lifted by D_j^T on the free vertices
     lifts = [Dt.__matmul__ for Dt in op.Dt_free]
     spectra = lambda x: list(zip(op.diffs(assemble(x)), lifts))
-    specs = [spec] * len(lifts)
-    same = lambda g: g
-    fg = max_norm_fg(spectra, specs, same)
     proj = lambda x: np.clip(x, 0.0, 1.0)
 
-    def refine(ms, x, f0):
-        """The ε stages from (x, f0), each a warm-started L-BFGS-B run on
-        ``smooth_max_norm_fg`` (log-sum-exp over generators of
-        ``_smooth_schatten`` of the differences), logging each iteration's
-        smoothed value; the Huber scale (p = 1) is the largest difference at x.
-        Only a stop by the limits (status 1) is not converged: a line-search
-        stop (2) is, like the rounding floor."""
-        d_scale = max(max(float(np.abs(d).max(initial=0.0)) for d in op.diffs(assemble(x))), 1e-300)
-
-        def stage(k, eps, fref, x):
-            obj = smooth_max_norm_fg(spectra, specs, [eps * d_scale] * len(specs), eps, fref, same)
-            # scipy passes the iterate's result only to a parameter of this name
-            log = lambda intermediate_result: ms.history.append(
-                (len(ms.history), float(intermediate_result.fun), 0.0))
-            res = scipy.optimize.minimize(obj, x, jac=True, method="L-BFGS-B",
-                                          bounds=scipy.optimize.Bounds(0.0, 1.0), callback=log,
-                                          options={"maxiter": 3000, "ftol": 1e-17, "gtol": 1e-14})
-            return res.x, float(res.fun), res.status != 1
-
-        ms.ladder(x, f0, stage, lambda x: op.max_norm(assemble(proj(x)), spec))
+    def stage(k, fg, x, f0, history):
+        """A warm-started L-BFGS-B run on the k-th smoothing from x, logging
+        each iteration's smoothed value. Only a stop by the limits (status 1)
+        is not converged: a line-search stop (2) is, like the rounding floor."""
+        # scipy passes the iterate's result only to a parameter of this name
+        log = lambda intermediate_result: history.append(
+            (len(history), float(intermediate_result.fun), 0.0))
+        res = scipy.optimize.minimize(fg, x, jac=True, method="L-BFGS-B",
+                                      bounds=scipy.optimize.Bounds(0.0, 1.0), callback=log,
+                                      options={"maxiter": 3000, "ftol": 1e-17, "gtol": 1e-14})
+        return res.x, float(res.fun), res.status != 1
 
     def finish(x):
         full = assemble(proj(x))
@@ -420,9 +400,8 @@ def graph_capacity(ball, spec, opts=None):
             logger.warning("LP cross-check of the trace-norm capacity failed: %s", exc, exc_info=True)
             extra["lp_crosscheck_error"] = f"{type(exc).__name__}: {exc}"
     draw = lambda rng: rng.uniform(0.0, 1.0, size=free.size)
-    return Multistart.solve(_starts(np.full(free.size, 0.5), draw, opts),
-                            lambda ms, x0: ms.run_phases(x0, [spec], opts, fg, proj, refine), finish,
-                            **extra)
+    return solve_max_norm(spectra, [spec] * len(lifts), lambda g: g, proj,
+                          _starts(np.full(free.size, 0.5), draw, opts), finish, opts, stage, **extra)
 
 
 # -- exact oracles --------------------------------------------------------------------
@@ -521,8 +500,9 @@ def verify_transfer(ball, spec, opts=None):
     variable whose commutator entries are a sub-pattern of the difference
     function, so k <= cap holds at every truncation. After the matrix solve,
     the diagonal candidate of the graph minimizer replaces k when lower, so
-    the inequality holds for the reported upper bounds as well. The remaining
-    gap is reported.
+    the inequality holds for the reported upper bounds as well, and its value
+    is appended as the matrix report's last history row. The remaining gap is
+    reported.
     """
     opts = opts or SolveOptions()
     tau = truncated_regular_rep(ball)
@@ -541,6 +521,7 @@ def verify_transfer(ball, spec, opts=None):
             k_value = cand_val
             k_report.value = cand_val
             k_report.minimizer = var
+            k_report.history.append((len(k_report.history), cand_val, 0.0))
             k_report.extra["diagonal_candidate_used"] = True
     return {
         "cap": cap_report.value,

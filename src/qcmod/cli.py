@@ -33,7 +33,8 @@ from .experiments import (
     ratio_experiment,
     ratio_problems,
 )
-from .jsonio import matrix_from_json, matrix_to_json, projection_from_json, write_csv, write_json
+from .jsonio import (as_bool, as_int, matrix_from_json, matrix_to_json, projection_from_json,
+                     write_csv, write_json)
 from .operator_core import OperatorTuple, make_condenser
 from .plaplace import SmoothProblem, euler_lagrange_report, minimize_smooth
 from .ri_norms import NormSpec, matrix_norm, vector_norm
@@ -91,7 +92,7 @@ class _Reader:
 def _ints(v):
     if not isinstance(v, list):
         raise TypeError(f"expected a list of integers, got {v!r}")
-    return [int(x) for x in v]
+    return [as_int(x, "each entry") for x in v]
 
 
 def _sequence(v):
@@ -166,7 +167,7 @@ def _read_tuple_condenser(r):
 
 
 def _read_ball(r):
-    group, R = r("group", GroupSpec.from_json), r("R", int)
+    group, R = r("group", GroupSpec.from_json), r("R", lambda v: as_int(v, "R"))
     if group is not None and R is not None:
         return r.build("R/x1/x2", build_ball, group, R,
                        X1=r("x1", default=None), X2=r("x2", default=None))
@@ -279,7 +280,7 @@ def _read_experiment(r):
                          "variant": r("variant", _choice("sawtooth", "triangle"), "sawtooth")}
     if kind == "ratio":
         models = r("models", lambda v: [MultiplicityModel.from_json(m) for m in v])
-        n_scales = r("n_scales", int, 3)
+        n_scales = r("n_scales", lambda v: as_int(v, "n_scales"), 3)
         if models is not None and n_scales is not None:
             # an empty spectrum shows once built; building twice costs milliseconds
             r.build("models/n_scales", ratio_problems, models, n_scales)
@@ -289,7 +290,7 @@ def _read_experiment(r):
             "gridsize": r("gridsize", hybrid_gridsize, 8),
             "exponent_sets": r("exponent_sets",
                                lambda v: hybrid_exponents([tuple(map(float, ps)) for ps in v])),
-            "swap": bool(r("swap", default=False)),
+            "swap": r("swap", lambda v: as_bool(v, "swap"), False),
         }
     return None, {}
 

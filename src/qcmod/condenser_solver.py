@@ -5,24 +5,19 @@ A = P (+) B0 (+) 0 by first-order descent on the middle block. The reported
 value is always an upper bound on the infimum: every iterate is exactly
 feasible.
 
-``Multistart`` (in ``_solvers``, with the ``SolveOptions`` and ``SolveReport``
-this module re-exports) holds the restart rules the graph capacity shares and
-returns the report. The objective and its smoothing are the max-of-norms
-kernels of ``_solvers`` (``max_norm_fg``, ``smooth_max_norm_fg``); this module
-supplies their ``spectra``: one SVD per component per evaluation, of the block
-outside which the commutator vanishes (``commutator_blocks``). With
-``refine`` on and every J_j Schatten with p > 1, the objective is smooth
-wherever its maximizing norm is nonzero, so the ε ladder (one projected
-descent stage on ``smooth_max_norm_fg`` per ε) starts at the start block.
-Otherwise a projected subgradient phase comes first, followed, with
-``refine`` on, by the ladder for all-Schatten norm lists or by projected
-descent on the exact objective for weighted norms.
+The solve is ``solve_max_norm`` of ``_solvers`` (with the ``SolveOptions``
+and ``SolveReport`` this module re-exports), which the graph capacity
+shares: it routes the phases, runs the ε stages and returns the report.
+This module supplies its ``spectra``: one SVD per component per evaluation,
+of the block outside which the commutator vanishes (``commutator_blocks``),
+the projection onto the feasible middle blocks, the start blocks and the ε
+stage, a run of projected descent on the smoothed objective.
 """
 
 import numpy as np
 
-from ._solvers import (Multistart, SolveOptions, SolveReport, _starts, fit_power, max_norm_fg,
-                       projected_descent, smooth_max_norm_fg)
+from ._solvers import (SolveOptions, SolveReport, _starts, fit_power, projected_descent,
+                       solve_max_norm)
 from .errors import ValidationError
 from .operator_core import (
     ContractionVariable,
@@ -111,36 +106,22 @@ def solve_condenser(tau, cond, specs, opts=None):
         return SolveReport.closed_form(value, var, _feasibility(cond, var),
                                        restart_values=[value], m0=cond.m0)
 
-    spectra, pull = _spectra(tau, cond)
-    fg = max_norm_fg(spectra, specs, pull)
     proj = lambda B: project_middle(cond, B)
+    budgets = (150, 150, 300, max(300, opts.max_iters // 2))
 
-    def refine(ms, x, f0):
-        """The ε stages of ``smooth_max_norm_fg`` from (x, f0)
-        (``Multistart.ladder``), each a run of projected descent; the Huber
-        scale sref[j] of a p = 1 component is its commutator's largest
-        singular value at x, read from the spectra at x."""
-        sref = [max(float(s.max(initial=0.0)), 1e-300) for s, _ in spectra(x)]
-        residual_tol = opts.residual_tol(f0)
-        budgets = (150, 150, 300, max(300, opts.max_iters // 2))
-
-        def stage(k, eps, fref, x):
-            """Projected descent on the smoothing at ``eps`` (Huber scales
-            eps * sref[j], log-sum-exp scale fref), from x."""
-            sfg = smooth_max_norm_fg(spectra, specs, [eps * s for s in sref], eps, fref, pull)
-            x, f, _, conv = projected_descent(sfg, proj, x, max_iters=budgets[k],
-                                              residual_tol=residual_tol, history=ms.history)
-            return x, f, conv
-
-        ms.ladder(x, f0, stage, lambda x: fg(x)[0])
+    def stage(k, fg, B, f0, history):
+        """Projected descent on the k-th smoothing from B."""
+        B, f, _, conv = projected_descent(fg, proj, B, max_iters=budgets[k],
+                                          residual_tol=opts.residual_tol(f0), history=history)
+        return B, f, conv
 
     def finish(B):
-        var = ContractionVariable(cond, project_middle(cond, B))
+        var = ContractionVariable(cond, proj(B))
         return var, objective(tau, embed(var), specs), _feasibility(cond, var)
 
-    return Multistart.solve(_starts(*_middle_starts(cond, np.sqrt(max(cond.m0, 1))), opts),
-                            lambda ms, B0: ms.run_phases(B0, specs, opts, fg, proj, refine), finish,
-                            m0=cond.m0)
+    spectra, pull = _spectra(tau, cond)
+    starts = _starts(*_middle_starts(cond, np.sqrt(max(cond.m0, 1))), opts)
+    return solve_max_norm(spectra, specs, pull, proj, starts, finish, opts, stage, m0=cond.m0)
 
 
 def sup_over_projections(tau, P_family, Q, specs, opts=None):

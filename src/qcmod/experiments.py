@@ -18,6 +18,7 @@ import numpy as np
 
 from .condenser_solver import SolveOptions, scale_sweep, solve_condenser
 from .errors import ValidationError
+from .jsonio import as_int
 from .operator_core import OperatorTuple, make_condenser
 from .ri_norms import NormSpec
 
@@ -444,7 +445,7 @@ def ratio_experiment(models, opts=None, n_scales=3):
 
 def hybrid_gridsize(gridsize):
     """The number of cells per axis of a hybrid scan's grid, at least 1."""
-    g = int(gridsize)
+    g = as_int(gridsize, "gridsize")
     if g < 1:
         raise ValidationError("gridsize must be >= 1")
     return g

@@ -99,6 +99,21 @@ def matrix_to_json(M):
     return obj
 
 
+def as_int(v, name):
+    """A JSON integer field ``name`` as an int. A bool, a number with a
+    fraction or a string raises rather than being read as 0/1 or truncated."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
+def as_bool(v, name):
+    """A JSON boolean field ``name`` as a bool; "false", 0 or 1 raise."""
+    if not isinstance(v, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a boolean, got {v!r}")
+    return bool(v)
+
+
 def matrix_from_json(obj):
     if not isinstance(obj, dict) or "re" not in obj:
         raise ValidationError('matrix JSON must be an object with an "re" field')

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from qcmod._solvers import Multistart
+from qcmod import _solvers
 from qcmod.cayley import (
     CayleyBall,
     GroupSpec,
@@ -316,19 +316,20 @@ class TestGraphCapacity:
         NormSpec.macaev(), NormSpec.from_weights([1.0, 0.5, 0.25]),
     ], ids=["s1", "s2", "s3", "l21", "macaev", "weights"])
     def test_kernel_is_the_norm_and_its_subgradient(self, monkeypatch, spec):
-        # the exact fg graph_capacity hands to run_phases: at the center (tied
-        # generators) and at random potentials, vector_norm of the maximizing
-        # d_j and D_j^T of its vector_norm_subgradient, bit for bit
+        # the exact fg graph_capacity's solve_max_norm builds: at the center
+        # (tied generators) and at random potentials, vector_norm of the
+        # maximizing d_j and D_j^T of its vector_norm_subgradient, bit for bit
         b = build_ball(Z2, 3, X1="origin", X2={"sphere": 3})
         op = b.incidence
         captured = []
+        kernel = _solvers.max_norm_fg
 
-        def capture(ms, x0, specs, opts, fg, project, refine):
-            captured.append(fg)
-            ms.record(x0, 0.0)
+        def capture(*args):
+            captured.append(kernel(*args))
+            return captured[-1]
 
-        monkeypatch.setattr(Multistart, "run_phases", capture)
-        graph_capacity(b, spec, SolveOptions(restarts=1))
+        monkeypatch.setattr(_solvers, "max_norm_fg", capture)
+        graph_capacity(b, spec, SolveOptions(restarts=1, max_iters=1, refine=False))
         rng = np.random.default_rng(11)
         for x in [np.full(op.free.size, 0.5)] + [rng.uniform(0, 1, op.free.size) for _ in range(5)]:
             u = np.zeros(b.n_vertices)
@@ -367,6 +368,16 @@ class TestTransfer:
         assert out["inequality_ok"]
         assert out["k"] <= out["cap"] + 1e-9 * max(1.0, out["cap"])
         assert abs(out["gap"]) / out["cap"] < 1e-4  # equality holds on Z at truncation
+
+    @pytest.mark.parametrize("spec", [NormSpec.schatten(1), NormSpec.schatten(2)], ids=["s1", "s2"])
+    def test_diagonal_candidate_closes_the_history(self, spec):
+        # on this ball the graph minimizer's diagonal undercuts the matrix
+        # solve (S1: 1.9999999999999998 against 2.0); the report's value is
+        # still its last history row
+        ball = build_ball(Z, 8, X1="origin", X2={"radius_at_least": 6})
+        k = verify_transfer(ball, spec, OPTS)["k_report"]
+        assert k.extra["diagonal_candidate_used"]
+        assert k.history[-1] == (k.iters - 1, k.value, 0.0)
 
     def test_empty_inner_plate_both_zero(self):
         ball = build_ball(Z, 4, X2={"sphere": 4})

@@ -287,6 +287,23 @@ def _ratio_second(model):
     ("experiment", {"experiment": "hybrid", "exponent_sets": [[3, 3]]}, "exponent_sets"),
     ("experiment", {"experiment": "gamma1", "schedule": {"N_list": [4]}}, "schedule.N_list"),
     ("experiment", {"experiment": "gamma1", "schedule": {"N_list": []}}, "schedule.N_list"),
+    ("graphcap", {"group": _Z1, "R": 2.5, "x1": "origin", "norm": _S2}, "R"),
+    ("graphcap", {"group": _Z1, "R": True, "x1": "origin", "norm": _S2}, "R"),
+    ("graphcap", {"group": _Z1, "R_list": [3, 4.5, 6], "p": 2}, "R_list"),
+    ("graphcap", {"group": {"kind": "Z^d", "d": 1.9}, "R": 3, "x1": "origin", "norm": _S2}, "group"),
+    ("graphcap", {"group": {"kind": "free", "k": 2.5}, "R": 3, "x1": "origin", "norm": _S2}, "group"),
+    ("graphcap", {"group": {"kind": "custom", "tables": [[1, 0.5]]}, "R": 0, "x1": [0], "norm": _S2},
+     "group"),
+    ("graphcap", {"group": _Z1, "R": 3, "x1": "origin", "x2": {"sphere": 2.7}, "norm": _S2},
+     "R/x1/x2"),
+    ("graphcap", {"group": _Z1, "R": 3, "x1": "origin", "x2": {"radius_at_least": 2.5},
+                  "norm": _S2}, "R/x1/x2"),
+    ("graphcap", {"group": _Z1, "R": 3, "x1": [[0.5]], "norm": _S2}, "R/x1/x2"),
+    ("experiment", {"experiment": "hybrid", "gridsize": 2.6, "exponent_sets": [[2, 2]]}, "gridsize"),
+    ("experiment", {"experiment": "ratio", "n_scales": 2.5, "models": _MODELS}, "n_scales"),
+    ("experiment", {"experiment": "gamma1", "schedule": {"N_list": [16.9, 24]}}, "schedule.N_list"),
+    ("experiment", {"experiment": "hybrid", "gridsize": 2, "exponent_sets": [[2, 2]],
+                    "swap": "false"}, "swap"),
 ], ids=["tuple-components", "options-max-iters", "P-re", "group-d", "R", "x1-sphere",
         "scan-macaev", "scan-lorentz", "s", "norm-p", "ratio-models", "hybrid-exponents",
         "gamma1-N-list", "options-seed", "s-scalar", "options-refine", "transfer-no-norms",
@@ -294,7 +311,10 @@ def _ratio_second(model):
         "ratio-box-n2", "ratio-cantor-n3", "ratio-no-multiplicity", "ratio-cantor-negative-scale",
         "ratio-box-negative-length", "ratio-box-zero-scale", "ratio-cantor-two-multiplicities",
         "ratio-box-empty-spectrum", "scan-unordered", "scan-two-radii", "ratio-no-scales",
-        "hybrid-empty-grid", "hybrid-bad-exponents", "gamma1-small-N", "gamma1-no-scales"])
+        "hybrid-empty-grid", "hybrid-bad-exponents", "gamma1-small-N", "gamma1-no-scales",
+        "R-float", "R-bool", "scan-float-radius", "group-d-float", "group-k-float",
+        "custom-table-float", "x2-sphere-float", "x2-radius-at-least-float", "x1-key-float",
+        "hybrid-grid-float", "ratio-n-scales-float", "gamma1-N-float", "hybrid-swap-string"])
 def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # each of these used to end in a traceback (exit 1) or in a run that
     # misread the field: a Schatten-2 scan for the Lorentz norm, a refined
@@ -307,7 +327,9 @@ def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # error without the payload.models prefix); a scan's radii, a ratio's
     # n_scales, a hybrid grid or exponent set and a gamma1 N too small for its
     # modes used to be rejected by the solve, without the payload prefix; a
-    # gamma1 schedule with no N used to fail with an IndexError
+    # gamma1 schedule with no N used to fail with an IndexError; an integer
+    # field given as a fraction or a bool, or swap given as a string, used to
+    # solve another problem (R 2.5 as 2, true as 1, "false" as a swap)
     code = run(tmp_path, [command, "--inline", json.dumps(payload), "--out", "OUT"])
     err = capsys.readouterr().err
     assert code == 2

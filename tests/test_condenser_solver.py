@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcmod._solvers import Multistart, _inner, _smooth_schatten, max_norm_fg
+from qcmod import _solvers
+from qcmod._solvers import _inner, _smooth_schatten, max_norm_fg
 from qcmod.cayley import GroupSpec, build_ball, truncated_regular_rep
 from qcmod.condenser_solver import (
     SolveOptions,
@@ -26,6 +27,33 @@ from qcmod.ri_norms import NormSpec, matrix_norm, norm_subgradient
 from conftest import rand_hermitian, rand_unitary, tridiag_oracle
 
 OPTS = SolveOptions(max_iters=2000, tol=1e-9, seed=1, restarts=2)
+
+
+def _count_svds_and_fgs(monkeypatch):
+    """Count full SVDs, value-only SVDs and the evaluations of every exact
+    (``max_norm_fg``) and smoothed (``smooth_max_norm_fg``) objective that
+    ``solve_max_norm`` builds."""
+    calls = {"full": 0, "values": 0, "fg": 0, "smooth": 0}
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, compute_uv=True, **kwargs):
+        calls["full" if compute_uv else "values"] += 1
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    def counted(kernel, key):
+        def build(*args):
+            fg = kernel(*args)
+
+            def counted_fg(x):
+                calls[key] += 1
+                return fg(x)
+            return counted_fg
+        return build
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(_solvers, "max_norm_fg", counted(_solvers.max_norm_fg, "fg"))
+    monkeypatch.setattr(_solvers, "smooth_max_norm_fg", counted(_solvers.smooth_max_norm_fg, "smooth"))
+    return calls
 
 
 class TestSolveCondenser:
@@ -162,24 +190,26 @@ class TestSolveCondenser:
             ball = build_ball(GroupSpec("free", k=2), 3, X1="origin", X2={"sphere": 3})
             tau, spec = truncated_regular_rep(ball), NormSpec.lorentz(2)
             cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
-        calls = {"full": 0, "values": 0, "fg": 0}
-        svd, run_phases = np.linalg.svd, Multistart.run_phases
-
-        def counted_svd(a, *args, compute_uv=True, **kwargs):
-            calls["full" if compute_uv else "values"] += 1
-            return svd(a, *args, compute_uv=compute_uv, **kwargs)
-
-        def counted_phases(ms, x0, specs, opts, fg, *rest):
-            def counted_fg(x):
-                calls["fg"] += 1
-                return fg(x)
-            return run_phases(ms, x0, specs, opts, counted_fg, *rest)
-
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        monkeypatch.setattr(Multistart, "run_phases", counted_phases)
+        calls = _count_svds_and_fgs(monkeypatch)
         solve_condenser(tau, cond, spec, SolveOptions(max_iters=20, restarts=2, refine=False))
         assert calls["fg"] > 0
         assert calls["full"] == tau.n * calls["fg"]
+        assert calls["values"] == tau.n
+
+    @pytest.mark.parametrize("specs", [NormSpec.schatten(2), [NormSpec.schatten(2), NormSpec.schatten(3)]],
+                             ids=["s2", "s2-s3"])
+    def test_smooth_route_svds_per_restart(self, monkeypatch, specs):
+        # with every norm Schatten p > 1, a restart decomposes each component
+        # once per smoothed evaluation, once at its start (value and Huber
+        # scales) and once for its closing exact value; the exact kernel is
+        # never evaluated, and the final ``objective`` takes values alone
+        rng = np.random.default_rng(5)
+        tau = OperatorTuple.of([rand_hermitian(rng, 5), rand_hermitian(rng, 5)])
+        calls = _count_svds_and_fgs(monkeypatch)
+        solve_condenser(tau, make_condenser([0], [4], dim=5), specs,
+                        SolveOptions(max_iters=50, restarts=2, seed=3))
+        assert calls["smooth"] > 0 and calls["fg"] == 0
+        assert calls["full"] == tau.n * (calls["smooth"] + 2 * 2)
         assert calls["values"] == tau.n
 
     def test_feasibility_residuals(self, tridiag_example):

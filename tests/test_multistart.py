@@ -274,21 +274,28 @@ class TestMultistart:
         assert not rep.converged
         assert rep.history[-1] == (12, rep.value, 0.0)
 
-    def test_ladder_chains_fref_and_records_once(self):
-        calls = []
+    def test_ladder_chains_fref_and_records_once(self, monkeypatch):
+        # one Schatten-2 component whose spectrum at x is the vector [120 - 4 x]:
+        # the smooth route logs the start value 120, the stages chain fref from
+        # it, and the stages' last point x = 4 closes the restart at 104
+        calls, smoothings = [], []
+        monkeypatch.setattr(_solvers, "smooth_max_norm_fg",
+                            lambda spectra, specs, mus, eps, fref, pull: smoothings.append(
+                                (mus, eps, fref)) or len(smoothings) - 1)
 
-        def stage(k, eps, fref, x):
-            calls.append((k, eps, fref, x))
+        def stage(k, fg, x, f0, history):
+            calls.append((k, smoothings[fg][1:], x, f0))
             return x + 1, 10.0 - k, k == 3
 
-        def restart(ms, x0):
-            ms.ladder(x0, 20.0, stage, lambda x: 100.0 + x)
-
-        rep = _solve([0], restart, lambda x: 100.0 + x)
-        assert calls == [(k, eps, fref, k) for k, (eps, fref) in
-                         enumerate(zip(_solvers.SMOOTHING_LADDER, [20.0, 10.0, 9.0, 8.0]))]
-        # one row for the ladder's exact value, one for the solve's
-        assert rep.history == [(0, 104.0, 0.0), (1, 104.0, 0.0)]
+        rep = _solvers.solve_max_norm(lambda x: [(np.array([120.0 - 4.0 * x]), None)],
+                                      [NormSpec.schatten(2)], None, None, [0],
+                                      lambda x: (x, 100.0 + x, {"r": 0.0}), SolveOptions(), stage)
+        assert calls == [(k, (eps, fref), k, 120.0) for k, (eps, fref) in
+                         enumerate(zip(_solvers.SMOOTHING_LADDER, [120.0, 10.0, 9.0, 8.0]))]
+        # the Huber scale of each stage is its eps times the start's max |v|
+        assert [m for m, _, _ in smoothings] == [[eps * 120.0] for eps in _solvers.SMOOTHING_LADDER]
+        # one row for the start, one for the stages' exact value, one for the solve's
+        assert rep.history == [(0, 120.0, 0.0), (1, 104.0, 0.0), (2, 104.0, 0.0)]
         assert rep.extra["restart_values"] == [104.0] and rep.converged
 
 

@@ -100,6 +100,8 @@ def runs():
           "norm": s1, "options": opts}),
         ("graphcap_z3_R14_s2", "graphcap", {"group": z(3), "R": 14, "x1": "origin", "norm": s2}),
         ("graphcap_z2_R6_s1", "graphcap", {"group": z(2), "R": 6, "x1": "origin", "norm": s1}),
+        ("graphcap_z2_R6_s1_norefine", "graphcap",
+         {"group": z(2), "R": 6, "x1": "origin", "norm": s1, "options": {"refine": False}}),
         ("graphcap_z2_R6_s3", "graphcap", {"group": z(2), "R": 6, "x1": "origin", "norm": s3}),
         ("graphcap_f2_R3_lorentz", "graphcap",
          {"group": f2, "R": 3, "x1": "origin", "x2": {"sphere": 3}, "norm": lorentz}),
