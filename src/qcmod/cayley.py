@@ -42,14 +42,7 @@ from ._solvers import SolveOptions, SolveReport, _starts, fit_loglog, solve_max_
 from .condenser_solver import solve_condenser
 from .errors import ValidationError
 from .jsonio import as_int
-from .operator_core import (
-    ContractionVariable,
-    OperatorTuple,
-    embed,
-    make_condenser,
-    objective,
-    project_middle,
-)
+from .operator_core import OperatorTuple, make_condenser
 from .ri_norms import NormSpec, vector_norm
 
 #: Largest dense regular representation ``truncated_regular_rep`` builds, in
@@ -498,38 +491,24 @@ def verify_transfer(ball, spec, opts=None):
 
     The diagonal matrix of any feasible potential is a feasible matrix
     variable whose commutator entries are a sub-pattern of the difference
-    function, so k <= cap holds at every truncation. After the matrix solve,
-    the diagonal candidate of the graph minimizer replaces k when lower, so
-    the inequality holds for the reported upper bounds as well, and its value
-    is appended as the matrix report's last history row. The remaining gap is
-    reported.
+    function, so k <= cap holds at every truncation. The matrix solve starts
+    its first restart at the diagonal of the graph minimizer, and every
+    restart keeps its best point, so the inequality holds for the reported
+    upper bounds as well. The remaining gap is reported.
     """
     opts = opts or SolveOptions()
     tau = truncated_regular_rep(ball)
     cap_report = graph_capacity(ball, spec, opts)
     cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
-    k_report = solve_condenser(tau, cond, spec, opts)
-    k_value = k_report.value
-
-    if ball.X1.size and ball.X2.size:
-        # Feasible diagonal candidate from the graph minimizer.
-        u = np.asarray(cap_report.minimizer, dtype=float)
-        B_cand = cond.compress_middle(np.diag(u))
-        var = ContractionVariable(cond, project_middle(cond, B_cand))
-        cand_val = objective(tau, embed(var), spec)
-        if cand_val < k_value:
-            k_value = cand_val
-            k_report.value = cand_val
-            k_report.minimizer = var
-            k_report.history.append((len(k_report.history), cand_val, 0.0))
-            k_report.extra["diagonal_candidate_used"] = True
+    start = cond.compress_middle(np.diag(np.asarray(cap_report.minimizer, dtype=float)))
+    k_report = solve_condenser(tau, cond, spec, opts, start=start)
     return {
         "cap": cap_report.value,
-        "k": k_value,
-        "gap": cap_report.value - k_value,
+        "k": k_report.value,
+        "gap": cap_report.value - k_report.value,
         "cap_report": cap_report,
         "k_report": k_report,
-        "inequality_ok": k_value <= cap_report.value + 1e-9 * max(1.0, cap_report.value),
+        "inequality_ok": k_report.value <= cap_report.value + 1e-9 * max(1.0, cap_report.value),
     }
 
 

@@ -10,8 +10,10 @@ and ``SolveReport`` this module re-exports), which the graph capacity
 shares: it routes the phases, runs the ε stages and returns the report.
 This module supplies its ``spectra``: one SVD per component per evaluation,
 of the block outside which the commutator vanishes (``commutator_blocks``),
-the projection onto the feasible middle blocks, the start blocks and the ε
-stage, a run of projected descent on the smoothed objective.
+formed from the block of A on the condenser's support alone when that
+support is not the whole space, the projection onto the feasible middle
+blocks, the start blocks and the ε stage, a run of projected descent on the
+smoothed objective.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from .operator_core import (
     ContractionVariable,
     _herm,
     _middle_starts,
+    _support,
     commutator,
     commutator_blocks,
     embed,
@@ -33,47 +36,69 @@ from .operator_core import (
 from .ri_norms import spec_list
 
 
-def _block(C, blk):
-    """The block ``blk`` of C (``commutator_blocks``); C itself for None."""
-    return C if blk is None else C[blk]
-
-
-def _scatter(G, blk, d):
-    """A block-shaped G as the d x d matrix that is zero outside ``blk``."""
-    if blk is None:
-        return G
-    out = np.zeros((d, d), dtype=G.dtype)
-    out[blk] = G
-    return out
-
-
 def _padded(s, d):
     """The singular values s of a block padded with zeros to the d of the
     whole commutator."""
     return s if s.size == d else np.concatenate((s, np.zeros(d - s.size)))
 
 
+def _block_commutator(T, S, blk, d):
+    """(form, lift) of one component on a condenser with support S (``_support``)
+    smaller than the space: ``form(A_S)`` is the ``commutator_blocks`` block
+    ``blk`` of [A, T], built from the S x S block A_S of A alone, and
+    ``lift(G)`` is the S x S block of [G, T^*] for a G zero outside ``blk``
+    and given as that block."""
+    rows, cols = (np.arange(d),) * 2 if blk is None else (blk[0].ravel(), blk[1].ravel())
+    sr, sc = np.searchsorted(rows, S), np.searchsorted(cols, S)
+    T_right, T_left = T[np.ix_(S, cols)], T[np.ix_(rows, S)]
+    Tc_right, Tc_left = T_right.conj().T, T_left.conj().T
+
+    def form(A_S):
+        C = np.zeros((rows.size, cols.size), dtype=np.result_type(A_S, T))
+        C[sr] = A_S @ T_right
+        C[:, sc] -= T_left @ A_S
+        return C
+
+    return form, lambda G: G[sr] @ Tc_right - Tc_left @ G[:, sc]
+
+
 def _spectra(tau, cond):
     """(``spectra``, ``pull``) of the condenser objective for ``max_norm_fg``.
     ``spectra(B)`` takes per component one full SVD U s V* of the
-    ``commutator_blocks`` entry of [A, T_j], A = embed_middle(B), and gives s
+    ``commutator_blocks`` block of [A, T_j], A = P (+) B (+) 0, and gives s
     padded with the d - r structural zeros (the block has the commutator's
-    nonzero singular values) and the lift w -> [scatter(U diag(w[:r]) V*), T_j^*];
-    ``pull`` maps a lifted d x d gradient W to herm(Vm^* W Vm)."""
-    Tcs = [T.conj().T for T in tau.components]
-    blocks = commutator_blocks(tau, cond)
-    Vm = cond.basis_mid
-    d = cond.dim
+    nonzero singular values) and the lift w -> [G, T_j^*], G = U diag(w[:r]) V*
+    placed in the block; ``pull`` maps a lifted gradient W to herm(Vm^* W Vm).
 
-    def lift(U, Vh, Tc, t, blk):
-        return lambda w: commutator(_scatter((U * w[:Vh.shape[0]]) @ Vh, blk, d), Tc, t)
+    A condenser whose support S (``_support``) is the whole space, such as a
+    dense (Fourier) basis, forms A = ``embed_middle(B)``, the whole commutator
+    (``commutator``, with its diagonal broadcasting) and the d x d lift. Any
+    other works on S x S alone (``_block_commutator``): A_S = P_SS + Vm_S B
+    Vm_S^*, the block from A_S and the rows and columns S of T_j, and the
+    S x S block of the lift, which is all that ``pull`` reads. On partial
+    permutations each product entry has one nonzero term, so both forms give
+    the same bits."""
+    d, S = cond.dim, _support(cond)
+    if S.size == d:
+        Vm, embed_ = cond.basis_mid, cond.embed_middle
+        parts = [(lambda A, T=T, t=t: commutator(A, T, t),
+                  lambda G, Tc=T.conj().T, t=t: commutator(G, Tc, t))
+                 for T, t in zip(tau.components, tau.diagonals)]
+    else:
+        P_S, Vm = cond.P[np.ix_(S, S)], cond.basis_mid[S]
+        embed_ = lambda B: P_S + Vm @ B @ Vm.conj().T
+        parts = [_block_commutator(T, S, blk, d)
+                 for T, blk in zip(tau.components, commutator_blocks(tau, cond))]
+
+    def lifted(U, Vh, lift):
+        return lambda w: lift((U * w[:Vh.shape[0]]) @ Vh)
 
     def spectra(B):
-        A = cond.embed_middle(B)
+        A = embed_(B)
         out = []
-        for T, Tc, t, blk in zip(tau.components, Tcs, tau.diagonals, blocks):
-            U, s, Vh = np.linalg.svd(_block(commutator(A, T, t), blk), full_matrices=False)
-            out.append((_padded(s, d), lift(U, Vh, Tc, t, blk)))
+        for form, lift in parts:
+            U, s, Vh = np.linalg.svd(form(A), full_matrices=False)
+            out.append((_padded(s, d), lifted(U, Vh, lift)))
         return out
 
     return spectra, lambda W: _herm(Vm.conj().T @ W @ Vm)
@@ -91,11 +116,19 @@ def _feasibility(cond, var):
     return res
 
 
-def solve_condenser(tau, cond, specs, opts=None):
-    """Minimize max_j |[A, T_j]|_{J_j} over the feasible set of the condenser."""
+def solve_condenser(tau, cond, specs, opts=None, *, start=None):
+    """Minimize max_j |[A, T_j]|_{J_j} over the feasible set of the condenser.
+
+    ``start`` is the first restart's middle block, projected onto the
+    feasible set (default: the center 0.5 I); the seeded starts of later
+    restarts do not depend on it. Every restart keeps its best point, so the
+    value is at most that of the projected ``start``.
+    """
     opts = opts or SolveOptions()
     if cond.dim != tau.dim:
         raise ValidationError(f"condenser dimension {cond.dim} != tuple dimension {tau.dim}")
+    if start is not None and np.shape(start) != (cond.m0, cond.m0):
+        raise ValidationError(f"start block must be {cond.m0} x {cond.m0}, got {np.shape(start)}")
     specs = spec_list(specs, tau.n)
 
     if cond.m0 == 0 or cond.rank_p == 0:
@@ -120,7 +153,8 @@ def solve_condenser(tau, cond, specs, opts=None):
         return var, objective(tau, embed(var), specs), _feasibility(cond, var)
 
     spectra, pull = _spectra(tau, cond)
-    starts = _starts(*_middle_starts(cond, np.sqrt(max(cond.m0, 1))), opts)
+    center, draw = _middle_starts(cond, np.sqrt(max(cond.m0, 1)))
+    starts = _starts(center if start is None else proj(start), draw, opts)
     return solve_max_norm(spectra, specs, pull, proj, starts, finish, opts, stage, m0=cond.m0)
 
 

@@ -137,8 +137,8 @@ def projection_from_json(obj):
     the ambient dimension for the index form.
     """
     if isinstance(obj, dict) and "basis_indices" in obj:
-        idx = obj["basis_indices"]
-        if not all(isinstance(i, int) and i >= 0 for i in idx):
+        idx = [as_int(i, "basis_indices entry") for i in obj["basis_indices"]]
+        if any(i < 0 for i in idx):
             raise ValidationError("basis_indices must be nonnegative integers")
-        return ("indices", list(idx))
+        return ("indices", idx)
     return matrix_from_json(obj)

@@ -348,19 +348,25 @@ def commutator(A, T, t):
     return A @ T - T @ A
 
 
+def _support(cond):
+    """S, the sorted nonzero rows of ``basis_p`` and ``basis_mid``: every
+    feasible A = P (+) B0 (+) 0 is zero outside S x S."""
+    return np.flatnonzero(np.any(cond.basis_p != 0, axis=1) | np.any(cond.basis_mid != 0, axis=1))
+
+
 def commutator_blocks(tau, cond):
     """Per component T_j, the block outside which [A, T_j] vanishes for every
     feasible A = P (+) B0 (+) 0, as an ``np.ix_`` index pair (rows, columns),
     or None when it is the whole matrix.
 
-    A is zero outside S x S, S the nonzero rows of ``basis_p`` and
-    ``basis_mid``, so A T_j lives in the rows S and the columns that the rows
-    S of T_j reach, and T_j A in the columns S and the rows that the columns
-    S of T_j reach. Those entries of a computed commutator are exact zeros,
-    and the block's singular values are the nonzero ones of [A, T_j].
-    Dense-basis condensers (S everything) get None for every component.
+    A is zero outside S x S (``_support``), so A T_j lives in the rows S and
+    the columns that the rows S of T_j reach, and T_j A in the columns S and
+    the rows that the columns S of T_j reach. Those entries of a computed
+    commutator are exact zeros, and the block's singular values are the
+    nonzero ones of [A, T_j]. Dense-basis condensers (S everything) get None
+    for every component.
     """
-    S = np.flatnonzero(np.any(cond.basis_p != 0, axis=1) | np.any(cond.basis_mid != 0, axis=1))
+    S = _support(cond)
     blocks = []
     for T in tau.components:
         rows = np.union1d(S, np.flatnonzero(np.any(T[:, S] != 0, axis=1)))

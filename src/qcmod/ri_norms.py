@@ -195,9 +195,12 @@ def _vector_subgradient(v, spec, norm=None):
     if a.size == 0 or a.max() == 0.0:
         return np.zeros_like(v, dtype=float if not np.iscomplexobj(v) else complex)
     if spec.kind != "schatten":
+        # the zero group sorts last and its phase is 0: average only the rest
         order = np.argsort(-a, kind="stable")
-        d = np.empty(a.size)
-        d[order] = _tie_averaged(a[order], _eval_weights(spec, a.size))
+        srt = a[order]
+        nz = np.count_nonzero(srt)
+        d = np.zeros(a.size)
+        d[order[:nz]] = _tie_averaged(srt[:nz], _eval_weights(spec, a.size)[:nz])
     elif spec.p == 1:
         d = np.ones(a.size)
     else:

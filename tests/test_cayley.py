@@ -21,6 +21,7 @@ from qcmod.cayley import (
 )
 from qcmod.condenser_solver import SolveOptions
 from qcmod.errors import ValidationError
+from qcmod.operator_core import ContractionVariable, embed, make_condenser, objective, project_middle
 from qcmod.ri_norms import NormSpec, vector_norm, vector_norm_subgradient
 
 Z = GroupSpec("zd", d=1)
@@ -371,13 +372,41 @@ class TestTransfer:
 
     @pytest.mark.parametrize("spec", [NormSpec.schatten(1), NormSpec.schatten(2)], ids=["s1", "s2"])
     def test_diagonal_candidate_closes_the_history(self, spec):
-        # on this ball the graph minimizer's diagonal undercuts the matrix
-        # solve (S1: 1.9999999999999998 against 2.0); the report's value is
-        # still its last history row
+        # the matrix solve starts at the diagonal of the graph minimizer, so its
+        # first history row is that candidate's value and k is at most it (up
+        # to the rounding of the block SVD the solve minimizes against the
+        # whole-matrix SVD of ``objective``: S1 reads 2.0 at a point whose
+        # block value is 1.9999999999999996); the report's value is still its
+        # last history row
         ball = build_ball(Z, 8, X1="origin", X2={"radius_at_least": 6})
-        k = verify_transfer(ball, spec, OPTS)["k_report"]
-        assert k.extra["diagonal_candidate_used"]
+        out = verify_transfer(ball, spec, OPTS)
+        k = out["k_report"]
+        cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
+        B = project_middle(cond, cond.compress_middle(np.diag(out["cap_report"].minimizer)))
+        candidate = objective(truncated_regular_rep(ball), embed(ContractionVariable(cond, B)), spec)
+        assert k.value <= candidate * (1 + 1e-14)
+        assert k.history[0][1] == pytest.approx(candidate, rel=1e-14)
         assert k.history[-1] == (k.iters - 1, k.value, 0.0)
+
+    def test_f2_lorentz_matrix_solve_starts_at_the_candidate(self, monkeypatch):
+        # CLI transfer options, one restart. From the graph minimizer's
+        # diagonal the matrix solve's subgradient phase stops at its floor
+        # (29 halvings of delta at 50 steps per window, 1,450 steps); from
+        # 0.5 I it ran 2,700 steps to a value above the capacity
+        steps = []
+        engine = _solvers.projected_subgradient
+
+        def counted(fg, project, x0, **kwargs):
+            out = engine(fg, project, x0, **kwargs)
+            if np.ndim(x0) == 2:  # the matrix solve's middle block, not a potential
+                steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(_solvers, "projected_subgradient", counted)
+        ball = build_ball(F2, 3, X1="origin", X2={"sphere": 3})
+        out = verify_transfer(ball, NormSpec.lorentz(2), SolveOptions(max_iters=3000, tol=1e-9, restarts=1))
+        assert len(steps) == 1 and steps[0] <= 1500
+        assert out["k"] <= out["cap"]
 
     def test_empty_inner_plate_both_zero(self):
         ball = build_ball(Z, 4, X2={"sphere": 4})

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcmod import _solvers
-from qcmod._solvers import _inner, _smooth_schatten, max_norm_fg
+from qcmod._solvers import _inner, _smooth_schatten, max_norm_fg, smooth_max_norm_fg
 from qcmod.cayley import GroupSpec, build_ball, truncated_regular_rep
 from qcmod.condenser_solver import (
     SolveOptions,
-    _block,
     _extrapolate,
     _padded,
-    _scatter,
     _spectra,
     scale_sweep,
     solve_condenser,
@@ -20,8 +18,8 @@ from qcmod.condenser_solver import (
 )
 from qcmod.errors import ValidationError
 from qcmod.experiments import gamma1_schedule, timefreq_problem
-from qcmod.operator_core import (ContractionVariable, OperatorTuple, commutator, commutator_blocks,
-                                 embed, make_condenser, objective, project_middle)
+from qcmod.operator_core import (Condenser, ContractionVariable, OperatorTuple, _herm, commutator,
+                                 commutator_blocks, embed, make_condenser, objective, project_middle)
 from qcmod.ri_norms import NormSpec, matrix_norm, norm_subgradient
 
 from conftest import rand_hermitian, rand_unitary, tridiag_oracle
@@ -281,6 +279,54 @@ BLOCK_SPECS = [NormSpec.schatten(1), NormSpec.schatten(2), NormSpec.schatten(3),
                NormSpec.macaev(), NormSpec.from_weights([3.0, 2.0, 2.0, 1.0, 0.5])]
 
 
+def _block(C, blk):
+    """The block ``blk`` of C (``commutator_blocks``); C itself for None."""
+    return C if blk is None else C[blk]
+
+
+def _scatter(G, blk, d):
+    """A block-shaped G as the d x d matrix that is zero outside ``blk``."""
+    if blk is None:
+        return G
+    out = np.zeros((d, d), dtype=G.dtype)
+    out[blk] = G
+    return out
+
+
+def _whole_matrix_spectra(tau, cond):
+    """The d x d form of ``_spectra``, the reference for its block form:
+    A = embed_middle(B), the whole commutator [A, T_j] cut to its
+    ``commutator_blocks`` block, and the lift [G, T_j^*] of the scattered G
+    as a d x d matrix."""
+    blocks, d, Vm = commutator_blocks(tau, cond), cond.dim, cond.basis_mid
+
+    def spectra(B):
+        A = cond.embed_middle(B)
+        out = []
+        for T, t, blk in zip(tau.components, tau.diagonals, blocks):
+            U, s, Vh = np.linalg.svd(_block(commutator(A, T, t), blk), full_matrices=False)
+            lift = lambda w, U=U, Vh=Vh, Tc=T.conj().T, t=t, blk=blk: commutator(
+                _scatter((U * w[:Vh.shape[0]]) @ Vh, blk, d), Tc, t)
+            out.append((_padded(s, d), lift))
+        return out
+
+    return spectra, lambda W: _herm(Vm.conj().T @ W @ Vm)
+
+
+def _f2_ball_problem():
+    ball = build_ball(GroupSpec("free", k=2), 3, X1="origin", X2={"sphere": 3})
+    return truncated_regular_rep(ball), make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
+
+
+def _path_hop_problem():
+    """The 8-dim tuple (path, 2·hop), hop coupling sites two apart, with plates
+    e1 / e8: every block is the whole matrix, but the support is not."""
+    d = 8
+    path = np.diag(np.ones(d - 1), 1) + np.diag(np.ones(d - 1), -1)
+    hop = np.diag(np.ones(d - 2), 2) + np.diag(np.ones(d - 2), -2)
+    return OperatorTuple.of([path, 2 * hop]), make_condenser([0], [d - 1], dim=d)
+
+
 @st.composite
 def plate_problems(draw):
     """A random index-plate condenser (d <= 12) with partial-permutation,
@@ -364,18 +410,64 @@ class TestCommutatorBlocks:
     @settings(max_examples=60, deadline=None)
     @given(plate_problems())
     def test_kernel_value_and_pulled_subgradient(self, problem):
-        # max_norm_fg on the block spectra: the value of ``objective`` and a
-        # subgradient of it in the middle block
+        # max_norm_fg on the block spectra: the value of ``objective``, the
+        # value and subgradient of the d x d formula, and a subgradient of the
+        # objective in the middle block
         tau, cond, B, _, _, rng = problem
         spectra, pull = _spectra(tau, cond)
+        whole, whole_pull = _whole_matrix_spectra(tau, cond)
         for sp in BLOCK_SPECS:
             specs = [sp] * tau.n
             f, g = max_norm_fg(spectra, specs, pull)(B)
             assert abs(f - objective(tau, cond.embed_middle(B), specs)) <= 1e-12 * max(1.0, f)
+            f_whole, g_whole = max_norm_fg(whole, specs, whole_pull)(B)
+            assert abs(f - f_whole) <= 1e-12 * max(1.0, f)
+            assert np.abs(g - g_whole).max() <= 1e-12 * max(1.0, np.abs(g_whole).max())
             for _ in range(3):
                 B2 = project_middle(cond, rand_hermitian(rng, cond.m0))
                 f2 = objective(tau, cond.embed_middle(B2), specs)
                 assert f2 >= f + _inner(g, B2 - B) - 1e-12
+
+    @pytest.mark.parametrize("problem, tol", [(_f2_ball_problem, 0.0), (_path_hop_problem, 1e-12)],
+                             ids=["f2_R3", "path_hop"])
+    def test_block_kernel_is_the_whole_matrix_formula(self, problem, tol):
+        # partial permutations: every product entry has one nonzero term, so
+        # the exact and smoothed fg are the d x d formula's bit for bit; dense
+        # components may round differently
+        tau, cond = problem()
+        block, whole = _spectra(tau, cond), _whole_matrix_spectra(tau, cond)
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            B = project_middle(cond, 0.5 * np.eye(cond.m0) + 0.3 * rand_hermitian(rng, cond.m0))
+            for sp in BLOCK_SPECS:
+                specs = [sp] * tau.n
+                fgs = [max_norm_fg(spectra, specs, pull)(B) for spectra, pull in (block, whole)]
+                if sp.kind == "schatten":
+                    fgs += [smooth_max_norm_fg(spectra, specs, [1e-3] * tau.n, 1e-2, fgs[0][0], pull)(B)
+                            for spectra, pull in (block, whole)]
+                for (f, g), (f_whole, g_whole) in zip(fgs[::2], fgs[1::2]):
+                    if tol == 0.0:
+                        assert f == f_whole
+                        np.testing.assert_array_equal(g.view(np.uint64), g_whole.view(np.uint64))
+                    else:
+                        assert abs(f - f_whole) <= tol * f_whole
+                        assert np.abs(g - g_whole).max() <= tol * np.abs(g_whole).max()
+
+    @pytest.mark.parametrize("problem, calls_per_fg", [
+        (_f2_ball_problem, 0), (lambda: timefreq_problem(*gamma1_schedule([32])[0]), 1)],
+        ids=["index", "dense"])
+    def test_embed_middle_only_on_a_dense_support(self, monkeypatch, problem, calls_per_fg):
+        # an index condenser forms A on its support alone; a dense basis
+        # embeds the whole matrix once per evaluation
+        tau, cond = problem()
+        calls = []
+        embed_middle = Condenser.embed_middle
+        monkeypatch.setattr(Condenser, "embed_middle", lambda self, B: calls.append(1) or embed_middle(self, B))
+        spectra, pull = _spectra(tau, cond)
+        fg = max_norm_fg(spectra, [NormSpec.schatten(1)] * tau.n, pull)
+        for _ in range(3):
+            fg(0.5 * np.eye(cond.m0))
+        assert len(calls) == 3 * calls_per_fg
 
     def test_dense_basis_condenser_has_no_block(self):
         assert commutator_blocks(*timefreq_problem(128, 7, 65)) == [None]

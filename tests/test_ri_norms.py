@@ -193,6 +193,25 @@ class TestSubgradientFastPaths:
                 self._argsort_path(v, spec).view(np.uint64),
             )
 
+    @pytest.mark.parametrize("spec", [NormSpec.lorentz(2), NormSpec.macaev(),
+                                      NormSpec.from_weights([1.0, 0.5, 0.5, 0.1])],
+                             ids=["lorentz", "macaev", "short-weights"])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_weighted_skips_the_zero_group_bitwise(self, spec, complex_):
+        # the weights of the zero group are not averaged, since its phase is 0
+        rng = np.random.default_rng(43)
+        for trial in range(300):
+            n = int(rng.integers(1, 60))
+            v = rng.integers(-3, 4, size=n).astype(float)  # zeros and ties
+            if trial % 2:
+                v = v * rng.uniform(0.1, 2.0, size=n)
+            if complex_:
+                v = v * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
+            np.testing.assert_array_equal(
+                vector_norm_subgradient(v, spec).view(np.uint64),
+                self._argsort_path(v, spec).view(np.uint64),
+            )
+
     @staticmethod
     def _loop_tie_averaged(values_sorted, w):
         out = np.array(w, dtype=float)
