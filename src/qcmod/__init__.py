@@ -8,12 +8,10 @@ from .operator_core import (
     Condenser,
     ContractionVariable,
     OperatorTuple,
-    commutator_column,
     commutators,
     embed,
     make_condenser,
     objective,
-    project_to_feasible,
 )
 from .condenser_solver import SolveOptions, SolveReport, scale_sweep, solve_condenser, sup_over_projections
 from .cayley import (
@@ -46,7 +44,7 @@ from .experiments import (
 __all__ = [
     "NormSpec", "induced_weights", "vector_norm", "matrix_norm", "norm_subgradient",
     "OperatorTuple", "Condenser", "ContractionVariable", "make_condenser", "embed",
-    "project_to_feasible", "commutators", "commutator_column", "objective",
+    "commutators", "objective",
     "SolveOptions", "SolveReport", "solve_condenser", "sup_over_projections", "scale_sweep",
     "GroupSpec", "CayleyBall", "build_ball", "graph_capacity", "truncated_regular_rep",
     "verify_transfer", "parabolicity_scan", "harmonic_capacity_oracle",

@@ -10,10 +10,9 @@ and ``SolveReport`` this module re-exports), which the graph capacity
 shares: it routes the phases, runs the ε stages and returns the report.
 This module supplies its ``spectra``: one SVD per component per evaluation,
 of the block outside which the commutator vanishes (``commutator_blocks``),
-formed from the block of A on the condenser's support alone when that
-support is not the whole space, the projection onto the feasible middle
-blocks, the start blocks and the ε stage, a run of projected descent on the
-smoothed objective.
+formed from the block of A on the condenser's support alone, the projection
+onto the feasible middle blocks, the start blocks and the ε stage, a run of
+projected descent on the smoothed objective.
 """
 
 import numpy as np
@@ -42,13 +41,20 @@ def _padded(s, d):
     return s if s.size == d else np.concatenate((s, np.zeros(d - s.size)))
 
 
-def _block_commutator(T, S, blk, d):
-    """(form, lift) of one component on a condenser with support S (``_support``)
-    smaller than the space: ``form(A_S)`` is the ``commutator_blocks`` block
-    ``blk`` of [A, T], built from the S x S block A_S of A alone, and
+def _block_commutator(T, t, S, blk, d):
+    """(form, lift) of one component T (real diagonal t or None) on a condenser
+    with support S (``_support``): ``form(A_S)`` is the ``commutator_blocks``
+    block ``blk`` of [A, T], built from the S x S block A_S of A alone, and
     ``lift(G)`` is the S x S block of [G, T^*] for a G zero outside ``blk``
-    and given as that block."""
+    and given as that block. Where T and T^* map S into S, the block is
+    S x S and both are ``commutator`` of T_SS, with its diagonal
+    broadcasting; elsewhere the block is zero-padded around the rows and
+    columns S."""
     rows, cols = (np.arange(d),) * 2 if blk is None else (blk[0].ravel(), blk[1].ravel())
+    if rows.size == cols.size == S.size:
+        T_S, t_S = T[np.ix_(S, S)], None if t is None else t[S]
+        Tc_S = T_S.conj().T
+        return lambda A_S: commutator(A_S, T_S, t_S), lambda G: commutator(G, Tc_S, t_S)
     sr, sc = np.searchsorted(rows, S), np.searchsorted(cols, S)
     T_right, T_left = T[np.ix_(S, cols)], T[np.ix_(rows, S)]
     Tc_right, Tc_left = T_right.conj().T, T_left.conj().T
@@ -64,40 +70,30 @@ def _block_commutator(T, S, blk, d):
 
 def _spectra(tau, cond):
     """(``spectra``, ``pull``) of the condenser objective for ``max_norm_fg``.
-    ``spectra(B)`` takes per component one full SVD U s V* of the
-    ``commutator_blocks`` block of [A, T_j], A = P (+) B (+) 0, and gives s
-    padded with the d - r structural zeros (the block has the commutator's
-    nonzero singular values) and the lift w -> [G, T_j^*], G = U diag(w[:r]) V*
-    placed in the block; ``pull`` maps a lifted gradient W to herm(Vm^* W Vm).
-
-    A condenser whose support S (``_support``) is the whole space, such as a
-    dense (Fourier) basis, forms A = ``embed_middle(B)``, the whole commutator
-    (``commutator``, with its diagonal broadcasting) and the d x d lift. Any
-    other works on S x S alone (``_block_commutator``): A_S = P_SS + Vm_S B
-    Vm_S^*, the block from A_S and the rows and columns S of T_j, and the
-    S x S block of the lift, which is all that ``pull`` reads. On partial
-    permutations each product entry has one nonzero term, so both forms give
-    the same bits."""
+    ``spectra(B)`` forms A_S = P_SS + Vm_S B Vm_S^*, the block of
+    A = P (+) B (+) 0 on the support S (``_support``; everything for a dense
+    basis, where this is ``embed_middle``'s arithmetic). Per component it
+    takes one full SVD U s V* of the ``commutator_blocks`` block of [A, T_j],
+    built from A_S (``_block_commutator``), and gives s padded with the
+    d - r structural zeros (the block has the commutator's nonzero singular
+    values) and the lift w -> the S x S block of [G, T_j^*], G = U diag(w[:r])
+    V* placed in the block. ``pull`` maps that lift W to herm(Vm_S^* W Vm_S).
+    On partial permutations and diagonals each product entry has one nonzero
+    term, and on a dense basis the arithmetic is the d x d formula's, so the
+    values are its bits."""
     d, S = cond.dim, _support(cond)
-    if S.size == d:
-        Vm, embed_ = cond.basis_mid, cond.embed_middle
-        parts = [(lambda A, T=T, t=t: commutator(A, T, t),
-                  lambda G, Tc=T.conj().T, t=t: commutator(G, Tc, t))
-                 for T, t in zip(tau.components, tau.diagonals)]
-    else:
-        P_S, Vm = cond.P[np.ix_(S, S)], cond.basis_mid[S]
-        embed_ = lambda B: P_S + Vm @ B @ Vm.conj().T
-        parts = [_block_commutator(T, S, blk, d)
-                 for T, blk in zip(tau.components, commutator_blocks(tau, cond))]
+    P_S, Vm = cond.P[np.ix_(S, S)], cond.basis_mid[S]
+    parts = [_block_commutator(T, t, S, blk, d)
+             for T, t, blk in zip(tau.components, tau.diagonals, commutator_blocks(tau, cond))]
 
     def lifted(U, Vh, lift):
         return lambda w: lift((U * w[:Vh.shape[0]]) @ Vh)
 
     def spectra(B):
-        A = embed_(B)
+        A_S = P_S + Vm @ B @ Vm.conj().T
         out = []
         for form, lift in parts:
-            U, s, Vh = np.linalg.svd(form(A), full_matrices=False)
+            U, s, Vh = np.linalg.svd(form(A_S), full_matrices=False)
             out.append((_padded(s, d), lifted(U, Vh, lift)))
         return out
 

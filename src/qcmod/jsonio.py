@@ -120,7 +120,7 @@ def matrix_from_json(obj):
     re = np.asarray(obj["re"], dtype=float)
     if re.ndim != 2:
         raise ValidationError('matrix "re" must be a 2-d array of numbers')
-    if "dim" in obj and re.shape != (int(obj["dim"]), int(obj["dim"])):
+    if "dim" in obj and re.shape != (as_int(obj["dim"], 'matrix "dim"'),) * 2:
         raise ValidationError(f'matrix "re" shape {re.shape} disagrees with "dim" {obj["dim"]}')
     if "im" in obj:
         im = np.asarray(obj["im"], dtype=float)

@@ -325,16 +325,6 @@ def _middle_starts(cond, divisor):
     return center, draw
 
 
-def project_to_feasible(condenser, A_raw):
-    """Compress a full-space selfadjoint matrix to the middle block and clip.
-
-    This is the metric projection onto the feasible set in Frobenius geometry
-    restricted to the block-diagonal structure.
-    """
-    B = project_middle(condenser, condenser.compress_middle(np.asarray(A_raw)))
-    return ContractionVariable(condenser, B)
-
-
 def commutator(A, T, t):
     """[A, T] = A T - T A.
 
@@ -363,8 +353,8 @@ def commutator_blocks(tau, cond):
     the columns that the rows S of T_j reach, and T_j A in the columns S and
     the rows that the columns S of T_j reach. Those entries of a computed
     commutator are exact zeros, and the block's singular values are the
-    nonzero ones of [A, T_j]. Dense-basis condensers (S everything) get None
-    for every component.
+    nonzero ones of [A, T_j]. The block is S x S where T_j and T_j^* map S
+    into S, so on a dense basis (S everything) every block is None.
     """
     S = _support(cond)
     blocks = []
@@ -379,11 +369,6 @@ def commutator_blocks(tau, cond):
 def commutators(tau, A):
     """Per-component commutators [A, T_j] = A T_j - T_j A."""
     return [commutator(A, T, t) for T, t in zip(tau.components, tau.diagonals)]
-
-
-def commutator_column(tau, A):
-    """Stacked nd x d block column of the per-component commutators."""
-    return np.vstack(commutators(tau, A))
 
 
 def objective(tau, A, specs):

@@ -160,25 +160,28 @@ def minimize_smooth(prob, opts=None):
     return Multistart.solve(_starts(*_middle_starts(cond, 1.0), opts), restart, finish, p=prob.p)
 
 
-def euler_lagrange_report(prob, X, eps1=1e-6, delta=None):
+_EPS1 = 1e-6  # euler_lagrange_report's level-set tolerance
+_DELTA_REL = 1e-6  # and its sign-condition slack, relative to ||Theta||_op
+
+
+def euler_lagrange_report(prob, X):
     """Sign-condition certificates at a converged minimizer.
 
     P1 / Q1 are the maximal spectral projections of X for eigenvalues within
-    eps1 of 1 / 0; they contain P / Q and are mutually orthogonal. The
-    gradient of I is -(p/2) Theta and X may only decrease on ran(P1 - P) and
-    only increase on ran(Q1 - Q), so X is optimal when the compressions of
-    -Theta (whose spectra ``compression_eigs`` holds) satisfy
+    eps1 = ``_EPS1`` of 1 / 0; they contain P / Q and are mutually
+    orthogonal. The gradient of I is -(p/2) Theta and X may only decrease on
+    ran(P1 - P) and only increase on ran(Q1 - Q), so X is optimal when the
+    compressions of -Theta (whose spectra ``compression_eigs`` holds) satisfy
 
         (I - P - Q1) (-Theta) (I - P - Q1)  <= +delta,
         (I - P1 - Q) (-Theta) (I - P1 - Q)  >= -delta,
         spectral radius of (I - P1 - Q1) (-Theta) (I - P1 - Q1) <= delta,
 
-    with delta defaulting to 1e-6 * ||Theta||_op. Eigenvalues of X falling in
+    with delta = ``_DELTA_REL`` * ||Theta||_op. Eigenvalues of X falling in
     (eps1, 2 eps1) or (1 - 2 eps1, 1 - eps1) make the level-set extraction
     ambiguous; the report is then flagged "boundary-ambiguous".
     """
-    Xm = _as_matrix(X)
-    d = prob.tau.dim
+    Xm, d, eps1 = _as_matrix(X), prob.tau.dim, _EPS1
     w, V = np.linalg.eigh(_herm(Xm))
     hi = w >= 1.0 - eps1
     lo = w <= eps1
@@ -193,8 +196,7 @@ def euler_lagrange_report(prob, X, eps1=1e-6, delta=None):
     rep = theta(prob, Xm)
     Th = rep.Theta
     th_op = float(np.linalg.norm(Th, 2))
-    if delta is None:
-        delta = 1e-6 * max(th_op, 1e-300)
+    delta = _DELTA_REL * max(th_op, 1e-300)
 
     I = np.eye(d, dtype=Th.dtype)
     P, Q = prob.condenser.P, prob.condenser.Q

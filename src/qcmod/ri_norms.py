@@ -178,18 +178,13 @@ def norm_subgradient(M, spec):
     return (U * _vector_subgradient(s, spec)) @ Vh
 
 
-def vector_norm_subgradient(v, spec):
-    """Subgradient of ``vector_norm`` at a real or complex vector."""
-    return _vector_subgradient(v, spec)
-
-
 def _vector_subgradient(v, spec, norm=None):
-    """``vector_norm_subgradient``: the gauge subgradient d at |v| (Schatten:
-    entrywise (|v| / norm)^(p - 1), so |v| needs no sorting; weighted norms:
-    the weights, tie-averaged, at the rank of each entry), times the phase of
-    v (0 where v = 0). ``norm`` is vector_norm(v, spec) when the caller
-    already has it, which spares the Schatten gauge a sort. Private so that
-    the public signature stays (v, spec)."""
+    """Subgradient of ``vector_norm`` at a real or complex vector v: the gauge
+    subgradient d at |v| (Schatten: entrywise (|v| / norm)^(p - 1), so |v|
+    needs no sorting; weighted norms: the weights, tie-averaged, at the rank
+    of each entry), times the phase of v (0 where v = 0). ``norm`` is
+    vector_norm(v, spec) when the caller already has it, which spares the
+    Schatten gauge a sort."""
     v = np.asarray(v)
     a = np.abs(v)
     if a.size == 0 or a.max() == 0.0:

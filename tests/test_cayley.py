@@ -22,7 +22,7 @@ from qcmod.cayley import (
 from qcmod.condenser_solver import SolveOptions
 from qcmod.errors import ValidationError
 from qcmod.operator_core import ContractionVariable, embed, make_condenser, objective, project_middle
-from qcmod.ri_norms import NormSpec, vector_norm, vector_norm_subgradient
+from qcmod.ri_norms import NormSpec, _vector_subgradient, vector_norm
 
 Z = GroupSpec("zd", d=1)
 Z2 = GroupSpec("zd", d=2)
@@ -319,7 +319,7 @@ class TestGraphCapacity:
     def test_kernel_is_the_norm_and_its_subgradient(self, monkeypatch, spec):
         # the exact fg graph_capacity's solve_max_norm builds: at the center
         # (tied generators) and at random potentials, vector_norm of the
-        # maximizing d_j and D_j^T of its vector_norm_subgradient, bit for bit
+        # maximizing d_j and D_j^T of its ``_vector_subgradient``, bit for bit
         b = build_ball(Z2, 3, X1="origin", X2={"sphere": 3})
         op = b.incidence
         captured = []
@@ -341,7 +341,7 @@ class TestGraphCapacity:
             f, g = captured[0](x)
             assert f == vector_norm(diffs[j], spec)
             np.testing.assert_array_equal(
-                g.view(np.uint64), (op.Dt_free[j] @ vector_norm_subgradient(diffs[j], spec)).view(np.uint64))
+                g.view(np.uint64), (op.Dt_free[j] @ _vector_subgradient(diffs[j], spec)).view(np.uint64))
 
     def test_monotone_in_X1(self):
         spec = NormSpec.schatten(2)
@@ -374,10 +374,10 @@ class TestTransfer:
     def test_diagonal_candidate_closes_the_history(self, spec):
         # the matrix solve starts at the diagonal of the graph minimizer, so its
         # first history row is that candidate's value and k is at most it (up
-        # to the rounding of the block SVD the solve minimizes against the
-        # whole-matrix SVD of ``objective``: S1 reads 2.0 at a point whose
-        # block value is 1.9999999999999996); the report's value is still its
-        # last history row
+        # to the rounding of the solve's closing ``project_middle`` of its
+        # already feasible best block: with S1 that block reads
+        # 1.9999999999999996 and its projection 2.0, by the block SVD and by
+        # ``objective`` alike); the report's value is still its last history row
         ball = build_ball(Z, 8, X1="origin", X2={"radius_at_least": 6})
         out = verify_transfer(ball, spec, OPTS)
         k = out["k_report"]

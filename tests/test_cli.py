@@ -305,6 +305,10 @@ def _ratio_second(model):
     ("experiment", {"experiment": "hybrid", "gridsize": 2, "exponent_sets": [[2, 2]],
                     "swap": "false"}, "swap"),
     ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2, P={"basis_indices": [True]}), "P"),
+    ("condenser", dict(_PLATES, tuple={"components": [dict(_TRIDIAG["components"][0], dim="3")]},
+                       norm=_S2), "tuple"),
+    ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2,
+                       P={"re": [[1, 0, 0], [0, 0, 0], [0, 0, 0]], "dim": 3.0}), "P"),
 ], ids=["tuple-components", "options-max-iters", "P-re", "group-d", "R", "x1-sphere",
         "scan-macaev", "scan-lorentz", "s", "norm-p", "ratio-models", "hybrid-exponents",
         "gamma1-N-list", "options-seed", "s-scalar", "options-refine", "transfer-no-norms",
@@ -316,7 +320,7 @@ def _ratio_second(model):
         "R-float", "R-bool", "scan-float-radius", "group-d-float", "group-k-float",
         "custom-table-float", "x2-sphere-float", "x2-radius-at-least-float", "x1-key-float",
         "hybrid-grid-float", "ratio-n-scales-float", "gamma1-N-float", "hybrid-swap-string",
-        "P-index-bool"])
+        "P-index-bool", "tuple-dim-string", "P-dim-float"])
 def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # each of these used to end in a traceback (exit 1) or in a run that
     # misread the field: a Schatten-2 scan for the Lorentz norm, a refined
@@ -332,7 +336,7 @@ def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # gamma1 schedule with no N used to fail with an IndexError; an integer
     # field given as a fraction or a bool, or swap given as a string, used to
     # solve another problem (R 2.5 as 2, true as 1, "false" as a swap, a
-    # basis index true as the index 1)
+    # basis index true as the index 1, a matrix "dim" "3" or 3.0 as 3)
     code = run(tmp_path, [command, "--inline", json.dumps(payload), "--out", "OUT"])
     err = capsys.readouterr().err
     assert code == 2

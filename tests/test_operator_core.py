@@ -6,13 +6,11 @@ from qcmod.operator_core import (
     ContractionVariable,
     OperatorTuple,
     commutator,
-    commutator_column,
     commutators,
     embed,
     make_condenser,
     objective,
     project_middle,
-    project_to_feasible,
 )
 from qcmod.ri_norms import NormSpec
 
@@ -105,6 +103,12 @@ class TestCachedProjections:
         assert c.P[0, 0] == 1.0
 
 
+def _project(c, A):
+    """The metric projection of a full-space selfadjoint A onto the feasible
+    set: A compressed to the middle block, then clipped (``project_middle``)."""
+    return ContractionVariable(c, project_middle(c, c.compress_middle(A)))
+
+
 class TestEmbedProject:
     def test_projection_case(self):
         c = make_condenser([0], [2], dim=3)
@@ -116,12 +120,12 @@ class TestEmbedProject:
 
     def test_clip_at_one(self):
         c = make_condenser([0], [2], dim=3)
-        var = project_to_feasible(c, np.eye(3))
+        var = _project(c, np.eye(3))
         assert np.allclose(embed(var), np.diag([1.0, 1.0, 0.0]))
 
     def test_clip_example(self):
         c = make_condenser([0], [2], dim=3)
-        var = project_to_feasible(c, np.diag([7.0, 0.5, -2.0]))
+        var = _project(c, np.diag([7.0, 0.5, -2.0]))
         assert np.allclose(embed(var), np.diag([1.0, 0.5, 0.0]))
 
     def test_idempotent_and_nonexpansive(self):
@@ -130,9 +134,9 @@ class TestEmbedProject:
         for _ in range(200):
             A = rand_hermitian(rng, 6) * rng.uniform(0.2, 3)
             B = rand_hermitian(rng, 6) * rng.uniform(0.2, 3)
-            pa, pb = project_to_feasible(c, A), project_to_feasible(c, B)
+            pa, pb = _project(c, A), _project(c, B)
             # idempotent
-            paa = project_to_feasible(c, embed(pa))
+            paa = _project(c, embed(pa))
             assert np.allclose(pa.middle, paa.middle, atol=1e-12)
             # non-expansive on the middle blocks (Frobenius geometry)
             da = np.linalg.norm(pa.middle - pb.middle)
@@ -174,7 +178,7 @@ class TestCommutators:
     def test_commuting_gives_zero(self):
         tau = OperatorTuple.of([np.diag([1.0, 2.0, 3.0])])
         A = np.diag([5.0, 6.0, 7.0])
-        assert np.allclose(commutator_column(tau, A), 0.0)
+        assert np.allclose(np.vstack(commutators(tau, A)), 0.0)
 
     def test_two_by_two_oracle(self):
         # orientation [X, Y] = XY - YX: [A, T] for T = diag(1,2), A = e_12
@@ -216,7 +220,7 @@ class TestCommutators:
     def test_column_shape(self):
         rng = np.random.default_rng(6)
         tau = OperatorTuple.of([rand_hermitian(rng, 4), rand_hermitian(rng, 4)])
-        col = commutator_column(tau, rand_hermitian(rng, 4))
+        col = np.vstack(commutators(tau, rand_hermitian(rng, 4)))
         assert col.shape == (8, 4)
 
 

@@ -6,7 +6,6 @@ from qcmod.errors import ValidationError
 from qcmod.operator_core import (
     ContractionVariable,
     OperatorTuple,
-    commutator_column,
     commutators,
     embed,
     make_condenser,
@@ -83,7 +82,7 @@ class TestSmoothObjective:
         prob = _random_problem(5, d=6, p=3.0)
         B = project_middle(prob.condenser, rand_hermitian(rng, prob.condenser.m0))
         A = prob.condenser.embed_middle(B)
-        col = commutator_column(prob.tau, A)
+        col = np.vstack(commutators(prob.tau, A))
         assert smooth_objective(prob, A) == pytest.approx(
             matrix_norm(col, NormSpec.schatten(3.0)) ** 3.0, rel=1e-10
         )
@@ -181,7 +180,7 @@ class TestMinimize:
         rep = minimize_smooth(prob, OPTS)
         X = embed(rep.minimizer)
         p = prob.p
-        col_norm = matrix_norm(commutator_column(prob.tau, X), NormSpec.schatten(p))
+        col_norm = matrix_norm(np.vstack(commutators(prob.tau, X)), NormSpec.schatten(p))
         per = np.asarray([matrix_norm(C, NormSpec.schatten(p)) for C in commutators(prob.tau, X)])
         assert col_norm >= max(per) - 1e-10
         assert col_norm >= float(np.sum(per ** p) ** (1 / p)) - 1e-10
@@ -286,8 +285,8 @@ class TestEulerLagrange:
 
     def test_boundary_ambiguity_flag(self):
         prob = _tridiag_problem(2.0)
-        X = np.diag([1.0, 1.5e-6, 0.0])  # eigenvalue inside (eps1, 2 eps1)
-        el = euler_lagrange_report(prob, X, eps1=1e-6)
+        X = np.diag([1.0, 1.5e-6, 0.0])  # eigenvalue inside (eps1, 2 eps1), eps1 = 1e-6
+        el = euler_lagrange_report(prob, X)
         assert "boundary-ambiguous" in el.flags
 
 

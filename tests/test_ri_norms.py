@@ -6,11 +6,11 @@ from qcmod.ri_norms import (
     NormSpec,
     _eval_weights,
     _tie_averaged,
+    _vector_subgradient,
     induced_weights,
     matrix_norm,
     norm_subgradient,
     vector_norm,
-    vector_norm_subgradient,
 )
 
 from conftest import rand_unitary
@@ -150,7 +150,7 @@ class TestSubgradient:
             n = int(rng.integers(1, 7))
             v = rng.standard_normal(n) * rng.uniform(0.1, 3)
             w = rng.standard_normal(n) * rng.uniform(0.1, 3)
-            g = vector_norm_subgradient(v, spec)
+            g = _vector_subgradient(v, spec)
             lhs = vector_norm(w, spec)
             rhs = vector_norm(v, spec) + float(np.dot(g, w - v))
             assert lhs - rhs >= -1e-9 * max(1.0, lhs)
@@ -189,7 +189,7 @@ class TestSubgradientFastPaths:
                 v[rng.integers(0, n, size=n // 3)] = 0.0  # zeros and ties
                 v[: n // 4] = np.round(v[: n // 4], 1)
             np.testing.assert_array_equal(
-                vector_norm_subgradient(v, spec).view(np.uint64),
+                _vector_subgradient(v, spec).view(np.uint64),
                 self._argsort_path(v, spec).view(np.uint64),
             )
 
@@ -208,7 +208,7 @@ class TestSubgradientFastPaths:
             if complex_:
                 v = v * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
             np.testing.assert_array_equal(
-                vector_norm_subgradient(v, spec).view(np.uint64),
+                _vector_subgradient(v, spec).view(np.uint64),
                 self._argsort_path(v, spec).view(np.uint64),
             )
 
