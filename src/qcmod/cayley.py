@@ -39,11 +39,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from ._solvers import SolveOptions, SolveReport, _starts, fit_loglog, solve_max_norm
-from .condenser_solver import solve_condenser
+from .condenser_solver import _feasibility, solve_condenser
 from .errors import ValidationError
 from .jsonio import as_int
-from .operator_core import OperatorTuple, make_condenser
-from .ri_norms import NormSpec, vector_norm
+from .operator_core import (ContractionVariable, OperatorTuple, commutator, embed, linear_minimum,
+                            make_condenser, objective)
+from .ri_norms import NormSpec, _vector_subgradient, dual_norm, vector_norm
 
 #: Largest dense regular representation ``truncated_regular_rep`` builds, in
 #: bytes (n_generators * n_vertices^2 doubles); F2 balls up to R = 6 fit.
@@ -347,11 +348,12 @@ def graph_capacity(ball, spec, opts=None):
 
     if ball.X1.size == 0:
         # u = 0 is feasible and makes every difference vanish.
-        return SolveReport.closed_form(0.0, u, {"box": 0.0, "pins": 0.0},
+        return SolveReport.closed_form(0.0, u, {"box": 0.0, "pins": 0.0}, value_lower=0.0,
                                        empty_inner_plate=True, n_vertices=nv)
     if free.size == 0:
         # every vertex pinned: the single feasible potential is the pin pattern
-        return SolveReport.closed_form(op.max_norm(u, spec), u, {"box": 0.0, "pins": 0.0},
+        value = op.max_norm(u, spec)
+        return SolveReport.closed_form(value, u, {"box": 0.0, "pins": 0.0}, value_lower=value,
                                        n_vertices=nv, fully_pinned=True)
 
     def assemble(x):
@@ -393,8 +395,38 @@ def graph_capacity(ball, spec, opts=None):
             logger.warning("LP cross-check of the trace-norm capacity failed: %s", exc, exc_info=True)
             extra["lp_crosscheck_error"] = f"{type(exc).__name__}: {exc}"
     draw = lambda rng: rng.uniform(0.0, 1.0, size=free.size)
-    return solve_max_norm(spectra, [spec] * len(lifts), lambda g: g, proj,
-                          _starts(np.full(free.size, 0.5), draw, opts), finish, opts, stage, **extra)
+    rep = solve_max_norm(spectra, [spec] * len(lifts), lambda g: g, proj,
+                         _starts(np.full(free.size, 0.5), draw, opts), finish, opts, stage, **extra)
+    rep.extra["value_lower"] = graph_dual(ball, spec, rep.minimizer, opts.tol)[0]
+    return rep
+
+
+def graph_dual(ball, spec, u, tol):
+    """The point bound on the capacity at a feasible potential u (the
+    Frank-Wolfe gap; Jaggi 2013) and the dual vectors that give it.
+
+    Per generator, y_j is the ``_vector_subgradient`` of d_j(u), divided by
+    max(1, dual_norm(y_j)) so that it lies in the dual unit ball as evaluated
+    in floating point. The weights λ are uniform over the generators whose
+    f_j = |d_j(u)|_J is within tol * max(1, max_j f_j) of the largest. With
+    G = Σ_j λ_j D_j^T y_j on the free vertices, convexity gives
+
+        cap >= Σ_j λ_j f_j + Σ_i min(G_i, 0) - <G, u_free>.
+
+    Returns that bound and the weighted duals λ_j y_j, whose dual norms sum
+    to at most 1.
+    """
+    op = ball.incidence
+    diffs = op.diffs(u)
+    fs = np.array([vector_norm(d, spec) for d in diffs])
+    active = fs >= fs.max() - tol * max(1.0, fs.max())
+    lam = active / np.count_nonzero(active)
+    duals = []
+    for d, f, weight in zip(diffs, fs, lam):
+        y = _vector_subgradient(d, spec, f)
+        duals.append(weight / max(1.0, dual_norm(y, spec)) * y)
+    G = sum(Dt @ y for Dt, y in zip(op.Dt_free, duals))
+    return float(lam @ fs + np.minimum(G, 0.0).sum() - G @ u[op.free]), duals
 
 
 # -- exact oracles --------------------------------------------------------------------
@@ -486,28 +518,58 @@ def truncated_regular_rep(ball):
     return OperatorTuple(tuple(mats), (False,) * len(mats), nv)
 
 
+def lifted_bound(tau, cond, duals):
+    """The lower bound on k that ``graph_dual``'s duals give on the tuple of
+    ``truncated_regular_rep``: each y_j placed on the partial-permutation
+    pattern of T_j (Y_j = T_j diag(y_j), whose singular values are |y_j| on
+    the edges inside the ball, so its dual norm is at most y_j's) is a
+    matrix dual, and Re <Y_j, [A, T_j]> = Re <[Y_j, T_j^*], A>. So k is at
+    least the ``linear_minimum`` of W = Σ_j [Y_j, T_j^*]. This holds for any
+    duals; where they vanish on the edges that leave the ball (X2 holds its
+    boundary sphere), it is their graph bound."""
+    W = sum(commutator(T * y[:tau.dim], T.T, None) for T, y in zip(tau.components, duals))
+    return linear_minimum(cond, W)
+
+
 def verify_transfer(ball, spec, opts=None):
     """Compare cap_J(X1, X2) with k_J(lambda(gamma); P_X1, P_X2) on the ball.
 
     The diagonal matrix of any feasible potential is a feasible matrix
     variable whose commutator entries are a sub-pattern of the difference
-    function, so k <= cap holds at every truncation. The matrix solve starts
-    its first restart at the diagonal of the graph minimizer, and every
-    restart keeps its best point, so the inequality holds for the reported
-    upper bounds as well. The remaining gap is reported.
+    function, so k <= cap holds at every truncation: ``k_upper``, the
+    objective at the diagonal of the graph minimizer u*, is at most cap.
+    ``k_lower`` is the ``lifted_bound`` of ``graph_dual``'s duals at u*.
+
+    When the bracket [k_lower, k_upper] is within opts.tol * max(1, k_upper),
+    that point is the k report (one history row, converged) and no matrix
+    solve runs. Otherwise the matrix solve starts its first restart at
+    diag(u*), and every restart keeps its best point, so the inequality
+    holds for the reported upper bounds as well. The remaining gap is
+    reported.
     """
     opts = opts or SolveOptions()
     tau = truncated_regular_rep(ball)
     cap_report = graph_capacity(ball, spec, opts)
+    u = np.asarray(cap_report.minimizer, dtype=float)
     cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
-    start = cond.compress_middle(np.diag(np.asarray(cap_report.minimizer, dtype=float)))
-    k_report = solve_condenser(tau, cond, spec, opts, start=start)
+    start = cond.compress_middle(np.diag(u))
+    k_lower = lifted_bound(tau, cond, graph_dual(ball, spec, u, opts.tol)[1])
+    var = ContractionVariable(cond, start)
+    k_upper = objective(tau, embed(var), spec)
+    matrix_solve = k_upper - k_lower > opts.tol * max(1.0, k_upper)
+    if matrix_solve:
+        k_report = solve_condenser(tau, cond, spec, opts, start=start)
+    else:
+        k_report = SolveReport.closed_form(k_upper, var, _feasibility(cond, var), m0=cond.m0)
     return {
         "cap": cap_report.value,
+        "cap_lower": cap_report.extra["value_lower"],
         "k": k_report.value,
+        "k_lower": k_lower,
         "gap": cap_report.value - k_report.value,
         "cap_report": cap_report,
         "k_report": k_report,
+        "matrix_solve": matrix_solve,
         "inequality_ok": k_report.value <= cap_report.value + 1e-9 * max(1.0, cap_report.value),
     }
 

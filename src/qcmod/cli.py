@@ -238,9 +238,12 @@ def _transfer(config, ball, specs):
         comparisons.append({
             "norm": spec.to_json(),
             "cap": float(out["cap"]),
+            "cap_lower": float(out["cap_lower"]),
             "k": float(out["k"]),
+            "k_lower": float(out["k_lower"]),
             "gap": float(out["gap"]),
             "inequality_ok": bool(out["inequality_ok"]),
+            "matrix_solve": bool(out["matrix_solve"]),
             "converged": bool(out["cap_report"].converged and out["k_report"].converged),
         })
     return ({"comparisons": comparisons, "n_vertices": ball.n_vertices},

@@ -310,6 +310,16 @@ def project_middle(condenser, B_raw):
     return (V * w) @ V.conj().T
 
 
+def linear_minimum(cond, W):
+    """min of Re <W, A> over the feasible A = P (+) B0 (+) 0, 0 <= B0 <= I:
+    with Z = herm(W), tr(Vp^* Z Vp) plus the negative eigenvalues of
+    Vm^* Z Vm (B0 the projection onto their eigenvectors attains it)."""
+    Z = _herm(W)
+    Vp, Vm = cond.basis_p, cond.basis_mid
+    w = np.linalg.eigvalsh(Vm.conj().T @ Z @ Vm)
+    return float(np.real(np.trace(Vp.conj().T @ Z @ Vp))) + float(np.minimum(w, 0.0).sum())
+
+
 def _middle_starts(cond, divisor):
     """The center 0.5 I of the middle blocks and the draw of a further start
     from an rng: the projected perturbation 0.5 I + 0.35 herm(W) / divisor,

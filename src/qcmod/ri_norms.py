@@ -142,6 +142,26 @@ def vector_norm(s, spec):
     return float(w @ srt)
 
 
+def dual_norm(y, spec):
+    """The dual norm sup { |<y, x>| : vector_norm(x) <= 1 } of a sequence:
+    l_q with 1/p + 1/q = 1 for Schatten-p, and max_k of the partial sums of
+    the sorted |y| over those of the weights for a weighted norm (infinite
+    for all-zero weights, whose gauge vanishes)."""
+    a = np.abs(np.asarray(y)).astype(float)
+    if a.size == 0 or a.max() == 0.0:
+        return 0.0
+    srt = np.sort(a)[::-1]
+    if spec.kind == "schatten":
+        if spec.p == 1:
+            return float(srt[0])
+        q = spec.p / (spec.p - 1.0)
+        return float(np.sum(srt ** q) ** (1.0 / q))
+    w = _eval_weights(spec, a.size)
+    if w[0] == 0.0:
+        return np.inf
+    return float(np.max(np.cumsum(srt) / np.cumsum(w)))
+
+
 def matrix_norm(M, spec):
     """RI norm of a matrix, computed from its singular values."""
     try:

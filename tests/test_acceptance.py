@@ -171,7 +171,8 @@ def test_criterion_5_transfer():
             relgap = abs(out["gap"]) / cap
             if sname == "schatten2":
                 assert relgap <= 1e-3, f"{bname}/{sname}: relgap={relgap}"
-            lines.append(f"{bname}/{sname}: cap={cap:.8f} k={k:.8f} relgap={relgap:.1e}")
+            lines.append(f"{bname}/{sname}: cap={cap:.8f} [k_lower, k]=[{out['k_lower']:.10f}, {k:.10f}] "
+                         f"matrix_solve={out['matrix_solve']} relgap={relgap:.1e}")
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
     report("criterion 5: PASS t=%.1fs\n  " % elapsed + "\n  ".join(lines))

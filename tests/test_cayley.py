@@ -1,10 +1,12 @@
 import logging
 import tracemalloc
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from qcmod import _solvers
 from qcmod.cayley import (
@@ -13,7 +15,9 @@ from qcmod.cayley import (
     ball_size,
     build_ball,
     graph_capacity,
+    graph_dual,
     harmonic_capacity_oracle,
+    lifted_bound,
     parabolicity_scan,
     total_variation_capacity_lp,
     truncated_regular_rep,
@@ -21,8 +25,9 @@ from qcmod.cayley import (
 )
 from qcmod.condenser_solver import SolveOptions
 from qcmod.errors import ValidationError
-from qcmod.operator_core import ContractionVariable, embed, make_condenser, objective, project_middle
-from qcmod.ri_norms import NormSpec, _vector_subgradient, vector_norm
+from qcmod.operator_core import (ContractionVariable, _herm, embed, make_condenser, objective,
+                                 project_middle)
+from qcmod.ri_norms import NormSpec, _vector_subgradient, dual_norm, vector_norm
 
 Z = GroupSpec("zd", d=1)
 Z2 = GroupSpec("zd", d=2)
@@ -362,6 +367,89 @@ class TestGraphCapacity:
         assert np.allclose(u[b.X1], 1.0)
 
 
+# small balls, the first three with X2 holding the boundary sphere (so every
+# difference on an edge that leaves the ball vanishes), the last two without
+_DUAL_BALLS = (
+    build_ball(Z, 4, X1="origin", X2={"sphere": 4}),
+    build_ball(Z2, 3, X1="origin", X2={"sphere": 3}),
+    build_ball(F2, 2, X1="origin", X2={"sphere": 2}),
+    build_ball(Z2, 2, X1="origin"),
+    build_ball(F2, 2, X1="origin", X2={"sphere": 1}),
+)
+_DUAL_SPECS = (NormSpec.schatten(1), NormSpec.schatten(2), NormSpec.schatten(3), NormSpec.lorentz(2),
+               NormSpec.macaev(), NormSpec.from_weights([1.0, 0.5, 0.5, 0.1]))
+
+
+@lru_cache(maxsize=None)
+def _dual_setting(b, s):
+    """Ball b and spec s of the tables above, with its truncated tuple, its
+    condenser and its capacity report."""
+    ball, spec = _DUAL_BALLS[b], _DUAL_SPECS[s]
+    tau = truncated_regular_rep(ball)
+    cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
+    rep = graph_capacity(ball, spec, SolveOptions(max_iters=300, tol=1e-6, restarts=1))
+    return ball, spec, tau, cond, rep
+
+
+@st.composite
+def dual_points(draw, n_balls=len(_DUAL_BALLS)):
+    """A setting among the first n_balls balls, a feasible potential (random,
+    or on the grid {0, 1/2, 1} for tied differences) and the tol that
+    chooses the weights λ."""
+    b = draw(st.integers(0, n_balls - 1))
+    s = draw(st.integers(0, len(_DUAL_SPECS) - 1))
+    ball, spec, tau, cond, rep = _dual_setting(b, s)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = rng.uniform(0.0, 1.0, ball.n_vertices)
+    if draw(st.booleans()):
+        u = np.round(2 * u) / 2
+    u[ball.X1], u[ball.X2] = 1.0, 0.0
+    return (ball, spec, tau, cond, rep), u, draw(st.sampled_from([0.0, 1e-8, 0.3, 10.0])), rng
+
+
+class TestGraphDual:
+    @settings(max_examples=150, deadline=None)
+    @given(dual_points())
+    def test_bound_is_below_the_capacity(self, point):
+        (ball, spec, _, _, rep), u, tol, _ = point
+        bound, duals = graph_dual(ball, spec, u, tol)
+        assert rep.extra["value_lower"] <= rep.value
+        assert bound <= rep.value * (1 + 1e-12)
+        assert sum(dual_norm(y, spec) for y in duals) <= 1.0 + 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(dual_points())
+    def test_lifted_bound_is_below_the_objective(self, point):
+        (ball, spec, tau, cond, _), u, tol, rng = point
+        k_lower = lifted_bound(tau, cond, graph_dual(ball, spec, u, tol)[1])
+        H = rng.standard_normal((cond.m0, cond.m0))
+        for B in (project_middle(cond, 0.5 * np.eye(cond.m0) + _herm(H)),
+                  cond.compress_middle(np.diag(u))):
+            value = objective(tau, cond.embed_middle(B), spec)
+            assert k_lower <= value + 1e-12 * max(1.0, value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dual_points(n_balls=3))
+    def test_lift_is_the_graph_bound_when_x2_holds_the_boundary(self, point):
+        (ball, spec, tau, cond, _), u, tol, _ = point
+        bound, duals = graph_dual(ball, spec, u, tol)
+        assert lifted_bound(tau, cond, duals) == pytest.approx(bound, rel=1e-12, abs=1e-12)
+
+    def test_capacity_reports_its_point_bound(self):
+        ball = build_ball(F2, 3, X1="origin", X2={"sphere": 3})
+        spec = NormSpec.schatten(2)
+        rep = graph_capacity(ball, spec, OPTS)
+        assert rep.extra["value_lower"] == graph_dual(ball, spec, rep.minimizer, OPTS.tol)[0]
+        assert rep.value - 1e-7 <= rep.extra["value_lower"] <= rep.value
+
+    @pytest.mark.parametrize("ball", [build_ball(Z, 3, X2={"sphere": 3}),
+                                      build_ball(GroupSpec("custom", tables=((1, 0),)), 0, X1=[0], X2=[1])],
+                             ids=["empty-inner-plate", "fully-pinned"])
+    def test_closed_forms_are_their_own_bound(self, ball):
+        rep = graph_capacity(ball, NormSpec.schatten(2), OPTS)
+        assert rep.extra["value_lower"] == rep.value
+
+
 class TestTransfer:
     def test_line_trace_norm(self):
         ball = build_ball(Z, 6, X1="origin", X2={"radius_at_least": 4})
@@ -388,11 +476,10 @@ class TestTransfer:
         assert k.history[0][1] == pytest.approx(candidate, rel=1e-14)
         assert k.history[-1] == (k.iters - 1, k.value, 0.0)
 
-    def test_f2_lorentz_matrix_solve_starts_at_the_candidate(self, monkeypatch):
-        # CLI transfer options, one restart. From the graph minimizer's
-        # diagonal the matrix solve's subgradient phase stops at its floor
-        # (29 halvings of delta at 50 steps per window, 1,450 steps); from
-        # 0.5 I it ran 2,700 steps to a value above the capacity
+    @staticmethod
+    def _matrix_steps(monkeypatch):
+        """The step counts of the matrix solve's subgradient phases, filled in
+        as ``verify_transfer`` runs."""
         steps = []
         engine = _solvers.projected_subgradient
 
@@ -403,10 +490,31 @@ class TestTransfer:
             return out
 
         monkeypatch.setattr(_solvers, "projected_subgradient", counted)
+        return steps
+
+    def test_f2_lorentz_certified_without_matrix_solve(self, monkeypatch):
+        # CLI transfer options, one restart. The lifted graph dual at the graph
+        # minimizer brackets k within tol (1.58e-9 against 1.71e-9), so no
+        # matrix subgradient step runs and k is the diagonal point's value
+        steps = self._matrix_steps(monkeypatch)
         ball = build_ball(F2, 3, X1="origin", X2={"sphere": 3})
         out = verify_transfer(ball, NormSpec.lorentz(2), SolveOptions(max_iters=3000, tol=1e-9, restarts=1))
-        assert len(steps) == 1 and steps[0] <= 1500
+        assert steps == [] and not out["matrix_solve"]
+        assert out["k_report"].iters == 1 and out["k_report"].converged
+        assert 0.0 <= out["k"] - out["k_lower"] <= 1e-9 * max(1.0, out["k"])
         assert out["k"] <= out["cap"]
+        assert out["k_lower"] == pytest.approx(1 + 2 ** -0.5, rel=1e-15)
+
+    def test_z_lorentz_loose_bracket_falls_back_to_the_matrix_solve(self, monkeypatch):
+        # the point bound on Z R = 8 is about 0.6 below k, so the matrix solve
+        # runs from the diagonal of the graph minimizer, exactly as it did
+        # before the certificate: k is that solve's value, bit for bit
+        steps = self._matrix_steps(monkeypatch)
+        ball = build_ball(Z, 8, X1="origin", X2={"radius_at_least": 6})
+        out = verify_transfer(ball, NormSpec.lorentz(2), SolveOptions(max_iters=3000, tol=1e-9, restarts=1))
+        assert out["matrix_solve"] and len(steps) == 1 and steps[0] > 0
+        assert out["k_lower"] < out["k"] - 0.5
+        assert out["k"] == 0.9351973964505564
 
     def test_empty_inner_plate_both_zero(self):
         ball = build_ball(Z, 4, X2={"sphere": 4})

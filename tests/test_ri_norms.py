@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcmod.errors import ValidationError
 from qcmod.ri_norms import (
@@ -7,6 +8,7 @@ from qcmod.ri_norms import (
     _eval_weights,
     _tie_averaged,
     _vector_subgradient,
+    dual_norm,
     induced_weights,
     matrix_norm,
     norm_subgradient,
@@ -242,6 +244,59 @@ class TestSubgradientFastPaths:
         assert not w.flags.writeable
         with pytest.raises(ValueError):
             w[0] = 2.0
+
+
+@st.composite
+def vectors(draw):
+    """A real or complex vector with random magnitudes, or with ties and zeros."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 40))
+    v = rng.standard_normal(n) * rng.uniform(1e-3, 10.0)
+    if draw(st.booleans()):
+        v = rng.integers(-2, 3, size=n) * rng.uniform(0.1, 3.0)
+    if draw(st.booleans()):
+        v = v * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
+    return v
+
+
+class TestDualNorm:
+    @pytest.mark.parametrize("spec, y, expected", [
+        (NormSpec.schatten(1), [3.0, -4.0, 1.0], 4.0),
+        (NormSpec.schatten(2), [3.0, -4.0], 5.0),
+        (NormSpec.schatten(3), [1.0, 1.0], 2.0 ** (2.0 / 3.0)),
+        # l1's dual is the max: partial sums of (4, 3, 1) over 1, 2, 3
+        (NormSpec.lorentz(1), [3.0, -4.0, 1.0], 4.0),
+        # Macaev: (2 + 2) / (1 + 1/2)
+        (NormSpec.macaev(), [2.0, 2.0], 8.0 / 3.0),
+        # explicit weights shorter than y are padded with zeros
+        (NormSpec.from_weights([1.0, 0.5]), [1.0, 1.0, 1.0], 2.0),
+        (NormSpec.from_weights([0.0]), [1.0], np.inf),
+    ], ids=["s1", "s2", "s3", "lorentz1", "macaev", "short-weights", "zero-weights"])
+    def test_closed_forms(self, spec, y, expected):
+        assert dual_norm(np.asarray(y), spec) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-{s.p}")
+    def test_zero_and_empty_are_zero(self, spec):
+        assert dual_norm(np.zeros(4), spec) == 0.0
+        assert dual_norm(np.zeros(0), spec) == 0.0
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-{s.p}")
+    @settings(max_examples=40, deadline=None)
+    @given(v=vectors())
+    def test_subgradient_is_a_unit_dual_that_attains_the_norm(self, spec, v):
+        y = _vector_subgradient(v, spec)
+        assert dual_norm(y, spec) <= 1.0 + 4 * np.finfo(float).eps
+        pairing = float(np.real(np.vdot(y, v)))
+        assert pairing == pytest.approx(vector_norm(v, spec), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-{s.p}")
+    @settings(max_examples=40, deadline=None)
+    @given(y=vectors(), x=vectors())
+    def test_holder(self, spec, y, x):
+        n = min(y.size, x.size)
+        y, x = y[:n], x[:n]
+        bound = dual_norm(y, spec) * vector_norm(x, spec)
+        assert abs(np.vdot(y, x)) <= bound * (1 + 1e-12) + 1e-300
 
 
 class TestNormAxioms:

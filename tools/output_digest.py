@@ -33,7 +33,8 @@ _PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM
 #: report.json keys printed under each run, at the top level and inside each entry
 #: of the lists named by ``VALUE_LISTS`` (transfer comparisons, scan entries,
 #: experiment rows and results)
-VALUE_KEYS = ("value", "value_upper", "iters", "converged", "k", "cap", "values", "estimate")
+VALUE_KEYS = ("value", "value_upper", "value_lower", "iters", "converged", "k", "k_lower", "cap",
+              "cap_lower", "matrix_solve", "values", "estimate")
 VALUE_LISTS = ("comparisons", "entries", "rows", "results")
 
 
