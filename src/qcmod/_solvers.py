@@ -10,9 +10,10 @@ with i the row's position there.
 ``Multistart`` holds every restart rule of the three solvers: the start
 points (``_starts``: the solver's center, then seeded draws), the shared
 history, each restart's best point and value, the final history row (the
-exact value the solve returns) and the converged flag, which only a phase's
-own stopping test sets. ``Multistart.solve`` returns the ``SolveReport``,
-whose ``iters`` is the length of its history (one row for a closed form).
+exact value the solve returns), the converged flag, which only a phase's
+own stopping test sets, and the largest lower bound a phase returned.
+``Multistart.solve`` returns the ``SolveReport``, whose ``iters`` is the
+length of its history (one row for a closed form).
 ``solve_max_norm`` is the one restart body of the condenser and the graph
 capacity: it routes the phases and runs the ε stages, and each solver gives
 it only its spectra, projection, starts, final step and stage engine.
@@ -38,14 +39,26 @@ def _norm(x):
     return float(np.linalg.norm(x.ravel()))
 
 
-def projected_subgradient(fg, project, x0, *, max_iters, tol, history):
+def projected_subgradient(fg, project, x0, *, max_iters, tol, history, linear_min=None):
     """Projected subgradient loop with Polyak steps and best-iterate tracking.
 
     The Polyak step aims at the estimate best - delta, halving delta whenever
     a window of iterations fails to improve. Objectives here are nonnegative,
-    so the estimate is floored at zero.
+    so the estimate is floored at zero. The run converges once a window
+    improves the best value by at most tol * scale0 (scale0: the start
+    value) with delta at most as small (the delta floor).
 
-    Returns (best_x, best_f, iters_done, converged).
+    ``linear_min(g)``, the minimum of <g, x'> over the feasible set, gives a
+    certified lower bound L (Anstreicher & Wolsey 2009; Nesterov 2009): by
+    convexity every point x_k of a window gives f* >= f_k + <g_k, x* - x_k>,
+    so their mean gives f* >= mean(f_k - <g_k, x_k>) + linear_min(mean g_k).
+    L is the largest such cut over the windows. With it the step aims at
+    max(best - delta, 0, L), and the run also converges once best - L is at
+    most tol * max(1, best).
+
+    Returns (best_x, best_f, iters_done, converged, L); L is -inf without
+    ``linear_min`` unless the run met a zero subgradient, whose point is a
+    minimizer (L = f there).
     """
     x = project(np.array(x0))
     f, g = fg(x)
@@ -56,16 +69,22 @@ def projected_subgradient(fg, project, x0, *, max_iters, tol, history):
     delta = 0.5 * max(f, 1e-300)
     window = 50
     window_best = f
+    lower = -np.inf
+    cut_const, cut_g = 0.0, np.zeros_like(g)  # the window's sums of f_k - <g_k, x_k> and g_k
     converged = False
     k = 0
     while k < max_iters:
         if gn2 <= 0.0:
             # zero subgradient: global minimizer of a convex objective
             history.append((len(history), f, 0.0))
+            lower = max(lower, f)
             converged = True
             k += 1
             break
-        alpha = max(f - max(best_f - delta, 0.0), 0.0) / gn2
+        if linear_min is not None:
+            cut_const += f - _inner(g, x)
+            cut_g += g
+        alpha = max(f - max(best_f - delta, 0.0, lower), 0.0) / gn2
         if alpha <= 0.0:
             alpha = 1e-3 * a0 / np.sqrt(k + 1.0)
         history.append((len(history), f, alpha))
@@ -76,6 +95,12 @@ def projected_subgradient(fg, project, x0, *, max_iters, tol, history):
             best_f, best_x = f, x.copy()
         k += 1
         if k % window == 0:
+            if linear_min is not None:
+                lower = max(lower, cut_const / window + linear_min(cut_g / window))
+                cut_const, cut_g = 0.0, np.zeros_like(g)
+                if best_f - lower <= tol * max(1.0, best_f):
+                    converged = True
+                    break
             improved = window_best - best_f
             if improved < 0.25 * delta:
                 delta *= 0.5
@@ -83,7 +108,7 @@ def projected_subgradient(fg, project, x0, *, max_iters, tol, history):
                 converged = True
                 break
             window_best = best_f
-    return best_x, best_f, k, converged
+    return best_x, best_f, k, converged, lower
 
 
 def projected_descent(fg, project, x0, *, max_iters, residual_tol, history):
@@ -213,6 +238,9 @@ class SolveReport:
     feasibility_residuals: dict
     converged: bool
     extra: dict = field(default_factory=dict)
+    #: the largest certified lower bound on the inf that a phase returned
+    #: (-inf if none did; the value itself for a closed form); not in to_json
+    lower: float = -np.inf
 
     @property
     def iters(self):
@@ -221,7 +249,7 @@ class SolveReport:
     @classmethod
     def closed_form(cls, value, minimizer, feasibility, **extra):
         """Report of a solve with nothing to optimize."""
-        return cls(value, minimizer, [(0, value, 0.0)], feasibility, True, extra)
+        return cls(value, minimizer, [(0, value, 0.0)], feasibility, True, extra, value)
 
     def to_json(self, history_csv=None):
         mini = (matrix_to_json(embed(self.minimizer)) if isinstance(self.minimizer, ContractionVariable)
@@ -247,12 +275,14 @@ class Multistart:
     every restart, each numbered by its position. A restart body runs its
     phases through ``run`` and ``record``; the lowest value they offer is the
     restart's result (the first offer always counts).
-    ``converged`` is true once an offered phase's own stopping test fired.
+    ``converged`` is true once an offered phase's own stopping test fired,
+    and ``lower`` is the largest lower bound a phase of any restart returned.
     """
 
     def __init__(self):
         self.history = []
         self.converged = False
+        self.lower = -np.inf
         self.restart_values = []
         self._best = None
 
@@ -273,7 +303,7 @@ class Multistart:
         minimizer, value, feasibility = finish(best_x)
         ms.record(minimizer, value)
         return SolveReport(value, minimizer, ms.history, feasibility, ms.converged,
-                           {"restart_values": ms.restart_values, **extra})
+                           {"restart_values": ms.restart_values, **extra}, ms.lower)
 
     def _offer(self, x, f, converged=False):
         if self._best is None or f < self._best[1]:
@@ -282,8 +312,10 @@ class Multistart:
 
     def run(self, engine, *args, **kwargs):
         """Run ``engine(*args, history=..., **kwargs)``, an engine returning
-        (x, f, iterations, converged), and offer its point. Returns (x, f)."""
-        x, f, _, conv = engine(*args, history=self.history, **kwargs)
+        (x, f, iterations, converged) and possibly a lower bound after them,
+        and offer its point. Returns (x, f)."""
+        x, f, _, conv, *lower = engine(*args, history=self.history, **kwargs)
+        self.lower = max([self.lower, *lower])
         self._offer(x, f, conv)
         return x, f
 
@@ -367,7 +399,8 @@ def smooth_max_norm_fg(spectra, specs, mus, eps, fref, pull):
     return fg
 
 
-def solve_max_norm(spectra, specs, pull, project, starts, finish, opts, stage, **extra):
+def solve_max_norm(spectra, specs, pull, project, starts, finish, opts, stage, *, linear_min=None,
+                   **extra):
     """Minimize max_j |K_j x|_{J_j} over a convex set: the multistart solve
     (``Multistart.solve``) of the condenser and the graph capacity. ``spectra``,
     ``specs`` and ``pull`` are those of ``max_norm_fg``, ``project`` maps onto
@@ -383,6 +416,9 @@ def solve_max_norm(spectra, specs, pull, project, starts, finish, opts, stage, *
     sorted magnitudes stabilizes). The stages' Huber scales are eps * max|v_j|
     at their start point, their log-sum-exp scale f0 and then each stage's f;
     the exact value of the last point closes them with the last stage's flag.
+    ``linear_min``, the minimum of <g, x> over the feasible set, is handed to
+    the subgradient phase (``projected_subgradient``), whose lower bound the
+    report's ``lower`` keeps.
     """
     fg = max_norm_fg(spectra, specs, pull)
     value = lambda comps: max(vector_norm(v, sp) for (v, _), sp in zip(comps, specs))
@@ -403,7 +439,8 @@ def solve_max_norm(spectra, specs, pull, project, starts, finish, opts, stage, *
             ms.record(x0, f)
             ladder(ms, x0, comps, f)
             return
-        x, f = ms.run(projected_subgradient, fg, project, x0, max_iters=opts.max_iters, tol=opts.tol)
+        x, f = ms.run(projected_subgradient, fg, project, x0, max_iters=opts.max_iters, tol=opts.tol,
+                      **({} if linear_min is None else {"linear_min": linear_min}))
         if not opts.refine:
             return
         if schatten:

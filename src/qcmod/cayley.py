@@ -337,7 +337,10 @@ def graph_capacity(ball, spec, opts=None):
     The box constraint and pins are kept exactly at every iterate. The
     solve is ``solve_max_norm`` on the free coordinates, as in the condenser
     solve, with one component per generator (its difference function) and
-    one L-BFGS-B run per ε stage.
+    one L-BFGS-B run per ε stage. The box's linear minimum, Σ_i min(g_i, 0),
+    lets the subgradient phase aim at and stop on its window lower bound
+    (``projected_subgradient``). The report's ``value_lower`` is the largest
+    of ``graph_dual``'s point bound at the minimizer, that window bound and 0.
     """
     opts = opts or SolveOptions()
     nv = ball.n_vertices
@@ -396,8 +399,9 @@ def graph_capacity(ball, spec, opts=None):
             extra["lp_crosscheck_error"] = f"{type(exc).__name__}: {exc}"
     draw = lambda rng: rng.uniform(0.0, 1.0, size=free.size)
     rep = solve_max_norm(spectra, [spec] * len(lifts), lambda g: g, proj,
-                         _starts(np.full(free.size, 0.5), draw, opts), finish, opts, stage, **extra)
-    rep.extra["value_lower"] = graph_dual(ball, spec, rep.minimizer, opts.tol)[0]
+                         _starts(np.full(free.size, 0.5), draw, opts), finish, opts, stage,
+                         linear_min=lambda g: float(np.minimum(g, 0.0).sum()), **extra)
+    rep.extra["value_lower"] = max(graph_dual(ball, spec, rep.minimizer, opts.tol)[0], rep.lower, 0.0)
     return rep
 
 
@@ -538,7 +542,8 @@ def verify_transfer(ball, spec, opts=None):
     variable whose commutator entries are a sub-pattern of the difference
     function, so k <= cap holds at every truncation: ``k_upper``, the
     objective at the diagonal of the graph minimizer u*, is at most cap.
-    ``k_lower`` is the ``lifted_bound`` of ``graph_dual``'s duals at u*.
+    ``k_lower`` is the ``lifted_bound`` of ``graph_dual``'s duals at u*,
+    floored at 0 (every k is nonnegative).
 
     When the bracket [k_lower, k_upper] is within opts.tol * max(1, k_upper),
     that point is the k report (one history row, converged) and no matrix
@@ -553,7 +558,7 @@ def verify_transfer(ball, spec, opts=None):
     u = np.asarray(cap_report.minimizer, dtype=float)
     cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
     start = cond.compress_middle(np.diag(u))
-    k_lower = lifted_bound(tau, cond, graph_dual(ball, spec, u, opts.tol)[1])
+    k_lower = max(lifted_bound(tau, cond, graph_dual(ball, spec, u, opts.tol)[1]), 0.0)
     var = ContractionVariable(cond, start)
     k_upper = objective(tau, embed(var), spec)
     matrix_solve = k_upper - k_lower > opts.tol * max(1.0, k_upper)

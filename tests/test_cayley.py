@@ -281,6 +281,40 @@ class TestGraphCapacity:
         ramp = float(np.sum(np.arange(1, 2 * (R + 1) + 1) ** -0.5) / (R + 1))
         assert rep.value <= ramp * (1 + 1e-6)
 
+    def test_f2_trace_norm_stops_at_its_window_bound(self):
+        # the capacity is 2; the window bound closes on it, so the subgradient
+        # phase stops after a few windows, certified, instead of running out
+        # its delta floor
+        ball = build_ball(F2, 3, X1="origin", X2={"sphere": 3})
+        rep = graph_capacity(ball, NormSpec.schatten(1), SolveOptions(max_iters=3000, tol=1e-9, restarts=1))
+        assert abs(rep.value - 2.0) <= 1e-10
+        assert rep.converged and rep.iters <= 400
+        assert rep.lower <= rep.extra["value_lower"] <= rep.value
+        assert rep.value - rep.lower <= 1e-9 * rep.value
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(Z, 2, 6), (Z2, 1, 3), (F2, 1, 2)]), st.data(),
+           st.sampled_from([NormSpec.schatten(1), NormSpec.lorentz(2), NormSpec.macaev(),
+                            NormSpec.from_weights([1.0, 0.5, 0.25])]),
+           st.integers(1, 400), st.sampled_from([1e-3, 1e-6, 1e-9]), st.integers(0, 2 ** 16))
+    def test_window_bound_is_below_the_capacity(self, group, data, spec, max_iters, tol, seed):
+        # on random small balls and plates the subgradient phase's window bound
+        # stays below the capacity: the LP value for the trace norm, the
+        # solved value (an upper bound) for the weighted norms
+        grp, r_min, r_max = group
+        R = data.draw(st.integers(r_min, r_max))
+        X2 = data.draw(st.sampled_from([None, {"sphere": R}, {"radius_at_least": max(R - 1, 1)}]))
+        ball = build_ball(grp, R, X1="origin", X2=X2)
+        rep = graph_capacity(ball, spec, SolveOptions(max_iters=max_iters, tol=tol, seed=seed,
+                                                      restarts=2, refine=False))
+        # (the value itself may round an ulp below the capacity)
+        assert rep.extra["value_lower"] <= rep.value * (1 + 1e-12)
+        if spec.kind == "schatten":
+            cap = total_variation_capacity_lp(ball)
+            assert rep.lower <= cap * (1 + 1e-12)
+        else:
+            assert rep.lower <= rep.value * (1 + 1e-12)
+
     def test_adjacent_singletons_unit_drop(self):
         b = build_ball(Z, 2, X1=[(0,)], X2=[(1,)])
         rep = graph_capacity(b, NormSpec.schatten(1), OPTS)
@@ -494,7 +528,7 @@ class TestTransfer:
 
     def test_f2_lorentz_certified_without_matrix_solve(self, monkeypatch):
         # CLI transfer options, one restart. The lifted graph dual at the graph
-        # minimizer brackets k within tol (1.58e-9 against 1.71e-9), so no
+        # minimizer brackets k within tol (2.1e-11 against 1.71e-9), so no
         # matrix subgradient step runs and k is the diagonal point's value
         steps = self._matrix_steps(monkeypatch)
         ball = build_ball(F2, 3, X1="origin", X2={"sphere": 3})
@@ -505,16 +539,26 @@ class TestTransfer:
         assert out["k"] <= out["cap"]
         assert out["k_lower"] == pytest.approx(1 + 2 ** -0.5, rel=1e-15)
 
+    def test_f2_lorentz_graph_phase_closes_the_bracket(self):
+        # the graph subgradient phase stops once its window bound is within
+        # tol of its best value, at a minimizer whose point bound brackets k
+        # far inside tol
+        ball = build_ball(F2, 3, X1="origin", X2={"sphere": 3})
+        out = verify_transfer(ball, NormSpec.lorentz(2), SolveOptions(max_iters=3000, tol=1e-9, restarts=1))
+        assert not out["matrix_solve"] and out["cap_report"].converged
+        assert out["k"] - out["k_lower"] <= 1e-10
+        assert out["cap_report"].iters <= 400
+
     def test_z_lorentz_loose_bracket_falls_back_to_the_matrix_solve(self, monkeypatch):
         # the point bound on Z R = 8 is about 0.6 below k, so the matrix solve
-        # runs from the diagonal of the graph minimizer, exactly as it did
-        # before the certificate: k is that solve's value, bit for bit
+        # runs from the diagonal of the graph minimizer: k is that solve's
+        # value, bit for bit
         steps = self._matrix_steps(monkeypatch)
         ball = build_ball(Z, 8, X1="origin", X2={"radius_at_least": 6})
         out = verify_transfer(ball, NormSpec.lorentz(2), SolveOptions(max_iters=3000, tol=1e-9, restarts=1))
         assert out["matrix_solve"] and len(steps) == 1 and steps[0] > 0
         assert out["k_lower"] < out["k"] - 0.5
-        assert out["k"] == 0.9351973964505564
+        assert out["k"] == 0.9351973966346734
 
     def test_empty_inner_plate_both_zero(self):
         ball = build_ball(Z, 4, X2={"sphere": 4})

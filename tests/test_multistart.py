@@ -257,6 +257,20 @@ class TestMultistart:
         assert _solve([0, 1], restart, lambda x: 0.0).converged
         assert not _solve([0], restart, lambda x: 0.0).converged
 
+    def test_lower_is_the_largest_bound_of_any_restart(self):
+        # an engine may return a lower bound after its four results; the
+        # report keeps the largest, and -inf when no phase returned one
+        def bounded(lower):
+            def engine(x0, *, history):
+                history.append((len(history), 2.0, 1.0))
+                return x0, 2.0, 1, False, lower
+            return engine
+
+        lowers = {0: 0.5, 1: 1.5, 2: 1.0}
+        rep = _solve([0, 1, 2], lambda ms, x0: ms.run(bounded(lowers[x0]), x0), lambda x: 2.0)
+        assert rep.lower == 1.5
+        assert _solve([0], lambda ms, x0: ms.run(_engine([1.0], False), x0), float).lower == -np.inf
+
     def test_plateau_is_not_convergence(self, monkeypatch):
         # a subgradient phase whose running best is flat over the last three
         # quarters of the history, but whose own stopping test never fired
