@@ -125,7 +125,8 @@ def projected_descent(fg, project, x0, *, max_iters, residual_tol, history):
     clamp (the step has collapsed, as at a kink of a nonsmooth objective,
     and the run would crawl on at 1e-14), and ``max_iters``.
 
-    Returns (best_x, best_f, iters_done, converged).
+    Returns (best_x, best_f, iters_done, converged, -inf): the descent
+    certifies no lower bound.
     """
     x = project(np.array(x0))
     f, g = fg(x)
@@ -188,7 +189,7 @@ def projected_descent(fg, project, x0, *, max_iters, residual_tol, history):
         k += 1
         if fail_streak > 12:
             break
-    return best_x, best_f, k, converged
+    return best_x, best_f, k, converged, -np.inf
 
 
 # -- multistart driver ---------------------------------------------------------------
@@ -239,7 +240,7 @@ class SolveReport:
     converged: bool
     extra: dict = field(default_factory=dict)
     #: the largest certified lower bound on the inf that a phase returned
-    #: (-inf if none did; the value itself for a closed form); not in to_json
+    #: (-inf if none did); not in to_json
     lower: float = -np.inf
 
     @property
@@ -249,7 +250,7 @@ class SolveReport:
     @classmethod
     def closed_form(cls, value, minimizer, feasibility, **extra):
         """Report of a solve with nothing to optimize."""
-        return cls(value, minimizer, [(0, value, 0.0)], feasibility, True, extra, value)
+        return cls(value, minimizer, [(0, value, 0.0)], feasibility, True, extra)
 
     def to_json(self, history_csv=None):
         mini = (matrix_to_json(embed(self.minimizer)) if isinstance(self.minimizer, ContractionVariable)
@@ -312,10 +313,10 @@ class Multistart:
 
     def run(self, engine, *args, **kwargs):
         """Run ``engine(*args, history=..., **kwargs)``, an engine returning
-        (x, f, iterations, converged) and possibly a lower bound after them,
-        and offer its point. Returns (x, f)."""
-        x, f, _, conv, *lower = engine(*args, history=self.history, **kwargs)
-        self.lower = max([self.lower, *lower])
+        (x, f, iterations, converged, lower bound), and offer its point.
+        Returns (x, f)."""
+        x, f, _, conv, lower = engine(*args, history=self.history, **kwargs)
+        self.lower = max(self.lower, lower)
         self._offer(x, f, conv)
         return x, f
 
@@ -440,7 +441,7 @@ def solve_max_norm(spectra, specs, pull, project, starts, finish, opts, stage, *
             ladder(ms, x0, comps, f)
             return
         x, f = ms.run(projected_subgradient, fg, project, x0, max_iters=opts.max_iters, tol=opts.tol,
-                      **({} if linear_min is None else {"linear_min": linear_min}))
+                      linear_min=linear_min)
         if not opts.refine:
             return
         if schatten:

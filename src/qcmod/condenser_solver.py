@@ -140,8 +140,8 @@ def solve_condenser(tau, cond, specs, opts=None, *, start=None):
 
     def stage(k, fg, B, f0, history):
         """Projected descent on the k-th smoothing from B."""
-        B, f, _, conv = projected_descent(fg, proj, B, max_iters=budgets[k],
-                                          residual_tol=opts.residual_tol(f0), history=history)
+        B, f, _, conv, _ = projected_descent(fg, proj, B, max_iters=budgets[k],
+                                             residual_tol=opts.residual_tol(f0), history=history)
         return B, f, conv
 
     def finish(B):

@@ -444,7 +444,9 @@ class TestCommutatorBlocks:
         # objective in the middle block. A commutator with a zero singular
         # value (B on the boundary makes them often) has a subgradient term
         # of arbitrary phase there (``_range_spectra``), so the two
-        # subgradients are compared without it; the bits of the whole one are
+        # subgradients are compared without it, and each in full must still
+        # be a subgradient. Without a zero singular value the comparison is
+        # the full one; the bits of the whole one on fixed problems are
         # test_block_kernel_is_the_whole_matrix_formula's
         tau, cond, B, _, _, rng = problem
         spectra, pull = _spectra(tau, cond)
@@ -453,14 +455,16 @@ class TestCommutatorBlocks:
             specs = [sp] * tau.n
             f, g = max_norm_fg(spectra, specs, pull)(B)
             assert abs(f - objective(tau, cond.embed_middle(B), specs)) <= 1e-12 * max(1.0, f)
-            f_whole, g_whole = max_norm_fg(_range_spectra(whole), specs, whole_pull)(B)
+            f_whole, g_whole = max_norm_fg(whole, specs, whole_pull)(B)
             assert abs(f - f_whole) <= 1e-12 * max(1.0, f)
             g_range = max_norm_fg(_range_spectra(spectra), specs, pull)(B)[1]
-            assert np.abs(g_range - g_whole).max() <= 1e-12 * max(1.0, np.abs(g_whole).max())
+            g_whole_range = max_norm_fg(_range_spectra(whole), specs, whole_pull)(B)[1]
+            assert np.abs(g_range - g_whole_range).max() <= 1e-12 * max(1.0, np.abs(g_whole_range).max())
             for _ in range(3):
                 B2 = project_middle(cond, rand_hermitian(rng, cond.m0))
                 f2 = objective(tau, cond.embed_middle(B2), specs)
                 assert f2 >= f + _inner(g, B2 - B) - 1e-12
+                assert f2 >= f + _inner(g_whole, B2 - B) - 1e-12
 
     @pytest.mark.parametrize("problem, tol", [
         (_f2_ball_problem, 0.0), (_path_hop_problem, 1e-12), (_gamma1_n32_problem, 0.0),

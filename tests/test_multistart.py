@@ -136,8 +136,8 @@ class TestRoundingFloor:
 
         proj = lambda x: np.clip(x, 0.0, 1.0)
         history = []
-        x, f, k, converged = projected_descent(fg, proj, np.full(20, 0.5), max_iters=500,
-                                               residual_tol=1e-12, history=history)
+        x, f, k, converged, _ = projected_descent(fg, proj, np.full(20, 0.5), max_iters=500,
+                                                  residual_tol=1e-12, history=history)
         assert converged and k <= 30 and len(calls) <= 35
         step = history[-1][2]
         assert np.linalg.norm(proj(x - step * fg(x)[1]) - x) > 1e3 * 1e-12 * step
@@ -183,9 +183,9 @@ class TestCollapsedStep:
         w = np.array([1.0, 3.0])
         fg = lambda x: (float(np.sum(w * np.abs(x - 0.3))), w * np.sign(x - 0.3))
         history = []
-        x, f, k, converged = projected_descent(fg, lambda x: np.clip(x, -1.0, 1.0),
-                                               np.array([0.9, -0.4]), max_iters=500,
-                                               residual_tol=1e-12, history=history)
+        x, f, k, converged, _ = projected_descent(fg, lambda x: np.clip(x, -1.0, 1.0),
+                                                  np.array([0.9, -0.4]), max_iters=500,
+                                                  residual_tol=1e-12, history=history)
         assert not converged and k == len(history) <= 60
         assert sum(step == 1e-14 for _, _, step in history) == 12
         # the crawl's 500 iterations end at 0.0015884576658666272
@@ -210,19 +210,20 @@ class TestCollapsedStep:
         w, c = np.geomspace(1.0, 100.0, 4), np.linspace(0.2, 1.4, 4)
         fg = lambda x: (0.5 * float(np.sum(w * (x - c) ** 2)), w * (x - c))
         history = []
-        _, _, _, converged = projected_descent(fg, lambda x: np.clip(x, 0.0, 1.0), np.full(4, 0.5),
-                                               max_iters=500, residual_tol=1e-8, history=history)
+        _, _, _, converged, _ = projected_descent(fg, lambda x: np.clip(x, 0.0, 1.0), np.full(4, 0.5),
+                                                  max_iters=500, residual_tol=1e-8, history=history)
         assert converged
         assert [(f, step) for _, f, step in history] == self.QUADRATIC
 
 
 def _engine(fs, conv):
-    """A fake engine that logs one row per value and returns the last one."""
+    """A fake engine that logs one row per value and returns the last one,
+    with no lower bound."""
 
     def engine(x0, *, history):
         for f in fs:
             history.append((len(history), f, 1.0))
-        return x0 + 1, fs[-1], len(fs), conv
+        return x0 + 1, fs[-1], len(fs), conv, -np.inf
 
     return engine
 
@@ -258,8 +259,8 @@ class TestMultistart:
         assert not _solve([0], restart, lambda x: 0.0).converged
 
     def test_lower_is_the_largest_bound_of_any_restart(self):
-        # an engine may return a lower bound after its four results; the
-        # report keeps the largest, and -inf when no phase returned one
+        # the report keeps the largest lower bound any engine returned, and
+        # -inf when every engine returned -inf
         def bounded(lower):
             def engine(x0, *, history):
                 history.append((len(history), 2.0, 1.0))
@@ -274,12 +275,12 @@ class TestMultistart:
     def test_plateau_is_not_convergence(self, monkeypatch):
         # a subgradient phase whose running best is flat over the last three
         # quarters of the history, but whose own stopping test never fired
-        def flat(fg, project, x0, *, max_iters, tol, history):
+        def flat(fg, project, x0, *, max_iters, tol, history, linear_min=None):
             x = project(x0)
             f = fg(x)[0]
             for fk in [4 * f, 3 * f, 2 * f] + [f] * 9:
                 history.append((len(history), fk, 1.0))
-            return x, f, 12, False
+            return x, f, 12, False, -np.inf
 
         monkeypatch.setattr(_solvers, "projected_subgradient", flat)
         tau = OperatorTuple.of([np.diag(np.ones(2), 1) + np.diag(np.ones(2), -1)])
