@@ -111,6 +111,8 @@ def runs():
         ("transfer_f2_R3_lorentz", "transfer",
          {"group": f2, "R": 3, "x1": "origin", "x2": {"sphere": 3}, "norm": lorentz,
           "options": {"restarts": 1}}),
+        ("transfer_f2_R3_s1", "transfer",
+         {"group": f2, "R": 3, "x1": "origin", "x2": {"sphere": 3}, "norm": s1}),
         ("transfer_z_R8", "transfer",
          {"group": z(1), "R": 8, "x1": "origin", "x2": {"radius_at_least": 6}, "norms": [s2, s1]}),
         ("plaplace_p3", "plaplace", dict(plates, tuple=two, p=3)),
