@@ -39,26 +39,24 @@ def _norm(x):
     return float(np.linalg.norm(x.ravel()))
 
 
-def projected_subgradient(fg, project, x0, *, max_iters, tol, history, linear_min=None):
+def projected_subgradient(fg, project, x0, *, max_iters, tol, history, linear_min):
     """Projected subgradient loop with Polyak steps and best-iterate tracking.
-
-    The Polyak step aims at the estimate best - delta, halving delta whenever
-    a window of iterations fails to improve. Objectives here are nonnegative,
-    so the estimate is floored at zero. The run converges once a window
-    improves the best value by at most tol * scale0 (scale0: the start
-    value) with delta at most as small (the delta floor).
 
     ``linear_min(g)``, the minimum of <g, x'> over the feasible set, gives a
     certified lower bound L (Anstreicher & Wolsey 2009; Nesterov 2009): by
-    convexity every point x_k of a window gives f* >= f_k + <g_k, x* - x_k>,
-    so their mean gives f* >= mean(f_k - <g_k, x_k>) + linear_min(mean g_k).
-    L is the largest such cut over the windows. With it the step aims at
-    max(best - delta, 0, L), and the run also converges once best - L is at
-    most tol * max(1, best).
+    convexity every point x_k of a window of iterations gives
+    f* >= f_k + <g_k, x* - x_k>, so their mean gives
+    f* >= mean(f_k - <g_k, x_k>) + linear_min(mean g_k). L is the largest
+    such cut over the windows (f itself at a zero subgradient, whose point is
+    a minimizer), -inf before the first window ends.
 
-    Returns (best_x, best_f, iters_done, converged, L); L is -inf without
-    ``linear_min`` unless the run met a zero subgradient, whose point is a
-    minimizer (L = f there).
+    The Polyak step aims at max(best - delta, 0, L) (objectives here are
+    nonnegative), halving delta whenever a window fails to improve. The run
+    converges once best - L is at most tol * max(1, best), or once a window
+    improves the best value by at most tol * scale0 (scale0: the start
+    value) with delta at most as small (the delta floor).
+
+    Returns (best_x, best_f, iters_done, converged, L).
     """
     x = project(np.array(x0))
     f, g = fg(x)
@@ -81,9 +79,8 @@ def projected_subgradient(fg, project, x0, *, max_iters, tol, history, linear_mi
             converged = True
             k += 1
             break
-        if linear_min is not None:
-            cut_const += f - _inner(g, x)
-            cut_g += g
+        cut_const += f - _inner(g, x)
+        cut_g += g
         alpha = max(f - max(best_f - delta, 0.0, lower), 0.0) / gn2
         if alpha <= 0.0:
             alpha = 1e-3 * a0 / np.sqrt(k + 1.0)
@@ -95,12 +92,11 @@ def projected_subgradient(fg, project, x0, *, max_iters, tol, history, linear_mi
             best_f, best_x = f, x.copy()
         k += 1
         if k % window == 0:
-            if linear_min is not None:
-                lower = max(lower, cut_const / window + linear_min(cut_g / window))
-                cut_const, cut_g = 0.0, np.zeros_like(g)
-                if best_f - lower <= tol * max(1.0, best_f):
-                    converged = True
-                    break
+            lower = max(lower, cut_const / window + linear_min(cut_g / window))
+            cut_const, cut_g = 0.0, np.zeros_like(g)
+            if best_f - lower <= tol * max(1.0, best_f):
+                converged = True
+                break
             improved = window_best - best_f
             if improved < 0.25 * delta:
                 delta *= 0.5
@@ -400,8 +396,7 @@ def smooth_max_norm_fg(spectra, specs, mus, eps, fref, pull):
     return fg
 
 
-def solve_max_norm(spectra, specs, pull, project, starts, finish, opts, stage, *, linear_min=None,
-                   **extra):
+def solve_max_norm(spectra, specs, pull, project, starts, finish, opts, stage, *, linear_min, **extra):
     """Minimize max_j |K_j x|_{J_j} over a convex set: the multistart solve
     (``Multistart.solve``) of the condenser and the graph capacity. ``spectra``,
     ``specs`` and ``pull`` are those of ``max_norm_fg``, ``project`` maps onto

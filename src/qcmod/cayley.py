@@ -13,7 +13,7 @@ The capacity
 is convex and is minimized on the box [0, 1]^vertices with equality pins
 by ``solve_max_norm``, the solve the condenser shares, with one L-BFGS-B
 run per ε stage. Exact oracles (LP for the trace-norm case, sparse
-harmonic solve for the Frobenius case) live alongside for cross-checking.
+harmonic solve for the Frobenius case) live alongside for tests.
 
 All of them read the difference structure from one sparse incidence
 operator per ball (``CayleyBall.incidence``): the generators' difference
@@ -27,7 +27,6 @@ to that formulation, which matters because the solves are not run to
 convergence and are sensitive to roundoff.
 """
 
-import logging
 import math
 import operator
 from dataclasses import dataclass
@@ -49,8 +48,6 @@ from .ri_norms import NormSpec, _vector_subgradient, dual_norm, vector_norm
 #: Largest dense regular representation ``truncated_regular_rep`` builds, in
 #: bytes (n_generators * n_vertices^2 doubles); F2 balls up to R = 6 fit.
 _DENSE_REP_LIMIT = 256 << 20
-
-logger = logging.getLogger("qcmod")
 
 
 @dataclass(frozen=True)
@@ -340,7 +337,8 @@ def graph_capacity(ball, spec, opts=None):
     one L-BFGS-B run per ε stage. The box's linear minimum, Σ_i min(g_i, 0),
     lets the subgradient phase aim at and stop on its window lower bound
     (``projected_subgradient``). The report's ``value_lower`` is the largest
-    of ``graph_dual``'s point bound at the minimizer, that window bound and 0.
+    of ``graph_dual``'s point bound at the minimizer, that window bound and 0,
+    capped at the value (which can round an ulp below the capacity).
     """
     opts = opts or SolveOptions()
     nv = ball.n_vertices
@@ -390,18 +388,12 @@ def graph_capacity(ball, spec, opts=None):
         }
         return full, op.max_norm(full, spec), feasibility
 
-    extra = {"n_vertices": nv}
-    if spec.kind == "schatten" and spec.p == 1 and nv <= 400:
-        try:
-            extra["lp_crosscheck"] = total_variation_capacity_lp(ball)
-        except Exception as exc:
-            logger.warning("LP cross-check of the trace-norm capacity failed: %s", exc, exc_info=True)
-            extra["lp_crosscheck_error"] = f"{type(exc).__name__}: {exc}"
     draw = lambda rng: rng.uniform(0.0, 1.0, size=free.size)
     rep = solve_max_norm(spectra, [spec] * len(lifts), lambda g: g, proj,
                          _starts(np.full(free.size, 0.5), draw, opts), finish, opts, stage,
-                         linear_min=lambda g: float(np.minimum(g, 0.0).sum()), **extra)
-    rep.extra["value_lower"] = max(graph_dual(ball, spec, rep.minimizer, opts.tol)[0], rep.lower, 0.0)
+                         linear_min=lambda g: float(np.minimum(g, 0.0).sum()), n_vertices=nv)
+    point = graph_dual(ball, spec, rep.minimizer, opts.tol)[0]
+    rep.extra["value_lower"] = min(max(point, rep.lower, 0.0), rep.value)
     return rep
 
 
@@ -542,14 +534,16 @@ def verify_transfer(ball, spec, opts=None):
     variable whose commutator entries are a sub-pattern of the difference
     function, so k <= cap holds at every truncation: ``k_upper``, the
     objective at the diagonal of the graph minimizer u*, is at most cap.
-    ``k_lower`` is the ``lifted_bound`` of ``graph_dual``'s duals at u*,
-    floored at 0 (every k is nonnegative).
+    The ``lifted_bound`` of ``graph_dual``'s duals at u*, floored at 0
+    (every k is nonnegative), is a lower bound on k.
 
-    When the bracket [k_lower, k_upper] is within opts.tol * max(1, k_upper),
+    When the bracket [that bound, k_upper] is within opts.tol * max(1, k_upper),
     that point is the k report (one history row, converged) and no matrix
     solve runs. Otherwise the matrix solve starts its first restart at
     diag(u*), and every restart keeps its best point, so the inequality
-    holds for the reported upper bounds as well. The remaining gap is
+    holds for the reported upper bounds as well. ``k_lower`` is the larger
+    of the lifted bound and the matrix solve's own (``SolveReport.lower``),
+    capped at k like the capacity's ``value_lower``. The remaining gap is
     reported.
     """
     opts = opts or SolveOptions()
@@ -570,7 +564,7 @@ def verify_transfer(ball, spec, opts=None):
         "cap": cap_report.value,
         "cap_lower": cap_report.extra["value_lower"],
         "k": k_report.value,
-        "k_lower": k_lower,
+        "k_lower": min(max(k_lower, k_report.lower), k_report.value),
         "gap": cap_report.value - k_report.value,
         "cap_report": cap_report,
         "k_report": k_report,

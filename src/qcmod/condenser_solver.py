@@ -11,8 +11,9 @@ shares: it routes the phases, runs the ε stages and returns the report.
 This module supplies its ``spectra``: one SVD per component per evaluation,
 of the block outside which the commutator vanishes (``commutator_blocks``),
 formed from the block of A on the condenser's support alone, the projection
-onto the feasible middle blocks, the start blocks and the ε stage, a run of
-projected descent on the smoothed objective.
+onto the feasible middle blocks and the linear minimum over them (which the
+subgradient phase's window bound needs), the start blocks and the ε stage,
+a run of projected descent on the smoothed objective.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import ValidationError
 from .operator_core import (
     ContractionVariable,
     _herm,
+    _middle_linear_min,
     _middle_starts,
     _support,
     commutator,
@@ -151,7 +153,8 @@ def solve_condenser(tau, cond, specs, opts=None, *, start=None):
     spectra, pull = _spectra(tau, cond)
     center, draw = _middle_starts(cond, np.sqrt(max(cond.m0, 1)))
     starts = _starts(center if start is None else proj(start), draw, opts)
-    return solve_max_norm(spectra, specs, pull, proj, starts, finish, opts, stage, m0=cond.m0)
+    return solve_max_norm(spectra, specs, pull, proj, starts, finish, opts, stage,
+                          linear_min=_middle_linear_min, m0=cond.m0)
 
 
 def sup_over_projections(tau, P_family, Q, specs, opts=None):

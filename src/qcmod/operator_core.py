@@ -310,14 +310,19 @@ def project_middle(condenser, B_raw):
     return (V * w) @ V.conj().T
 
 
+def _middle_linear_min(G):
+    """min of Re <G, B0> over the middle blocks 0 <= B0 <= I, G selfadjoint:
+    the sum of G's negative eigenvalues (B0 the projection onto their
+    eigenvectors attains it)."""
+    return float(np.minimum(np.linalg.eigvalsh(G), 0.0).sum())
+
+
 def linear_minimum(cond, W):
     """min of Re <W, A> over the feasible A = P (+) B0 (+) 0, 0 <= B0 <= I:
-    with Z = herm(W), tr(Vp^* Z Vp) plus the negative eigenvalues of
-    Vm^* Z Vm (B0 the projection onto their eigenvectors attains it)."""
+    with Z = herm(W), tr(Vp^* Z Vp) plus ``_middle_linear_min`` of Vm^* Z Vm."""
     Z = _herm(W)
     Vp, Vm = cond.basis_p, cond.basis_mid
-    w = np.linalg.eigvalsh(Vm.conj().T @ Z @ Vm)
-    return float(np.real(np.trace(Vp.conj().T @ Z @ Vp))) + float(np.minimum(w, 0.0).sum())
+    return float(np.real(np.trace(Vp.conj().T @ Z @ Vp))) + _middle_linear_min(Vm.conj().T @ Z @ Vm)
 
 
 def _middle_starts(cond, divisor):

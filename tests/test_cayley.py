@@ -1,4 +1,3 @@
-import logging
 import tracemalloc
 import warnings
 from functools import lru_cache
@@ -259,20 +258,18 @@ class TestGraphCapacity:
         rep = graph_capacity(b, NormSpec.schatten(1), OPTS)
         assert rep.value == pytest.approx(lp, rel=1e-7)
 
-    def test_lp_crosscheck_failure_is_logged(self, monkeypatch, caplog):
-        b = build_ball(Z, 3, X1="origin")
-        fast = SolveOptions(max_iters=50, tol=1e-6, seed=0, restarts=1)
-        assert "lp_crosscheck_error" not in graph_capacity(b, NormSpec.schatten(1), fast).extra
+    def test_trace_norm_capacity_solves_no_lp(self, monkeypatch):
+        # the LP is a test oracle only: the trace-norm solve certifies its own
+        # bracket and never calls linprog
+        def no_linprog(*args, **kwargs):
+            raise AssertionError("graph_capacity called linprog")
 
-        def failing_linprog(*args, **kwargs):
-            return scipy.optimize.OptimizeResult(success=False, message="solver unavailable")
-
-        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
-        with caplog.at_level(logging.WARNING, logger="qcmod"):
-            rep = graph_capacity(b, NormSpec.schatten(1), fast)
-        assert "lp_crosscheck" not in rep.extra
-        assert "solver unavailable" in rep.extra["lp_crosscheck_error"]
-        assert any(r.name == "qcmod" and "LP cross-check" in r.getMessage() for r in caplog.records)
+        ball = build_ball(Z2, 3, X1="origin")
+        lp = total_variation_capacity_lp(ball)
+        monkeypatch.setattr(scipy.optimize, "linprog", no_linprog)
+        rep = graph_capacity(ball, NormSpec.schatten(1), OPTS)
+        assert rep.value == pytest.approx(lp, rel=1e-7)
+        assert not any(key.startswith("lp_crosscheck") for key in rep.extra)
 
     def test_lorentz_ramp_upper_bound(self):
         R = 8
@@ -314,6 +311,14 @@ class TestGraphCapacity:
             assert rep.lower <= cap * (1 + 1e-12)
         else:
             assert rep.lower <= rep.value * (1 + 1e-12)
+
+    def test_value_lower_never_exceeds_the_value(self):
+        # the window bound lands on the capacity 2.0 while the value rounds an
+        # ulp below it (1.9999999999999998); the bracket is capped, not inverted
+        ball = build_ball(Z, 3, X1="origin")
+        rep = graph_capacity(ball, NormSpec.schatten(1),
+                             SolveOptions(max_iters=39, tol=1e-3, seed=0, restarts=2, refine=False))
+        assert rep.extra["value_lower"] <= rep.value
 
     def test_adjacent_singletons_unit_drop(self):
         b = build_ball(Z, 2, X1=[(0,)], X2=[(1,)])
@@ -552,13 +557,29 @@ class TestTransfer:
     def test_z_lorentz_loose_bracket_falls_back_to_the_matrix_solve(self, monkeypatch):
         # the point bound on Z R = 8 is about 0.6 below k, so the matrix solve
         # runs from the diagonal of the graph minimizer: k is that solve's
-        # value, bit for bit
+        # value, bit for bit, and k_lower at least the solve's own bound
         steps = self._matrix_steps(monkeypatch)
         ball = build_ball(Z, 8, X1="origin", X2={"radius_at_least": 6})
-        out = verify_transfer(ball, NormSpec.lorentz(2), SolveOptions(max_iters=3000, tol=1e-9, restarts=1))
+        spec, opts = NormSpec.lorentz(2), SolveOptions(max_iters=3000, tol=1e-9, restarts=1)
+        out = verify_transfer(ball, spec, opts)
         assert out["matrix_solve"] and len(steps) == 1 and steps[0] > 0
-        assert out["k_lower"] < out["k"] - 0.5
+        tau = truncated_regular_rep(ball)
+        cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
+        point = lifted_bound(tau, cond, graph_dual(ball, spec, out["cap_report"].minimizer, opts.tol)[1])
+        assert point < out["k"] - 0.5
+        assert max(point, out["k_report"].lower) <= out["k_lower"] <= out["k"]
         assert out["k"] == 0.9351973966346734
+
+    def test_f2_trace_norm_fallback_certifies_its_own_bound(self):
+        # criterion 5's options: the point bound lifts below 0, so the matrix
+        # solve runs; its subgradient phase stops on its window bound, which
+        # k_lower reports
+        ball = build_ball(F2, 3, X1="origin", X2={"sphere": 3})
+        opts = SolveOptions(max_iters=3000, tol=1e-9, seed=5, restarts=2)
+        out = verify_transfer(ball, NormSpec.schatten(1), opts)
+        k = out["k_report"]
+        assert out["matrix_solve"] and k.converged and k.iters <= 1000
+        assert out["k"] - out["k_lower"] <= 1e-9 * out["k"]
 
     def test_empty_inner_plate_both_zero(self):
         ball = build_ball(Z, 4, X2={"sphere": 4})

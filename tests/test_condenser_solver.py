@@ -265,6 +265,54 @@ class TestSmoothRoute:
         assert (rep.history[0][2] == 0.0) == smooth
 
 
+@st.composite
+def small_index_problems(draw):
+    """A random tuple of 1 or 2 dense real components in dimension 3 to 6, an
+    index-plate condenser with P and the middle block nonzero (so a phase
+    runs), one of the weighted norms or S1, and the options of a
+    subgradient phase of at least one window."""
+    d = draw(st.integers(3, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tau = OperatorTuple.of([rng.standard_normal((d, d)) for _ in range(draw(st.integers(1, 2)))])
+    order = rng.permutation(d)
+    n_p = int(rng.integers(1, d - 1))
+    n_q = int(rng.integers(0, d - n_p))
+    cond = make_condenser(order[:n_p].tolist(), order[n_p:n_p + n_q].tolist(), dim=d)
+    spec = draw(st.sampled_from([NormSpec.schatten(1), NormSpec.lorentz(2), NormSpec.macaev(),
+                                 NormSpec.from_weights([1.0, 0.5, 0.25])]))
+    opts = SolveOptions(max_iters=draw(st.integers(50, 300)), tol=draw(st.sampled_from([1e-3, 1e-6, 1e-9])),
+                        seed=draw(st.integers(0, 2 ** 16)), restarts=draw(st.integers(1, 2)), refine=False)
+    return tau, cond, spec, opts
+
+
+class TestWindowBound:
+    """The subgradient phase's window bound (``SolveReport.lower``) on the
+    middle blocks, from their linear minimum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_index_problems())
+    def test_lower_is_finite_and_below_the_value(self, problem):
+        tau, cond, spec, opts = problem
+        rep = solve_condenser(tau, cond, spec, opts)
+        # the bound is evaluated in floating point, so it can round above the
+        # modulus at the problem's scale: with Q = 0, B = I commutes with the
+        # tuple and a modulus of 0 can read 1.4e-16 with a bound of 2.2e-16
+        assert np.isfinite(rep.lower)
+        assert rep.lower <= rep.value + 1e-12 * max(1.0, rep.value)
+
+    @pytest.mark.parametrize("spec", [NormSpec.schatten(1), NormSpec.lorentz(2), NormSpec.macaev()],
+                             ids=["s1", "l21", "macaev"])
+    def test_tridiag_lower_is_below_the_grid_oracle(self, tridiag_example, spec):
+        # the phase meets a zero subgradient at the minimizer t = 1/2, so the
+        # bound is the minimum itself; the oracle's raw SVD reads it up to an
+        # ulp low (sqrt 2 as 1.414213562373095 for S1)
+        tau, cond = tridiag_example
+        rep = solve_condenser(tau, cond, spec, OPTS)
+        oracle_value, _ = tridiag_oracle(spec, grid=4001)
+        assert np.isfinite(rep.lower)
+        assert rep.lower <= oracle_value * (1 + 1e-12)
+
+
 class TestSolveOptions:
     @pytest.mark.parametrize("refine", ["false", 0, 1, None])
     def test_refine_must_be_boolean(self, refine):

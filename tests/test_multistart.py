@@ -275,7 +275,7 @@ class TestMultistart:
     def test_plateau_is_not_convergence(self, monkeypatch):
         # a subgradient phase whose running best is flat over the last three
         # quarters of the history, but whose own stopping test never fired
-        def flat(fg, project, x0, *, max_iters, tol, history, linear_min=None):
+        def flat(fg, project, x0, *, max_iters, tol, history, linear_min):
             x = project(x0)
             f = fg(x)[0]
             for fk in [4 * f, 3 * f, 2 * f] + [f] * 9:
@@ -304,7 +304,8 @@ class TestMultistart:
 
         rep = _solvers.solve_max_norm(lambda x: [(np.array([120.0 - 4.0 * x]), None)],
                                       [NormSpec.schatten(2)], None, None, [0],
-                                      lambda x: (x, 100.0 + x, {"r": 0.0}), SolveOptions(), stage)
+                                      lambda x: (x, 100.0 + x, {"r": 0.0}), SolveOptions(), stage,
+                                      linear_min=None)  # the smooth route runs no subgradient phase
         assert calls == [(k, (eps, fref), k, 120.0) for k, (eps, fref) in
                          enumerate(zip(_solvers.SMOOTHING_LADDER, [120.0, 10.0, 9.0, 8.0]))]
         # the Huber scale of each stage is its eps times the start's max |v|
