@@ -159,7 +159,14 @@ def dual_norm(y, spec):
     w = _eval_weights(spec, a.size)
     if w[0] == 0.0:
         return np.inf
-    return float(np.max(np.cumsum(srt) / np.cumsum(w)))
+    sw = np.cumsum(w)
+    c = np.max(np.cumsum(srt) / sw)
+    # c carries the roundoff of two running sums, which grows with the length.
+    # Refine it as c * (1 + sum(srt / c - w) / sum(w)): near the maximum the
+    # terms srt / c - w are small (a tie-averaged subgradient's are ~0), so
+    # their running sum rounds far less, and c times the factor stays within
+    # a few ulps of the exact ratio.
+    return float(c * np.max(1.0 + np.cumsum(srt / c - w) / sw))
 
 
 def matrix_norm(M, spec):
@@ -220,6 +227,10 @@ def _vector_subgradient(v, spec, norm=None):
         d = np.ones(a.size)
     else:
         d = (a / (vector_norm(a, spec) if norm is None else norm)) ** (spec.p - 1.0)
+        if spec.p > 2:
+            # the power p - 1 > 1 magnifies the rounding of the norm and can put
+            # d several ulps outside the dual unit ball: rescale d onto it
+            d /= dual_norm(d, spec)
     with np.errstate(invalid="ignore", divide="ignore"):
         phase = np.where(a > 0, v / np.where(a > 0, a, 1.0), 0.0)
     return d * phase

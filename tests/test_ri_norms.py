@@ -164,7 +164,8 @@ class TestSubgradientFastPaths:
     @staticmethod
     def _argsort_path(v, spec):
         """The gauge subgradient taken at the sorted magnitudes s and scattered
-        back: tie-averaged weights, or (s / |s|_p)^(p - 1) for Schatten."""
+        back: tie-averaged weights, or (s / |s|_p)^(p - 1) for Schatten,
+        rescaled to dual norm 1 for p > 2."""
         a = np.abs(v)
         order = np.argsort(-a, kind="stable")
         s = a[order]
@@ -174,6 +175,8 @@ class TestSubgradientFastPaths:
             gauge = np.ones(s.size)
         else:
             gauge = (s / vector_norm(s, spec)) ** (spec.p - 1.0)
+            if spec.p > 2:
+                gauge /= dual_norm(gauge, spec)
         d = np.empty(a.size)
         d[order] = gauge
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -288,6 +291,28 @@ class TestDualNorm:
         assert dual_norm(y, spec) <= 1.0 + 4 * np.finfo(float).eps
         pairing = float(np.real(np.vdot(y, v)))
         assert pairing == pytest.approx(vector_norm(v, spec), rel=1e-12, abs=1e-300)
+
+    def test_tie_averaged_subgradient_does_not_round_past_one(self):
+        # Two long tie groups: plain running sums of |y| and of the weights put
+        # the ratio 7 ulps above 1 although it is 1 in exact arithmetic.
+        a, b = 0.41460049, 0.20730024
+        signs = [0, 2, -1, 1, 2, 1, 2, 1, 0, -1, 2, 2, -1, -1, -1, -2, -1, -2, 1, -2,
+                 1, -1, 1, -2, 2, -2, -1, -2, -1, 2, 1, 0, 1, 2, 1, 1, -1, -2, 2, -2]
+        v = np.array([{0: 0.0, 1: b, 2: a}[abs(s)] * np.sign(s) for s in signs])
+        spec = NormSpec.lorentz(2)
+        assert dual_norm(_vector_subgradient(v, spec), spec) <= 1.0 + 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("p", [3.0, 3.5, 5.0])
+    def test_schatten_subgradient_does_not_round_past_one(self, p):
+        # (v / |v|_p)^(p - 1) alone lands more than 4 ulps above 1 on some draws
+        spec = NormSpec.schatten(p)
+        rng = np.random.default_rng(5)
+        for trial in range(3000):
+            n = int(rng.integers(1, 41))
+            v = rng.standard_normal(n) * rng.uniform(1e-3, 10.0)
+            if trial % 2:
+                v = v * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
+            assert dual_norm(_vector_subgradient(v, spec), spec) <= 1.0 + 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-{s.p}")
     @settings(max_examples=40, deadline=None)
