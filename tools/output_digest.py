@@ -84,6 +84,11 @@ def runs():
     # a complex rank-one plate: the only run on the complex start draw and the
     # matrix-projection path
     v = (np.eye(d)[0] + 1j * np.eye(d)[1]) / np.sqrt(2)
+    # P = e1 and Q = 0 on a dense real 3 x 3 component: A = I commutes, so the
+    # modulus is 0 and the solve's value and lower bound are roundoff-sized
+    zero_modulus = {"tuple": {"components": [_matrix(np.random.default_rng(0).standard_normal((3, 3)))]},
+                    "P": {"basis_indices": [0]}, "Q": {"basis_indices": []}, "norm": {"kind": "macaev"},
+                    "options": {"max_iters": 50, "tol": 1e-3, "restarts": 1, "refine": False}}
     return [
         ("norm_s_lorentz", "norm", {"s": [3.0, -1.0, 2.5, 0.5, -4.0], "norm": lorentz}),
         ("norm_matrix_s3", "norm", {"matrix": _matrix(twist), "norm": s3}),
@@ -99,6 +104,7 @@ def runs():
         ("condenser_complex_plate", "condenser",
          {"tuple": one, "P": _matrix(np.outer(v, v.conj())), "Q": {"basis_indices": [d - 1]},
           "norm": s1, "options": opts}),
+        ("condenser_zero_modulus", "condenser", zero_modulus),
         ("graphcap_z3_R14_s2", "graphcap", {"group": z(3), "R": 14, "x1": "origin", "norm": s2}),
         ("graphcap_z2_R6_s1", "graphcap", {"group": z(2), "R": 6, "x1": "origin", "norm": s1}),
         ("graphcap_z2_R6_s1_norefine", "graphcap",
