@@ -9,11 +9,11 @@ Each iteration appends one row (i, f, step) to the ``history`` it is given,
 with i the row's position there.
 ``Multistart`` holds every restart rule of the three solvers: the start
 points (``_starts``: the solver's center, then seeded draws), the shared
-history, each restart's best point and value, the final history row (the
-exact value the solve returns), the converged flag, which only a phase's
-own stopping test sets, and the largest lower bound a phase returned.
-``Multistart.solve`` returns the ``SolveReport``, whose ``iters`` is the
-length of its history (one row for a closed form).
+history, each restart's best point and value, the converged flag, which
+only a phase's own stopping test sets, and the largest lower bound a phase
+returned. ``Multistart.solve`` returns the ``SolveReport``, whose value is
+the best value offered and whose ``iters`` is the length of its history
+(one row for a closed form).
 ``solve_max_norm`` is the one restart body of the condenser and the graph
 capacity: it routes the phases and runs the ε stages, and each solver gives
 it only its spectra, projection, starts, final step and stage engine.
@@ -227,7 +227,8 @@ class SolveOptions:
 @dataclass
 class SolveReport:
     """Outcome of a variational solve: ``value`` is an upper bound on the inf,
-    and ``history`` ends with the row (iters - 1, value, 0.0)."""
+    ``lower`` a certified lower bound, and ``history`` ends with the row
+    (iters - 1, value, 0.0)."""
 
     value: float
     minimizer: object
@@ -235,8 +236,7 @@ class SolveReport:
     feasibility_residuals: dict
     converged: bool
     extra: dict = field(default_factory=dict)
-    #: the largest certified lower bound on the inf that a phase returned
-    #: (-inf if none did); not in to_json
+    #: a certified lower bound on the inf, at most ``value``
     lower: float = -np.inf
 
     @property
@@ -244,14 +244,16 @@ class SolveReport:
         return len(self.history)
 
     @classmethod
-    def closed_form(cls, value, minimizer, feasibility, **extra):
-        """Report of a solve with nothing to optimize."""
-        return cls(value, minimizer, [(0, value, 0.0)], feasibility, True, extra)
+    def closed_form(cls, value, minimizer, feasibility, lower=np.inf, **extra):
+        """Report of a solve with nothing to optimize: ``lower`` is the value
+        unless a smaller bound is given."""
+        return cls(value, minimizer, [(0, value, 0.0)], feasibility, True, extra, min(lower, value))
 
     def to_json(self, history_csv=None):
         mini = (matrix_to_json(embed(self.minimizer)) if isinstance(self.minimizer, ContractionVariable)
                 else [float(x) for x in self.minimizer])  # else a graph potential
-        return {"value_upper": float(self.value), "converged": bool(self.converged),
+        return {"value_upper": float(self.value), "value_lower": float(self.lower),
+                "converged": bool(self.converged),
                 "iters": self.iters, "history_csv": history_csv, "minimizer": mini,
                 "feasibility_residuals": {k: float(v) for k, v in self.feasibility_residuals.items()},
                 **self.extra}
@@ -270,8 +272,9 @@ class Multistart:
 
     ``history`` holds the (iteration, objective, step) rows of every phase of
     every restart, each numbered by its position. A restart body runs its
-    phases through ``run`` and ``record``; the lowest value they offer is the
-    restart's result (the first offer always counts).
+    phases through ``run`` and ``record``, which offer exactly evaluated
+    points; the lowest value offered is the restart's result (the first
+    offer always counts).
     ``converged`` is true once an offered phase's own stopping test fired,
     and ``lower`` is the largest lower bound a phase of any restart returned.
     """
@@ -280,27 +283,28 @@ class Multistart:
         self.history = []
         self.converged = False
         self.lower = -np.inf
-        self.restart_values = []
         self._best = None
 
     @classmethod
     def solve(cls, starts, restart, finish, **extra):
-        """Run ``restart(ms, x0)`` from every start; ``finish`` maps the best
-        restart's point to (minimizer, value, feasibility residuals), and the value
-        is the last history row. Returns the report (``restart_values``, ``extra``)."""
+        """Run ``restart(ms, x0)`` from every start. The report's value, also
+        its closing history row, is the best value a restart offered;
+        ``finish`` maps its point to (minimizer, feasibility residuals, point
+        bound, -inf for none), and ``lower`` is the largest of the phases'
+        bounds, the point bound and 0 (the objectives are nonnegative),
+        capped at the value. ``extra`` follows ``restart_values``."""
         ms = cls()
-        best_f, best_x = np.inf, None
+        results = []
         for x0 in starts:
             ms._best = None
             restart(ms, x0)
-            x, f = ms._best
-            ms.restart_values.append(f)
-            if f < best_f:
-                best_f, best_x = f, x
-        minimizer, value, feasibility = finish(best_x)
-        ms.record(minimizer, value)
+            results.append(ms._best)
+        x, value = min(results, key=lambda r: r[1])
+        minimizer, feasibility, point = finish(x)
+        ms.history.append((len(ms.history), value, 0.0))
         return SolveReport(value, minimizer, ms.history, feasibility, ms.converged,
-                           {"restart_values": ms.restart_values, **extra}, ms.lower)
+                           {"restart_values": [f for _, f in results], **extra},
+                           min(max(ms.lower, point, 0.0), value))
 
     def _offer(self, x, f, converged=False):
         if self._best is None or f < self._best[1]:

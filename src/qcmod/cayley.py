@@ -38,7 +38,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from ._solvers import SolveOptions, SolveReport, _starts, fit_loglog, solve_max_norm
-from .condenser_solver import _feasibility, solve_condenser
+from .condenser_solver import solve_condenser
 from .errors import ValidationError
 from .jsonio import as_int
 from .operator_core import (ContractionVariable, OperatorTuple, commutator, embed, linear_minimum,
@@ -336,9 +336,9 @@ def graph_capacity(ball, spec, opts=None):
     solve, with one component per generator (its difference function) and
     one L-BFGS-B run per ε stage. The box's linear minimum, Σ_i min(g_i, 0),
     lets the subgradient phase aim at and stop on its window lower bound
-    (``projected_subgradient``). The report's ``value_lower`` is the largest
-    of ``graph_dual``'s point bound at the minimizer, that window bound and 0,
-    capped at the value (which can round an ulp below the capacity).
+    (``projected_subgradient``). ``finish`` gives ``graph_dual``'s point
+    bound at the minimizer, so the report's ``lower`` is the larger of the
+    two bounds, floored at 0 and capped at the value (``Multistart.solve``).
     """
     opts = opts or SolveOptions()
     nv = ball.n_vertices
@@ -349,12 +349,12 @@ def graph_capacity(ball, spec, opts=None):
 
     if ball.X1.size == 0:
         # u = 0 is feasible and makes every difference vanish.
-        return SolveReport.closed_form(0.0, u, {"box": 0.0, "pins": 0.0}, value_lower=0.0,
+        return SolveReport.closed_form(0.0, u, {"box": 0.0, "pins": 0.0},
                                        empty_inner_plate=True, n_vertices=nv)
     if free.size == 0:
         # every vertex pinned: the single feasible potential is the pin pattern
         value = op.max_norm(u, spec)
-        return SolveReport.closed_form(value, u, {"box": 0.0, "pins": 0.0}, value_lower=value,
+        return SolveReport.closed_form(value, u, {"box": 0.0, "pins": 0.0},
                                        n_vertices=nv, fully_pinned=True)
 
     def assemble(x):
@@ -380,21 +380,18 @@ def graph_capacity(ball, spec, opts=None):
         return res.x, float(res.fun), res.status != 1
 
     def finish(x):
-        full = assemble(proj(x))
+        full = assemble(x)
         feasibility = {
             "box": float(max(0.0, full.max() - 1.0, -full.min())),
             "pins": float(max(np.abs(full[ball.X1] - 1.0).max(initial=0.0),
                               np.abs(full[ball.X2]).max(initial=0.0))),
         }
-        return full, op.max_norm(full, spec), feasibility
+        return full, feasibility, graph_dual(ball, spec, full, opts.tol)[0]
 
     draw = lambda rng: rng.uniform(0.0, 1.0, size=free.size)
-    rep = solve_max_norm(spectra, [spec] * len(lifts), lambda g: g, proj,
-                         _starts(np.full(free.size, 0.5), draw, opts), finish, opts, stage,
-                         linear_min=lambda g: float(np.minimum(g, 0.0).sum()), n_vertices=nv)
-    point = graph_dual(ball, spec, rep.minimizer, opts.tol)[0]
-    rep.extra["value_lower"] = min(max(point, rep.lower, 0.0), rep.value)
-    return rep
+    return solve_max_norm(spectra, [spec] * len(lifts), lambda g: g, proj,
+                          _starts(np.full(free.size, 0.5), draw, opts), finish, opts, stage,
+                          linear_min=lambda g: float(np.minimum(g, 0.0).sum()), n_vertices=nv)
 
 
 def graph_dual(ball, spec, u, tol):
@@ -542,9 +539,8 @@ def verify_transfer(ball, spec, opts=None):
     solve runs. Otherwise the matrix solve starts its first restart at
     diag(u*), and every restart keeps its best point, so the inequality
     holds for the reported upper bounds as well. ``k_lower`` is the larger
-    of the lifted bound and the matrix solve's own (``SolveReport.lower``),
-    capped at k like the capacity's ``value_lower``. The remaining gap is
-    reported.
+    of the lifted bound and the k report's ``lower``, capped at k. The
+    remaining gap is reported.
     """
     opts = opts or SolveOptions()
     tau = truncated_regular_rep(ball)
@@ -556,13 +552,11 @@ def verify_transfer(ball, spec, opts=None):
     var = ContractionVariable(cond, start)
     k_upper = objective(tau, embed(var), spec)
     matrix_solve = k_upper - k_lower > opts.tol * max(1.0, k_upper)
-    if matrix_solve:
-        k_report = solve_condenser(tau, cond, spec, opts, start=start)
-    else:
-        k_report = SolveReport.closed_form(k_upper, var, _feasibility(cond, var), m0=cond.m0)
+    k_report = (solve_condenser(tau, cond, spec, opts, start=start) if matrix_solve else
+                SolveReport.closed_form(k_upper, var, var.feasibility_residuals(), k_lower, m0=cond.m0))
     return {
         "cap": cap_report.value,
-        "cap_lower": cap_report.extra["value_lower"],
+        "cap_lower": cap_report.lower,
         "k": k_report.value,
         "k_lower": min(max(k_lower, k_report.lower), k_report.value),
         "gap": cap_report.value - k_report.value,

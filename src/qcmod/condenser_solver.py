@@ -23,6 +23,7 @@ from ._solvers import (SolveOptions, SolveReport, _starts, fit_power, projected_
 from .errors import ValidationError
 from .operator_core import (
     ContractionVariable,
+    _fixed_variable,
     _herm,
     _middle_linear_min,
     _middle_starts,
@@ -102,18 +103,6 @@ def _spectra(tau, cond):
     return spectra, lambda W: _herm(Vm.conj().T @ W @ Vm)
 
 
-def _feasibility(cond, var):
-    res = cond.plate_residuals(embed(var))
-    if cond.m0:
-        w = np.linalg.eigvalsh(_herm(var.middle))
-        res["eig_below_0"] = float(max(0.0, -w.min()))
-        res["eig_above_1"] = float(max(0.0, w.max() - 1.0))
-    else:
-        res["eig_below_0"] = 0.0
-        res["eig_above_1"] = 0.0
-    return res
-
-
 def solve_condenser(tau, cond, specs, opts=None, *, start=None):
     """Minimize max_j |[A, T_j]|_{J_j} over the feasible set of the condenser.
 
@@ -129,12 +118,10 @@ def solve_condenser(tau, cond, specs, opts=None, *, start=None):
         raise ValidationError(f"start block must be {cond.m0} x {cond.m0}, got {np.shape(start)}")
     specs = spec_list(specs, tau.n)
 
-    if cond.m0 == 0 or cond.rank_p == 0:
-        # Nothing to optimize: A = P is the only feasible point, or P = 0 and
-        # A = 0 is feasible with zero commutators.
-        var = ContractionVariable(cond, np.zeros((cond.m0, cond.m0), dtype=cond.basis_mid.dtype))
+    var = _fixed_variable(cond)
+    if var is not None:
         value = objective(tau, embed(var), specs)
-        return SolveReport.closed_form(value, var, _feasibility(cond, var),
+        return SolveReport.closed_form(value, var, var.feasibility_residuals(),
                                        restart_values=[value], m0=cond.m0)
 
     proj = lambda B: project_middle(cond, B)
@@ -147,8 +134,8 @@ def solve_condenser(tau, cond, specs, opts=None, *, start=None):
         return B, f, conv
 
     def finish(B):
-        var = ContractionVariable(cond, proj(B))
-        return var, objective(tau, embed(var), specs), _feasibility(cond, var)
+        var = ContractionVariable(cond, B)
+        return var, var.feasibility_residuals(), -np.inf
 
     spectra, pull = _spectra(tau, cond)
     center, draw = _middle_starts(cond, np.sqrt(max(cond.m0, 1)))

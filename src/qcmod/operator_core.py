@@ -174,11 +174,6 @@ class Condenser:
     def compress_middle(self, A):
         return self.basis_mid.conj().T @ A @ self.basis_mid
 
-    def plate_residuals(self, A):
-        """Frobenius norms of AP - P and AQ: how far A is from the plate constraints."""
-        return {"AP_minus_P": float(np.linalg.norm(A @ self.P - self.P)),
-                "AQ": float(np.linalg.norm(A @ self.Q))}
-
 
 def _readonly(M):
     M.flags.writeable = False
@@ -293,6 +288,24 @@ class ContractionVariable:
             w = np.linalg.eigvalsh(_herm(self.middle))
             if w.size and (w.min() < -1e-10 or w.max() > 1 + 1e-10):
                 raise ValidationError("middle block spectrum leaves [0, 1]")
+
+    def feasibility_residuals(self):
+        """Frobenius norms of AP - P and AQ for A = embed(self) (the plate
+        constraints) and how far the spectrum of B0 leaves [0, 1]."""
+        P, Q, A = self.condenser.P, self.condenser.Q, embed(self)
+        w = np.linalg.eigvalsh(_herm(self.middle))
+        return {"AP_minus_P": float(np.linalg.norm(A @ P - P)), "AQ": float(np.linalg.norm(A @ Q)),
+                "eig_below_0": float(max(0.0, -w.min(initial=0.0))),
+                "eig_above_1": float(max(0.0, w.max(initial=1.0) - 1.0))}
+
+
+def _fixed_variable(cond):
+    """The one candidate of a condenser with nothing to optimize, else None:
+    with m0 = 0, A = P is the only feasible point, and with P = 0, A = 0 is
+    feasible and commutes with every tuple. Its middle block is zero."""
+    if cond.m0 == 0 or cond.rank_p == 0:
+        return ContractionVariable(cond, np.zeros((cond.m0, cond.m0), dtype=cond.basis_mid.dtype))
+    return None
 
 
 def embed(variable):

@@ -28,6 +28,7 @@ from .operator_core import (
     Condenser,
     ContractionVariable,
     OperatorTuple,
+    _fixed_variable,
     _herm,
     _middle_starts,
     commutators,
@@ -134,14 +135,10 @@ def minimize_smooth(prob, opts=None):
     restart. Convex, so restarts must agree."""
     opts = opts or SolveOptions()
     cond = prob.condenser
-    m0 = cond.m0
-
-    if m0 == 0 or cond.rank_p == 0:
-        # Nothing to optimize: A = P is the only feasible point, or P = 0 and
-        # A = 0 is feasible with I(0) = 0.
-        var = ContractionVariable(cond, np.zeros((m0, m0), dtype=cond.basis_mid.dtype))
+    var = _fixed_variable(cond)
+    if var is not None:
         val = smooth_objective(prob, embed(var))
-        return SolveReport.closed_form(val, var, cond.plate_residuals(embed(var)),
+        return SolveReport.closed_form(val, var, var.feasibility_residuals(),
                                        restart_values=[val], p=prob.p)
 
     fg = _middle_fg(prob)
@@ -153,9 +150,8 @@ def minimize_smooth(prob, opts=None):
                residual_tol=opts.residual_tol(f0))
 
     def finish(B):
-        var = ContractionVariable(cond, project_middle(cond, B))
-        X = embed(var)
-        return var, smooth_objective(prob, X), cond.plate_residuals(X)
+        var = ContractionVariable(cond, B)
+        return var, var.feasibility_residuals(), -np.inf
 
     return Multistart.solve(_starts(*_middle_starts(cond, 1.0), opts), restart, finish, p=prob.p)
 

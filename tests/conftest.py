@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcmod import _solvers
 from qcmod.operator_core import OperatorTuple, make_condenser
 
 
@@ -17,6 +18,21 @@ def rand_unitary(rng, d, complex_=False):
         W = W + 1j * rng.standard_normal((d, d))
     Q, R = np.linalg.qr(W)
     return Q * np.sign(np.real(np.diag(R)))
+
+
+def window_bounds(monkeypatch):
+    """The window bound L (the fifth result) of every ``projected_subgradient``
+    run, filled in as the solves run."""
+    bounds = []
+    engine = _solvers.projected_subgradient
+
+    def recorded(*args, **kwargs):
+        out = engine(*args, **kwargs)
+        bounds.append(out[4])
+        return out
+
+    monkeypatch.setattr(_solvers, "projected_subgradient", recorded)
+    return bounds
 
 
 @pytest.fixture

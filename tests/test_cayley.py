@@ -28,6 +28,8 @@ from qcmod.operator_core import (ContractionVariable, _herm, embed, make_condens
                                  project_middle)
 from qcmod.ri_norms import NormSpec, _vector_subgradient, dual_norm, vector_norm
 
+from conftest import window_bounds
+
 Z = GroupSpec("zd", d=1)
 Z2 = GroupSpec("zd", d=2)
 Z3 = GroupSpec("zd", d=3)
@@ -278,16 +280,17 @@ class TestGraphCapacity:
         ramp = float(np.sum(np.arange(1, 2 * (R + 1) + 1) ** -0.5) / (R + 1))
         assert rep.value <= ramp * (1 + 1e-6)
 
-    def test_f2_trace_norm_stops_at_its_window_bound(self):
+    def test_f2_trace_norm_stops_at_its_window_bound(self, monkeypatch):
         # the capacity is 2; the window bound closes on it, so the subgradient
         # phase stops after a few windows, certified, instead of running out
         # its delta floor
+        bounds = window_bounds(monkeypatch)
         ball = build_ball(F2, 3, X1="origin", X2={"sphere": 3})
         rep = graph_capacity(ball, NormSpec.schatten(1), SolveOptions(max_iters=3000, tol=1e-9, restarts=1))
         assert abs(rep.value - 2.0) <= 1e-10
         assert rep.converged and rep.iters <= 400
-        assert rep.lower <= rep.extra["value_lower"] <= rep.value
-        assert rep.value - rep.lower <= 1e-9 * rep.value
+        assert len(bounds) == 1 and bounds[0] <= rep.lower <= rep.value
+        assert rep.value - bounds[0] <= 1e-9 * rep.value
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([(Z, 2, 6), (Z2, 1, 3), (F2, 1, 2)]), st.data(),
@@ -302,23 +305,27 @@ class TestGraphCapacity:
         R = data.draw(st.integers(r_min, r_max))
         X2 = data.draw(st.sampled_from([None, {"sphere": R}, {"radius_at_least": max(R - 1, 1)}]))
         ball = build_ball(grp, R, X1="origin", X2=X2)
-        rep = graph_capacity(ball, spec, SolveOptions(max_iters=max_iters, tol=tol, seed=seed,
-                                                      restarts=2, refine=False))
+        with pytest.MonkeyPatch.context() as mp:
+            bounds = window_bounds(mp)
+            rep = graph_capacity(ball, spec, SolveOptions(max_iters=max_iters, tol=tol, seed=seed,
+                                                          restarts=2, refine=False))
+        assert 0.0 <= rep.lower <= rep.value
         # (the value itself may round an ulp below the capacity)
-        assert rep.extra["value_lower"] <= rep.value * (1 + 1e-12)
         if spec.kind == "schatten":
             cap = total_variation_capacity_lp(ball)
-            assert rep.lower <= cap * (1 + 1e-12)
+            assert max(bounds, default=-np.inf) <= cap * (1 + 1e-12)
         else:
-            assert rep.lower <= rep.value * (1 + 1e-12)
+            assert max(bounds, default=-np.inf) <= rep.value * (1 + 1e-12)
 
-    def test_value_lower_never_exceeds_the_value(self):
+    def test_value_lower_never_exceeds_the_value(self, monkeypatch):
         # the window bound lands on the capacity 2.0 while the value rounds an
         # ulp below it (1.9999999999999998); the bracket is capped, not inverted
+        bounds = window_bounds(monkeypatch)
         ball = build_ball(Z, 3, X1="origin")
         rep = graph_capacity(ball, NormSpec.schatten(1),
                              SolveOptions(max_iters=39, tol=1e-3, seed=0, restarts=2, refine=False))
-        assert rep.extra["value_lower"] <= rep.value
+        assert max(bounds) == 2.0 > rep.value
+        assert rep.lower == rep.value
 
     def test_adjacent_singletons_unit_drop(self):
         b = build_ball(Z, 2, X1=[(0,)], X2=[(1,)])
@@ -452,7 +459,7 @@ class TestGraphDual:
     def test_bound_is_below_the_capacity(self, point):
         (ball, spec, _, _, rep), u, tol, _ = point
         bound, duals = graph_dual(ball, spec, u, tol)
-        assert rep.extra["value_lower"] <= rep.value
+        assert 0.0 <= rep.lower <= rep.value
         assert bound <= rep.value * (1 + 1e-12)
         assert sum(dual_norm(y, spec) for y in duals) <= 1.0 + 1e-12
 
@@ -478,15 +485,16 @@ class TestGraphDual:
         ball = build_ball(F2, 3, X1="origin", X2={"sphere": 3})
         spec = NormSpec.schatten(2)
         rep = graph_capacity(ball, spec, OPTS)
-        assert rep.extra["value_lower"] == graph_dual(ball, spec, rep.minimizer, OPTS.tol)[0]
-        assert rep.value - 1e-7 <= rep.extra["value_lower"] <= rep.value
+        assert rep.lower == graph_dual(ball, spec, rep.minimizer, OPTS.tol)[0]
+        assert rep.value - 1e-7 <= rep.lower <= rep.value
 
     @pytest.mark.parametrize("ball", [build_ball(Z, 3, X2={"sphere": 3}),
                                       build_ball(GroupSpec("custom", tables=((1, 0),)), 0, X1=[0], X2=[1])],
                              ids=["empty-inner-plate", "fully-pinned"])
     def test_closed_forms_are_their_own_bound(self, ball):
         rep = graph_capacity(ball, NormSpec.schatten(2), OPTS)
-        assert rep.extra["value_lower"] == rep.value
+        assert rep.lower == rep.value
+        assert rep.to_json()["value_lower"] == rep.value
 
 
 class TestTransfer:
@@ -500,20 +508,27 @@ class TestTransfer:
     @pytest.mark.parametrize("spec", [NormSpec.schatten(1), NormSpec.schatten(2)], ids=["s1", "s2"])
     def test_diagonal_candidate_closes_the_history(self, spec):
         # the matrix solve starts at the diagonal of the graph minimizer, so its
-        # first history row is that candidate's value and k is at most it (up
-        # to the rounding of the solve's closing ``project_middle`` of its
-        # already feasible best block: with S1 that block reads
-        # 1.9999999999999996 and its projection 2.0, by the block SVD and by
-        # ``objective`` alike); the report's value is still its last history row
+        # first history row is that candidate's value and k is at most it; the
+        # report's value is its last history row
         ball = build_ball(Z, 8, X1="origin", X2={"radius_at_least": 6})
         out = verify_transfer(ball, spec, OPTS)
         k = out["k_report"]
         cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
         B = project_middle(cond, cond.compress_middle(np.diag(out["cap_report"].minimizer)))
         candidate = objective(truncated_regular_rep(ball), embed(ContractionVariable(cond, B)), spec)
-        assert k.value <= candidate * (1 + 1e-14)
+        assert k.value <= k.history[0][1]
         assert k.history[0][1] == pytest.approx(candidate, rel=1e-14)
         assert k.history[-1] == (k.iters - 1, k.value, 0.0)
+
+    def test_k_is_the_best_restart_value(self):
+        # both restarts of the S1 matrix solve offer 1.9999999999999998; k is
+        # their minimum, not a re-evaluation of the best block (which read 2.0)
+        ball = build_ball(Z, 8, X1="origin", X2={"radius_at_least": 6})
+        out = verify_transfer(ball, NormSpec.schatten(1), OPTS)
+        k = out["k_report"]
+        assert out["matrix_solve"] and len(k.extra["restart_values"]) == 2
+        assert k.value == min(k.extra["restart_values"])
+        assert 0.0 <= out["k_lower"] <= k.value <= out["cap"]
 
     @staticmethod
     def _matrix_steps(monkeypatch):

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcmod import _solvers
 from qcmod._solvers import _inner, _smooth_schatten, max_norm_fg, smooth_max_norm_fg
@@ -22,7 +22,7 @@ from qcmod.operator_core import (Condenser, ContractionVariable, OperatorTuple, 
                                  commutator_blocks, embed, make_condenser, objective, project_middle)
 from qcmod.ri_norms import NormSpec, matrix_norm, norm_subgradient
 
-from conftest import rand_hermitian, rand_unitary, tridiag_oracle
+from conftest import rand_hermitian, rand_unitary, tridiag_oracle, window_bounds
 
 OPTS = SolveOptions(max_iters=2000, tol=1e-9, seed=1, restarts=2)
 
@@ -181,7 +181,7 @@ class TestSolveCondenser:
     @pytest.mark.parametrize("problem", ["gamma1_N32", "f2_R3"])
     def test_one_svd_per_component_per_fg(self, monkeypatch, problem):
         # each exact evaluation decomposes every component's block once, with
-        # its singular vectors; only the final ``objective`` takes values alone
+        # its singular vectors; no SVD takes values alone
         if problem == "gamma1_N32":
             (tau, cond), spec = timefreq_problem(*gamma1_schedule([32])[0]), NormSpec.schatten(1)
         else:
@@ -192,7 +192,7 @@ class TestSolveCondenser:
         solve_condenser(tau, cond, spec, SolveOptions(max_iters=20, restarts=2, refine=False))
         assert calls["fg"] > 0
         assert calls["full"] == tau.n * calls["fg"]
-        assert calls["values"] == tau.n
+        assert calls["values"] == 0
 
     @pytest.mark.parametrize("specs", [NormSpec.schatten(2), [NormSpec.schatten(2), NormSpec.schatten(3)]],
                              ids=["s2", "s2-s3"])
@@ -200,7 +200,7 @@ class TestSolveCondenser:
         # with every norm Schatten p > 1, a restart decomposes each component
         # once per smoothed evaluation, once at its start (value and Huber
         # scales) and once for its closing exact value; the exact kernel is
-        # never evaluated, and the final ``objective`` takes values alone
+        # never evaluated, and no SVD takes values alone
         rng = np.random.default_rng(5)
         tau = OperatorTuple.of([rand_hermitian(rng, 5), rand_hermitian(rng, 5)])
         calls = _count_svds_and_fgs(monkeypatch)
@@ -208,7 +208,7 @@ class TestSolveCondenser:
                         SolveOptions(max_iters=50, restarts=2, seed=3))
         assert calls["smooth"] > 0 and calls["fg"] == 0
         assert calls["full"] == tau.n * (calls["smooth"] + 2 * 2)
-        assert calls["values"] == tau.n
+        assert calls["values"] == 0
 
     def test_feasibility_residuals(self, tridiag_example):
         tau, cond = tridiag_example
@@ -285,32 +285,48 @@ def small_index_problems(draw):
     return tau, cond, spec, opts
 
 
+#: zero-modulus problems: P = e1 and Q = 0, so A = I commutes with the
+#: dense real component, and a modulus of 0 can read 1.4e-16 (Macaev) while
+#: the window bound, evaluated in floating point, reads 2.2e-16
+_ZERO_MODULUS = [(OperatorTuple.of([np.random.default_rng(0).standard_normal((3, 3))]),
+                  make_condenser([0], [], dim=3), spec,
+                  SolveOptions(max_iters=50, tol=1e-3, seed=0, restarts=1, refine=False))
+                 for spec in (NormSpec.macaev(), NormSpec.schatten(1), NormSpec.lorentz(2))]
+
+
 class TestWindowBound:
-    """The subgradient phase's window bound (``SolveReport.lower``) on the
-    middle blocks, from their linear minimum."""
+    """The subgradient phase's window bound on the middle blocks, from their
+    linear minimum, and the report's bracket ``SolveReport.lower``."""
 
     @settings(max_examples=60, deadline=None)
     @given(small_index_problems())
+    @example(_ZERO_MODULUS[0])
+    @example(_ZERO_MODULUS[1])
+    @example(_ZERO_MODULUS[2])
     def test_lower_is_finite_and_below_the_value(self, problem):
         tau, cond, spec, opts = problem
-        rep = solve_condenser(tau, cond, spec, opts)
-        # the bound is evaluated in floating point, so it can round above the
-        # modulus at the problem's scale: with Q = 0, B = I commutes with the
-        # tuple and a modulus of 0 can read 1.4e-16 with a bound of 2.2e-16
-        assert np.isfinite(rep.lower)
-        assert rep.lower <= rep.value + 1e-12 * max(1.0, rep.value)
+        with pytest.MonkeyPatch.context() as mp:
+            bounds = window_bounds(mp)
+            rep = solve_condenser(tau, cond, spec, opts)
+        assert 0.0 <= rep.lower <= rep.value
+        # the window bound itself can round above the modulus at the
+        # problem's scale (see ``_ZERO_MODULUS``)
+        assert bounds and all(np.isfinite(bounds))
+        assert max(bounds) <= rep.value + 1e-12 * max(1.0, rep.value)
 
     @pytest.mark.parametrize("spec", [NormSpec.schatten(1), NormSpec.lorentz(2), NormSpec.macaev()],
                              ids=["s1", "l21", "macaev"])
-    def test_tridiag_lower_is_below_the_grid_oracle(self, tridiag_example, spec):
+    def test_tridiag_lower_is_below_the_grid_oracle(self, monkeypatch, tridiag_example, spec):
         # the phase meets a zero subgradient at the minimizer t = 1/2, so the
         # bound is the minimum itself; the oracle's raw SVD reads it up to an
         # ulp low (sqrt 2 as 1.414213562373095 for S1)
         tau, cond = tridiag_example
+        bounds = window_bounds(monkeypatch)
         rep = solve_condenser(tau, cond, spec, OPTS)
         oracle_value, _ = tridiag_oracle(spec, grid=4001)
-        assert np.isfinite(rep.lower)
-        assert rep.lower <= oracle_value * (1 + 1e-12)
+        assert bounds and all(np.isfinite(bounds))
+        assert max(bounds) <= oracle_value * (1 + 1e-12)
+        assert max(bounds) <= rep.lower * (1 + 1e-12) and rep.lower <= rep.value
 
 
 class TestSolveOptions:

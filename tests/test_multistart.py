@@ -25,7 +25,9 @@ def _check_bookkeeping(rep):
     assert len(vals) == 3
     # every row is numbered by its position, L-BFGS-B iterations included
     assert [h[0] for h in rep.history] == list(range(rep.iters))
-    assert rep.value <= min(vals) * (1.0 + 1e-12)
+    # the report is the best value a restart offered, bracketed from below
+    assert rep.value == min(vals)
+    assert 0.0 <= rep.lower <= rep.value
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
@@ -34,7 +36,7 @@ def test_condenser_bookkeeping(spec):
     tau = OperatorTuple.of([rand_hermitian(rng, 4), rand_hermitian(rng, 4)])
     rep = solve_condenser(tau, make_condenser([0], [3], dim=4), spec, OPTS3)
     _check_bookkeeping(rep)
-    # the exact re-evaluation of the best point closes the history
+    # the best value a restart offered closes the history
     assert rep.history[-1] == (rep.iters - 1, rep.value, 0.0)
 
 
@@ -80,6 +82,7 @@ def test_closed_form_reports_one_row(name):
     rep = CLOSED_FORMS[name]()
     assert rep.converged and rep.iters == 1
     assert rep.history == [(0, rep.value, 0.0)]
+    assert rep.lower == rep.value
 
 
 def test_lbfgsb_stage_stopped_by_its_limit_is_not_converged(monkeypatch):
@@ -167,9 +170,9 @@ class TestRoundingFloor:
         rep = solve_condenser(truncated_regular_rep(ball), cond, NormSpec.lorentz(2),
                               SolveOptions(seed=7, restarts=1))
         assert len(counts) == 1 and counts[0] <= 200
-        # a loose check only: the refine stalls about 3.5e-7 relative above the
-        # capacity 1 + 1/sqrt(2) (see CHANGES.md), well above the default tol
-        assert abs(rep.value - (1 + 1 / np.sqrt(2))) <= 1e-6
+        # the certified bracket holds the capacity 1 + 1/sqrt(2) within tol
+        assert rep.lower <= 1 + 1 / np.sqrt(2) <= rep.value
+        assert rep.value - rep.lower <= 1e-7 * rep.value
 
 
 class TestCollapsedStep:
@@ -228,10 +231,10 @@ def _engine(fs, conv):
     return engine
 
 
-def _solve(starts, restart, value):
-    """``Multistart.solve`` with a finish step that evaluates ``value`` and
-    reports one feasibility residual of 0."""
-    return Multistart.solve(starts, restart, lambda x: (x, value(x), {"r": 0.0}), tag="t")
+def _solve(starts, restart, point=-np.inf):
+    """``Multistart.solve`` with a finish step that reports one feasibility
+    residual of 0 and the point bound ``point``."""
+    return Multistart.solve(starts, restart, lambda x: (x, {"r": 0.0}, point), tag="t")
 
 
 class TestMultistart:
@@ -241,26 +244,26 @@ class TestMultistart:
             _engine([9.0], False)(x, history=ms.history)  # a smoothed stage: not a candidate
             ms.record(x * 10, 3.5)
 
-        rep = _solve([0, 1], restart, float)
+        rep = _solve([0, 1], restart)
         # restart 0: offers 4.0 (run) then 3.5 (record); restart 1: 3.0 then 3.5
         assert rep.extra == {"restart_values": [3.5, 3.0], "tag": "t"}
-        assert rep.minimizer == 2 and rep.value == 2.0  # best point of restart 1
+        assert rep.minimizer == 2 and rep.value == 3.0  # best point of restart 1
         assert rep.feasibility_residuals == {"r": 0.0}
         assert [h[0] for h in rep.history] == list(range(9))
         assert rep.iters == 9
-        assert rep.history[-1] == (8, 2.0, 0.0)
+        assert rep.history[-1] == (8, 3.0, 0.0)
 
     def test_converged_is_any_offered_phase(self):
         def restart(ms, x0):
             ms.run(_engine([1.0], x0 == 1), x0)
             _engine([2.0], True)(x0, history=ms.history)  # not offered: does not count
 
-        assert _solve([0, 1], restart, lambda x: 0.0).converged
-        assert not _solve([0], restart, lambda x: 0.0).converged
+        assert _solve([0, 1], restart).converged
+        assert not _solve([0], restart).converged
 
     def test_lower_is_the_largest_bound_of_any_restart(self):
-        # the report keeps the largest lower bound any engine returned, and
-        # -inf when every engine returned -inf
+        # the report keeps the largest lower bound any engine returned or the
+        # finish step gave, floored at 0 and capped at the value 2.0
         def bounded(lower):
             def engine(x0, *, history):
                 history.append((len(history), 2.0, 1.0))
@@ -268,9 +271,13 @@ class TestMultistart:
             return engine
 
         lowers = {0: 0.5, 1: 1.5, 2: 1.0}
-        rep = _solve([0, 1, 2], lambda ms, x0: ms.run(bounded(lowers[x0]), x0), lambda x: 2.0)
+        rep = _solve([0, 1, 2], lambda ms, x0: ms.run(bounded(lowers[x0]), x0))
         assert rep.lower == 1.5
-        assert _solve([0], lambda ms, x0: ms.run(_engine([1.0], False), x0), float).lower == -np.inf
+        run = lambda lower: lambda ms, x0: ms.run(bounded(lower), x0)
+        assert _solve([0], run(0.5), point=1.75).lower == 1.75
+        assert _solve([0], run(2.0 + 1e-15)).lower == 2.0
+        assert _solve([0], run(0.5), point=3.0).lower == 2.0
+        assert _solve([0], run(-np.inf)).lower == 0.0
 
     def test_plateau_is_not_convergence(self, monkeypatch):
         # a subgradient phase whose running best is flat over the last three
@@ -304,13 +311,14 @@ class TestMultistart:
 
         rep = _solvers.solve_max_norm(lambda x: [(np.array([120.0 - 4.0 * x]), None)],
                                       [NormSpec.schatten(2)], None, None, [0],
-                                      lambda x: (x, 100.0 + x, {"r": 0.0}), SolveOptions(), stage,
+                                      lambda x: (x, {"r": 0.0}, -np.inf), SolveOptions(), stage,
                                       linear_min=None)  # the smooth route runs no subgradient phase
         assert calls == [(k, (eps, fref), k, 120.0) for k, (eps, fref) in
                          enumerate(zip(_solvers.SMOOTHING_LADDER, [120.0, 10.0, 9.0, 8.0]))]
         # the Huber scale of each stage is its eps times the start's max |v|
         assert [m for m, _, _ in smoothings] == [[eps * 120.0] for eps in _solvers.SMOOTHING_LADDER]
-        # one row for the start, one for the stages' exact value, one for the solve's
+        # one row for the start, one for the stages' exact value, and the
+        # closing row of the best value offered
         assert rep.history == [(0, 120.0, 0.0), (1, 104.0, 0.0), (2, 104.0, 0.0)]
         assert rep.extra["restart_values"] == [104.0] and rep.converged
 

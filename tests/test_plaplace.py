@@ -161,14 +161,16 @@ class TestMinimize:
         rep = minimize_smooth(prob, OPTS)
         assert rep.converged and rep.iters == 1
         assert rep.value == pytest.approx(smooth_objective(prob, cond.P), rel=1e-14)
-        assert rep.feasibility_residuals == {"AP_minus_P": 0.0, "AQ": 0.0}
+        assert rep.feasibility_residuals == {"AP_minus_P": 0.0, "AQ": 0.0, "eig_below_0": 0.0,
+                                             "eig_above_1": 0.0}
 
     def test_empty_inner_plate_closed_form(self):
         # P = 0: A = 0 is feasible with I(0) = 0, so nothing is iterated
         prob = SmoothProblem(_random_problem(9, d=5, p=3.0).tau, make_condenser([], [4], dim=5), 3.0)
         rep = minimize_smooth(prob, OPTS)
         assert rep.value == 0.0 and rep.iters == 1 and rep.converged
-        assert rep.feasibility_residuals == {"AP_minus_P": 0.0, "AQ": 0.0}
+        assert rep.feasibility_residuals == {"AP_minus_P": 0.0, "AQ": 0.0, "eig_below_0": 0.0,
+                                             "eig_above_1": 0.0}
         assert np.all(embed(rep.minimizer) == 0)
 
     def test_norm_sandwich_at_minimizer(self):
