@@ -12,8 +12,15 @@ The capacity
 
 is convex and is minimized on the box [0, 1]^vertices with equality pins
 by ``solve_max_norm``, the solve the condenser shares, with one L-BFGS-B
-run per ε stage. Exact oracles (LP for the trace-norm case, sparse
-harmonic solve for the Frobenius case) live alongside for tests.
+run per ε stage. Those runs take no bounds: clipping the free vertices to
+[0, 1] is 1-Lipschitz and fixes the pins and the 0 outside the ball (a
+normal contraction; Beurling & Deny 1959), so no entry of any d_j(u) grows
+in magnitude, and every stage objective (the exact p-norm, the Huber sum,
+the log-sum-exp across generators) is nondecreasing in each entry's
+magnitude. Hence f(clip u) <= f(u) for every u, the unconstrained infimum
+is the constrained one, and clipping a stage's result keeps it feasible.
+Exact oracles (LP for the trace-norm case, sparse harmonic solve for the
+Frobenius case) live alongside for tests.
 
 All of them read the difference structure from one sparse incidence
 operator per ball (``CayleyBall.incidence``): the generators' difference
@@ -331,14 +338,16 @@ class IncidenceOperator:
 def graph_capacity(ball, spec, opts=None):
     """Condenser capacity of (X1, X2) on the ball for one RI norm.
 
-    The box constraint and pins are kept exactly at every iterate. The
-    solve is ``solve_max_norm`` on the free coordinates, as in the condenser
-    solve, with one component per generator (its difference function) and
-    one L-BFGS-B run per ε stage. The box's linear minimum, Σ_i min(g_i, 0),
-    lets the subgradient phase aim at and stop on its window lower bound
-    (``projected_subgradient``). ``finish`` gives ``graph_dual``'s point
-    bound at the minimizer, so the report's ``lower`` is the larger of the
-    two bounds, floored at 0 and capped at the value (``Multistart.solve``).
+    The box constraint and pins are kept exactly at every offered point.
+    The solve is ``solve_max_norm`` on the free coordinates, as in the
+    condenser solve, with one component per generator (its difference
+    function) and one unconstrained L-BFGS-B run per ε stage, whose result
+    is clipped to the box (the module docstring's clip lemma). The box's
+    linear minimum, Σ_i min(g_i, 0), lets the subgradient phase aim at and
+    stop on its window lower bound (``projected_subgradient``). ``finish``
+    gives ``graph_dual``'s point bound at the minimizer, so the report's
+    ``lower`` is the larger of the two bounds, floored at 0 and capped at
+    the value (``Multistart.solve``).
     """
     opts = opts or SolveOptions()
     nv = ball.n_vertices
@@ -368,16 +377,18 @@ def graph_capacity(ball, spec, opts=None):
     proj = lambda x: np.clip(x, 0.0, 1.0)
 
     def stage(k, fg, x, f0, history):
-        """A warm-started L-BFGS-B run on the k-th smoothing from x, logging
-        each iteration's smoothed value. Only a stop by the limits (status 1)
-        is not converged: a line-search stop (2) is, like the rounding floor."""
+        """A warm-started L-BFGS-B run without bounds on the k-th smoothing
+        from x, logging each iteration's smoothed value, and its result
+        clipped to the box. The logged iterates may lie outside the box;
+        by the clip lemma their values bound the clipped points' from
+        above. Only a stop by the limits (status 1) is not converged: a
+        line-search stop (2) is, like the rounding floor."""
         # scipy passes the iterate's result only to a parameter of this name
         log = lambda intermediate_result: history.append(
             (len(history), float(intermediate_result.fun), 0.0))
-        res = scipy.optimize.minimize(fg, x, jac=True, method="L-BFGS-B",
-                                      bounds=scipy.optimize.Bounds(0.0, 1.0), callback=log,
+        res = scipy.optimize.minimize(fg, x, jac=True, method="L-BFGS-B", callback=log,
                                       options={"maxiter": 3000, "ftol": 1e-17, "gtol": 1e-14})
-        return res.x, float(res.fun), res.status != 1
+        return proj(res.x), float(res.fun), res.status != 1
 
     def finish(x):
         full = assemble(x)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 from functools import lru_cache
@@ -242,6 +243,11 @@ class TestIncidenceOperator:
         np.testing.assert_allclose(orc["u"][free], np.linalg.solve(L, rhs), rtol=1e-12, atol=1e-14)
 
 
+#: balls of the clip lemma's test, each with and without an outer plate
+_CLIP_BALLS = [build_ball(grp, R, X1="origin", X2=X2)
+               for grp, R in ((Z, 6), (Z2, 3), (F2, 2)) for X2 in (None, {"sphere": R})]
+
+
 class TestGraphCapacity:
     def test_zero_capacity_cycle_has_no_nan_smoothing(self):
         # On a finite cycle u = 1 is feasible, so the capacity is 0 and the
@@ -405,12 +411,51 @@ class TestGraphCapacity:
         vals = [graph_capacity(build_ball(Z, R, X1="origin"), spec, OPTS).value for R in (3, 5, 8)]
         assert vals[0] >= vals[1] >= vals[2]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_CLIP_BALLS), st.sampled_from([1, 2, 3]), st.integers(0, 2 ** 32 - 1))
+    def test_clipping_never_raises_the_objective(self, ball, p, seed):
+        # the lemma behind the unbounded L-BFGS-B stages: clipping the free
+        # vertices to [0, 1] is 1-Lipschitz and fixes the pins, so no entry of
+        # any d_j(u) grows in magnitude, and the exact and the smoothed
+        # objectives are nondecreasing in every one. In floating point the
+        # exact objective's bound holds exactly (its rounding is monotone);
+        # the smoothed one's is allowed 4 ulps, as the log-sum-exp's rounding
+        # need not be monotone where the largest term moves (9,000 draws of
+        # these balls all held it exactly).
+        op = ball.incidence
+        specs = [NormSpec.schatten(p)] * len(op.Dt_free)
+
+        def spectra(x):
+            u = np.zeros(ball.n_vertices)
+            u[ball.X1] = 1.0
+            u[op.free] = x
+            return list(zip(op.diffs(u), [Dt.__matmul__ for Dt in op.Dt_free]))
+
+        x = np.random.default_rng(seed).uniform(-1.0, 2.0, op.free.size)
+        clipped = np.clip(x, 0.0, 1.0)
+        exact = _solvers.max_norm_fg(spectra, specs, lambda g: g)
+        assert exact(clipped)[0] <= exact(x)[0]
+        for mu, eps in ((1e-2, 1e-2), (1e-6, 1e-4), (1e-9, 1e-9)):
+            fg = _solvers.smooth_max_norm_fg(spectra, specs, [mu] * len(specs), eps, exact(x)[0], lambda g: g)
+            assert fg(clipped)[0] <= fg(x)[0] * (1 + 4 * np.finfo(float).eps)
+
     def test_minimizer_feasible(self):
-        b = build_ball(Z2, 3, X1="origin")
-        rep = graph_capacity(b, NormSpec.schatten(2), OPTS)
-        u = rep.minimizer
-        assert u.min() >= 0 and u.max() <= 1
-        assert np.allclose(u[b.X1], 1.0)
+        # the L-BFGS-B stages run without bounds, and their iterates leave
+        # [0, 1] on these balls; each stage returns its point clipped, so the
+        # minimizer is in the box and on the pins exactly. Inside a ring plate
+        # the minimizer is 1, and unclipped stages end up to 1e-5 above it.
+        z2 = build_ball(Z2, 6, X1="origin")
+        cases = [(build_ball(Z2, 3, X1="origin"), 2, 3)]
+        cases += [(z2, p, seed) for p in (1, 2, 3) for seed in range(4)]
+        cases += [(build_ball(Z, 8, X1="origin", X2={"radius_at_least": 6}), 2, 2)]
+        cases += [(build_ball(Z2, 4, X1={"sphere": 2}), p, 1) for p in (2, 3)]
+        cases += [(build_ball(Z, 6, X1={"sphere": 2}), 3, 0)]
+        for ball, p, seed in cases:
+            rep = graph_capacity(ball, NormSpec.schatten(p), dataclasses.replace(OPTS, seed=seed))
+            u = rep.minimizer
+            assert rep.feasibility_residuals == {"box": 0.0, "pins": 0.0}
+            assert u.min() >= 0.0 and u.max() <= 1.0
+            assert np.all(u[ball.X1] == 1.0) and np.all(u[ball.X2] == 0.0)
 
 
 # small balls, the first three with X2 holding the boundary sphere (so every

@@ -286,8 +286,9 @@ def small_index_problems(draw):
 
 
 #: zero-modulus problems: P = e1 and Q = 0, so A = I commutes with the
-#: dense real component, and a modulus of 0 can read 1.4e-16 (Macaev) while
-#: the window bound, evaluated in floating point, reads 2.2e-16
+#: dense real component, and a modulus of 0 can read 1.4e-16 (Macaev); the
+#: window cut, evaluated in floating point, reads 2.2e-16 before its
+#: rounding allowance
 _ZERO_MODULUS = [(OperatorTuple.of([np.random.default_rng(0).standard_normal((3, 3))]),
                   make_condenser([0], [], dim=3), spec,
                   SolveOptions(max_iters=50, tol=1e-3, seed=0, restarts=1, refine=False))
@@ -313,6 +314,17 @@ class TestWindowBound:
         # problem's scale (see ``_ZERO_MODULUS``)
         assert bounds and all(np.isfinite(bounds))
         assert max(bounds) <= rep.value + 1e-12 * max(1.0, rep.value)
+
+    def test_zero_modulus_lower_is_zero(self, monkeypatch):
+        # the Macaev problem of ``_ZERO_MODULUS`` (also the output digest's
+        # condenser_zero_modulus run): the modulus is exactly 0, so the
+        # window cut, lowered by its rounding allowance, certifies 0 and not
+        # the roundoff of the value
+        bounds = window_bounds(monkeypatch)
+        rep = solve_condenser(*_ZERO_MODULUS[0])
+        assert bounds and max(bounds) <= 0.0 < rep.value
+        assert rep.lower == 0.0
+        assert rep.to_json()["value_lower"] == 0.0
 
     @pytest.mark.parametrize("spec", [NormSpec.schatten(1), NormSpec.lorentz(2), NormSpec.macaev()],
                              ids=["s1", "l21", "macaev"])

@@ -6,7 +6,7 @@ Usage:
 
 ``--src`` is the source tree to run (the directory holding the ``qcmod``
 package; default: this checkout's ``src``). Under each run's exit line the
-scalars of its report.json that size a moved digest are printed (see
+values of its report.json that size a moved digest are printed (see
 ``VALUE_KEYS``). Each run is a fresh
 ``python -m qcmod`` process with BLAS pinned to one thread, writing into a
 temporary directory. Every output file except
@@ -32,9 +32,10 @@ _PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM
 
 #: report.json keys printed under each run, at the top level and inside each entry
 #: of the lists named by ``VALUE_LISTS`` (transfer comparisons, scan entries,
-#: experiment rows and results)
+#: experiment rows and results); ``feasibility_residuals`` puts each solve's
+#: box and pin (or plate and spectral) residuals next to its values
 VALUE_KEYS = ("value", "value_upper", "value_lower", "iters", "converged", "k", "k_lower", "cap",
-              "cap_lower", "matrix_solve", "values", "estimate")
+              "cap_lower", "matrix_solve", "values", "estimate", "feasibility_residuals")
 VALUE_LISTS = ("comparisons", "entries", "rows", "results")
 
 
