@@ -16,7 +16,8 @@ the best value offered and whose ``iters`` is the length of its history
 (one row for a closed form).
 ``solve_max_norm`` is the one restart body of the condenser and the graph
 capacity: it routes the phases and runs the ε stages, and each solver gives
-it only its spectra, projection, starts, final step and stage engine.
+it only its spectra, projection, starts, final step and stage engine. Every
+lower bound is a ``safe_cut``: the window cuts and the ``point_bound``.
 """
 
 import dataclasses
@@ -28,7 +29,7 @@ import scipy.optimize
 from .errors import ValidationError
 from .jsonio import as_bool, as_int, matrix_to_json
 from .operator_core import ContractionVariable, embed
-from .ri_norms import _vector_subgradient, vector_norm
+from .ri_norms import _vector_subgradient, dual_norm, vector_norm
 
 
 def _inner(x, y):
@@ -39,10 +40,43 @@ def _norm(x):
     return float(np.linalg.norm(x.ravel()))
 
 
-#: The window cut's rounding allowance in ulps of its terms' absolute sum.
+#: The rounding allowance of every cut in ulps of its terms' absolute sum.
 #: The largest excess of an unlowered cut over a known infimum measured so
 #: far is 3.5 such ulps (Lorentz(2,1) capacity 1 + 1/sqrt 2 on F2 balls).
 _CUT_ULPS = 8
+
+
+def safe_cut(c, G, x, linear_min, c_abs=None):
+    """(cut, safe value) of the cut c - <G, x> + linear_min(G), a lower bound
+    on f* wherever f(x') >= c + <G, x' - x> on the feasible set, over which
+    ``linear_min(G)`` minimizes <G, x'>. The safe value is the cut lowered by
+    ``_CUT_ULPS`` ulps of its terms' absolute sum, c_abs (that of c's own
+    terms, default |c|) + Σ_i |G_i x_i| + |linear_min(G)|, so that rounding
+    cannot lift it above f* (Neumaier & Shcherbina 2004)."""
+    lm = linear_min(G)
+    cut = c - _inner(G, x) + lm
+    terms = (abs(c) if c_abs is None else c_abs) + _inner(np.abs(G), np.abs(x)) + abs(lm)
+    return cut, float(cut - _CUT_ULPS * np.finfo(float).eps * terms)
+
+
+def point_bound(comps, specs, pull, linear_min, x, tol):
+    """(value, bound) of ``max_norm_fg``'s objective at a feasible x whose
+    ``spectra`` are ``comps``: the value max_j f_j, f_j = vector_norm(v_j),
+    and the safe value of the Frank-Wolfe cut (Jaggi 2013). λ is uniform over
+    the f_j within tol * max(1, max f) of the max, and each subgradient y_j
+    at v_j is divided by max(1, dual_norm(y_j)) into its dual unit ball as
+    evaluated in floating point. The cut's c = Σ_j λ_j <y_j, v_j> is
+    computed, not taken as Σ_j λ_j f_j, and G = pull(Σ_j λ_j lift_j(y_j))."""
+    fs = np.array([vector_norm(v, sp) for (v, _), sp in zip(comps, specs)])
+    active = np.flatnonzero(fs >= fs.max() - tol * max(1.0, fs.max()))
+    c, W = 0.0, 0.0
+    for j in active:
+        v, lift = comps[j]
+        y = _vector_subgradient(v, specs[j], fs[j])
+        y = y / (max(1.0, dual_norm(y, specs[j])) * active.size)
+        c += _inner(y, v)
+        W = W + lift(y)
+    return float(fs.max()), safe_cut(c, pull(W), x, linear_min)[1]
 
 
 def projected_subgradient(fg, project, x0, *, max_iters, tol, history, linear_min):
@@ -51,22 +85,18 @@ def projected_subgradient(fg, project, x0, *, max_iters, tol, history, linear_mi
     ``linear_min(g)``, the minimum of <g, x'> over the feasible set, gives a
     certified lower bound L (Anstreicher & Wolsey 2009; Nesterov 2009): by
     convexity every point x_k of a window of iterations gives
-    f* >= f_k + <g_k, x* - x_k>, so their mean gives
-    f* >= mean(f_k - <g_k, x_k>) + linear_min(mean g_k). L is the largest
-    such cut over the windows (f itself at a zero subgradient, whose point is
-    a minimizer), -inf before the first window ends.
+    f* >= f_k + <g_k, x* - x_k>, so their mean gives the ``safe_cut``
+    f* >= mean(f_k - <g_k, x_k>) + linear_min(mean g_k) about the origin. L is
+    the largest such cut over the windows (f itself at a zero subgradient,
+    whose point is a minimizer), -inf before the first window ends.
 
     The Polyak step aims at max(best - delta, 0, L) (objectives here are
     nonnegative), halving delta whenever a window fails to improve. The run
     converges once best - L is at most tol * max(1, best), or once a window
     improves the best value by at most tol * scale0 (scale0: the start
-    value) with delta at most as small (the delta floor).
-
-    Returns (best_x, best_f, iters_done, converged, bound): the bound is L
-    lowered by ``_CUT_ULPS`` ulps of the sum of its window cut's terms'
-    absolute values, mean(|f_k| + Σ_i |g_ki x_ki|) + |linear_min(mean g_k)|,
-    so that rounding cannot lift it above f*. The steps and the stop read L
-    itself, so the allowance moves no iterate.
+    value) with delta at most as small (the delta floor). Returns (best_x,
+    best_f, iters_done, converged, the safe value of L's cut): the steps and
+    the stop read L, so the allowance moves no iterate.
     """
     x = project(np.array(x0))
     f, g = fg(x)
@@ -77,7 +107,7 @@ def projected_subgradient(fg, project, x0, *, max_iters, tol, history, linear_mi
     delta = 0.5 * max(f, 1e-300)
     window = 50
     window_best = f
-    lower, slack = -np.inf, 0.0  # L and the rounding allowance of the cut that set it
+    lower = bound = -np.inf  # L and its cut's lowered value
     # the window's sums of f_k - <g_k, x_k>, of g_k and of the first sum's terms' absolute values
     cut_const, cut_g, cut_abs = 0.0, np.zeros_like(g), 0.0
     converged = False
@@ -86,8 +116,9 @@ def projected_subgradient(fg, project, x0, *, max_iters, tol, history, linear_mi
         if gn2 <= 0.0:
             # zero subgradient: global minimizer of a convex objective
             history.append((len(history), f, 0.0))
-            if f > lower:
-                lower, slack = f, 0.0
+            cut, safe = safe_cut(f, g, x, linear_min)
+            if cut > lower:
+                lower, bound = cut, safe
             converged = True
             k += 1
             break
@@ -105,10 +136,10 @@ def projected_subgradient(fg, project, x0, *, max_iters, tol, history, linear_mi
             best_f, best_x = f, x.copy()
         k += 1
         if k % window == 0:
-            lm = linear_min(cut_g / window)
-            if cut_const / window + lm > lower:
-                lower = cut_const / window + lm
-                slack = _CUT_ULPS * np.finfo(float).eps * (cut_abs / window + abs(lm))
+            cut, safe = safe_cut(cut_const / window, cut_g / window, np.zeros_like(g), linear_min,
+                                 cut_abs / window)
+            if cut > lower:
+                lower, bound = cut, safe
             cut_const, cut_g, cut_abs = 0.0, np.zeros_like(g), 0.0
             if best_f - lower <= tol * max(1.0, best_f):
                 converged = True
@@ -120,7 +151,7 @@ def projected_subgradient(fg, project, x0, *, max_iters, tol, history, linear_mi
                 converged = True
                 break
             window_best = best_f
-    return best_x, best_f, k, converged, lower - slack
+    return best_x, best_f, k, converged, bound
 
 
 def projected_descent(fg, project, x0, *, max_iters, residual_tol, history):
@@ -306,9 +337,9 @@ class Multistart:
         """Run ``restart(ms, x0)`` from every start. The report's value, also
         its closing history row, is the best value a restart offered;
         ``finish`` maps its point to (minimizer, feasibility residuals, point
-        bound, -inf for none), and ``lower`` is the largest of the phases'
-        bounds, the point bound and 0 (the objectives are nonnegative),
-        capped at the value. ``extra`` follows ``restart_values``."""
+        bound), and ``lower`` is the largest of the phases' bounds, the point
+        bound and 0 (the objectives are nonnegative), capped at the value.
+        ``extra`` follows ``restart_values``."""
         ms = cls()
         results = []
         for x0 in starts:
@@ -432,9 +463,9 @@ def solve_max_norm(spectra, specs, pull, project, starts, finish, opts, stage, *
     sorted magnitudes stabilizes). The stages' Huber scales are eps * max|v_j|
     at their start point, their log-sum-exp scale f0 and then each stage's f;
     the exact value of the last point closes them with the last stage's flag.
-    ``linear_min``, the minimum of <g, x> over the feasible set, is handed to
-    the subgradient phase (``projected_subgradient``), whose lower bound the
-    report's ``lower`` keeps.
+    ``linear_min``, the minimum of <g, x> over the feasible set, gives the
+    window bounds (``projected_subgradient``) and the ``point_bound`` at the
+    reported point; ``finish(x)`` gives its minimizer and feasibility residuals.
     """
     fg = max_norm_fg(spectra, specs, pull)
     value = lambda comps: max(vector_norm(v, sp) for (v, _), sp in zip(comps, specs))
@@ -465,7 +496,8 @@ def solve_max_norm(spectra, specs, pull, project, starts, finish, opts, stage, *
             ms.run(projected_descent, fg, project, x, max_iters=max(200, opts.max_iters // 2),
                    residual_tol=opts.residual_tol(f))
 
-    return Multistart.solve(starts, restart, finish, **extra)
+    bounded = lambda x: (*finish(x), point_bound(spectra(x), specs, pull, linear_min, x, opts.tol)[1])
+    return Multistart.solve(starts, restart, bounded, **extra)
 
 
 # -- extrapolation fits ------------------------------------------------------------

@@ -44,13 +44,12 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ._solvers import SolveOptions, SolveReport, _starts, fit_loglog, solve_max_norm
+from ._solvers import SolveOptions, SolveReport, _starts, fit_loglog, point_bound, solve_max_norm
 from .condenser_solver import solve_condenser
 from .errors import ValidationError
 from .jsonio import as_int
-from .operator_core import (ContractionVariable, OperatorTuple, commutator, embed, linear_minimum,
-                            make_condenser, objective)
-from .ri_norms import NormSpec, _vector_subgradient, dual_norm, vector_norm
+from .operator_core import ContractionVariable, OperatorTuple, make_condenser
+from .ri_norms import NormSpec, vector_norm
 
 #: Largest dense regular representation ``truncated_regular_rep`` builds, in
 #: bytes (n_generators * n_vertices^2 doubles); F2 balls up to R = 6 fit.
@@ -344,10 +343,9 @@ def graph_capacity(ball, spec, opts=None):
     function) and one unconstrained L-BFGS-B run per ε stage, whose result
     is clipped to the box (the module docstring's clip lemma). The box's
     linear minimum, Σ_i min(g_i, 0), lets the subgradient phase aim at and
-    stop on its window lower bound (``projected_subgradient``). ``finish``
-    gives ``graph_dual``'s point bound at the minimizer, so the report's
-    ``lower`` is the larger of the two bounds, floored at 0 and capped at
-    the value (``Multistart.solve``).
+    stop on its window lower bound (``projected_subgradient``) and gives the
+    point bound at the minimizer (``point_bound``); the report's ``lower``
+    is the larger, floored at 0 and capped at the value.
     """
     opts = opts or SolveOptions()
     nv = ball.n_vertices
@@ -397,40 +395,16 @@ def graph_capacity(ball, spec, opts=None):
             "pins": float(max(np.abs(full[ball.X1] - 1.0).max(initial=0.0),
                               np.abs(full[ball.X2]).max(initial=0.0))),
         }
-        return full, feasibility, graph_dual(ball, spec, full, opts.tol)[0]
+        return full, feasibility
 
     draw = lambda rng: rng.uniform(0.0, 1.0, size=free.size)
     return solve_max_norm(spectra, [spec] * len(lifts), lambda g: g, proj,
                           _starts(np.full(free.size, 0.5), draw, opts), finish, opts, stage,
-                          linear_min=lambda g: float(np.minimum(g, 0.0).sum()), n_vertices=nv)
+                          linear_min=_box_linear_min, n_vertices=nv)
 
 
-def graph_dual(ball, spec, u, tol):
-    """The point bound on the capacity at a feasible potential u (the
-    Frank-Wolfe gap; Jaggi 2013) and the dual vectors that give it.
-
-    Per generator, y_j is the ``_vector_subgradient`` of d_j(u), divided by
-    max(1, dual_norm(y_j)) so that it lies in the dual unit ball as evaluated
-    in floating point. The weights λ are uniform over the generators whose
-    f_j = |d_j(u)|_J is within tol * max(1, max_j f_j) of the largest. With
-    G = Σ_j λ_j D_j^T y_j on the free vertices, convexity gives
-
-        cap >= Σ_j λ_j f_j + Σ_i min(G_i, 0) - <G, u_free>.
-
-    Returns that bound and the weighted duals λ_j y_j, whose dual norms sum
-    to at most 1.
-    """
-    op = ball.incidence
-    diffs = op.diffs(u)
-    fs = np.array([vector_norm(d, spec) for d in diffs])
-    active = fs >= fs.max() - tol * max(1.0, fs.max())
-    lam = active / np.count_nonzero(active)
-    duals = []
-    for d, f, weight in zip(diffs, fs, lam):
-        y = _vector_subgradient(d, spec, f)
-        duals.append(weight / max(1.0, dual_norm(y, spec)) * y)
-    G = sum(Dt @ y for Dt, y in zip(op.Dt_free, duals))
-    return float(lam @ fs + np.minimum(G, 0.0).sum() - G @ u[op.free]), duals
+def _box_linear_min(g):  # min of <g, x> over the box [0, 1]^free
+    return float(np.minimum(g, 0.0).sum())
 
 
 # -- exact oracles --------------------------------------------------------------------
@@ -522,17 +496,17 @@ def truncated_regular_rep(ball):
     return OperatorTuple(tuple(mats), (False,) * len(mats), nv)
 
 
-def lifted_bound(tau, cond, duals):
-    """The lower bound on k that ``graph_dual``'s duals give on the tuple of
-    ``truncated_regular_rep``: each y_j placed on the partial-permutation
-    pattern of T_j (Y_j = T_j diag(y_j), whose singular values are |y_j| on
-    the edges inside the ball, so its dual norm is at most y_j's) is a
-    matrix dual, and Re <Y_j, [A, T_j]> = Re <[Y_j, T_j^*], A>. So k is at
-    least the ``linear_minimum`` of W = Σ_j [Y_j, T_j^*]. This holds for any
-    duals; where they vanish on the edges that leave the ball (X2 holds its
-    boundary sphere), it is their graph bound."""
-    W = sum(commutator(T * y[:tau.dim], T.T, None) for T, y in zip(tau.components, duals))
-    return linear_minimum(cond, W)
+def _diagonal_bracket(ball, spec, u, tol):
+    """``point_bound`` of k at A = diag(u), u feasible, on the tuple of
+    ``truncated_regular_rep``: (k_upper, bound). [diag(u), T_j] is a weighted
+    partial permutation with entries u(g_j h) - u(h), the rows h < n_vertices
+    of D_j with g_j h in the ball (others read 0), lifted by D_j^T. A dual
+    y_j is Y_j = T_j diag(y_j), with its singular values, and Σ_j [Y_j, T_j^*]
+    = diag(Σ_j D_j^T y_j) has the box's linear minimum on the middle blocks."""
+    op, nv = ball.incidence, ball.n_vertices
+    comps = [(np.where(fwd >= 0, d[:nv], 0.0), Dt[:, :nv].__matmul__)
+             for d, fwd, Dt in zip(op.diffs(u), ball.sigma, op.Dt_free)]
+    return point_bound(comps, [spec] * len(comps), lambda g: g, _box_linear_min, u[op.free], tol)
 
 
 def verify_transfer(ball, spec, opts=None):
@@ -540,18 +514,17 @@ def verify_transfer(ball, spec, opts=None):
 
     The diagonal matrix of any feasible potential is a feasible matrix
     variable whose commutator entries are a sub-pattern of the difference
-    function, so k <= cap holds at every truncation: ``k_upper``, the
-    objective at the diagonal of the graph minimizer u*, is at most cap.
-    The ``lifted_bound`` of ``graph_dual``'s duals at u*, floored at 0
-    (every k is nonnegative), is a lower bound on k.
+    function, so k <= cap holds at every truncation. ``_diagonal_bracket``
+    at the graph minimizer u* gives ``k_upper``, the objective at diag(u*),
+    and a lower bound on k, floored at 0. ``truncated_regular_rep`` is
+    built first, as the size guard, and only the matrix solve reads it.
 
     When the bracket [that bound, k_upper] is within opts.tol * max(1, k_upper),
     that point is the k report (one history row, converged) and no matrix
     solve runs. Otherwise the matrix solve starts its first restart at
     diag(u*), and every restart keeps its best point, so the inequality
     holds for the reported upper bounds as well. ``k_lower`` is the larger
-    of the lifted bound and the k report's ``lower``, capped at k. The
-    remaining gap is reported.
+    of the point bound and the k report's ``lower``, capped at k.
     """
     opts = opts or SolveOptions()
     tau = truncated_regular_rep(ball)
@@ -559,9 +532,9 @@ def verify_transfer(ball, spec, opts=None):
     u = np.asarray(cap_report.minimizer, dtype=float)
     cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
     start = cond.compress_middle(np.diag(u))
-    k_lower = max(lifted_bound(tau, cond, graph_dual(ball, spec, u, opts.tol)[1]), 0.0)
+    k_upper, k_lower = _diagonal_bracket(ball, spec, u, opts.tol)
+    k_lower = max(k_lower, 0.0)
     var = ContractionVariable(cond, start)
-    k_upper = objective(tau, embed(var), spec)
     matrix_solve = k_upper - k_lower > opts.tol * max(1.0, k_upper)
     k_report = (solve_condenser(tau, cond, spec, opts, start=start) if matrix_solve else
                 SolveReport.closed_form(k_upper, var, var.feasibility_residuals(), k_lower, m0=cond.m0))

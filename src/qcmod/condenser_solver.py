@@ -12,7 +12,7 @@ This module supplies its ``spectra``: one SVD per component per evaluation,
 of the block outside which the commutator vanishes (``commutator_blocks``),
 formed from the block of A on the condenser's support alone, the projection
 onto the feasible middle blocks and the linear minimum over them (which the
-subgradient phase's window bound needs), the start blocks and the ε stage,
+window bound and the point bound need), the start blocks and the ε stage,
 a run of projected descent on the smoothed objective.
 """
 
@@ -135,7 +135,7 @@ def solve_condenser(tau, cond, specs, opts=None, *, start=None):
 
     def finish(B):
         var = ContractionVariable(cond, B)
-        return var, var.feasibility_residuals(), -np.inf
+        return var, var.feasibility_residuals()
 
     spectra, pull = _spectra(tau, cond)
     center, draw = _middle_starts(cond, np.sqrt(max(cond.m0, 1)))

@@ -330,14 +330,6 @@ def _middle_linear_min(G):
     return float(np.minimum(np.linalg.eigvalsh(G), 0.0).sum())
 
 
-def linear_minimum(cond, W):
-    """min of Re <W, A> over the feasible A = P (+) B0 (+) 0, 0 <= B0 <= I:
-    with Z = herm(W), tr(Vp^* Z Vp) plus ``_middle_linear_min`` of Vm^* Z Vm."""
-    Z = _herm(W)
-    Vp, Vm = cond.basis_p, cond.basis_mid
-    return float(np.real(np.trace(Vp.conj().T @ Z @ Vp))) + _middle_linear_min(Vm.conj().T @ Z @ Vm)
-
-
 def _middle_starts(cond, divisor):
     """The center 0.5 I of the middle blocks and the draw of a further start
     from an rng: the projected perturbation 0.5 I + 0.35 herm(W) / divisor,

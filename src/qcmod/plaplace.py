@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._solvers import Multistart, SolveOptions, SolveReport, _starts, projected_descent
+from ._solvers import Multistart, SolveOptions, SolveReport, _starts, projected_descent, safe_cut
 from .errors import NumericError, ValidationError
 from .operator_core import (
     Condenser,
@@ -30,6 +30,7 @@ from .operator_core import (
     OperatorTuple,
     _fixed_variable,
     _herm,
+    _middle_linear_min,
     _middle_starts,
     commutators,
     embed,
@@ -132,7 +133,8 @@ def _middle_fg(prob):
 def minimize_smooth(prob, opts=None):
     """Projected gradient descent (Barzilai-Borwein steps from a first step
     of 1 / |gradient|, Armijo backtracking) on the middle block, one run per
-    restart. Convex, so restarts must agree."""
+    restart. Convex, so restarts must agree. The report's ``lower`` is the
+    ``safe_cut`` of the gradient at the minimizer."""
     opts = opts or SolveOptions()
     cond = prob.condenser
     var = _fixed_variable(cond)
@@ -151,7 +153,7 @@ def minimize_smooth(prob, opts=None):
 
     def finish(B):
         var = ContractionVariable(cond, B)
-        return var, var.feasibility_residuals(), -np.inf
+        return var, var.feasibility_residuals(), safe_cut(*fg(B), B, _middle_linear_min)[1]
 
     return Multistart.solve(_starts(*_middle_starts(cond, 1.0), opts), restart, finish, p=prob.p)
 

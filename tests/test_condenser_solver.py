@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,9 +19,10 @@ from qcmod.condenser_solver import (
 )
 from qcmod.errors import ValidationError
 from qcmod.experiments import gamma1_schedule, timefreq_problem
-from qcmod.operator_core import (Condenser, ContractionVariable, OperatorTuple, _herm, commutator,
-                                 commutator_blocks, embed, make_condenser, objective, project_middle)
-from qcmod.ri_norms import NormSpec, matrix_norm, norm_subgradient
+from qcmod.operator_core import (Condenser, ContractionVariable, OperatorTuple, _herm, _middle_linear_min,
+                                 commutator, commutator_blocks, embed, make_condenser, objective,
+                                 project_middle)
+from qcmod.ri_norms import NormSpec, matrix_norm, norm_subgradient, spec_list
 
 from conftest import rand_hermitian, rand_unitary, tridiag_oracle, window_bounds
 
@@ -180,8 +182,9 @@ class TestSolveCondenser:
 
     @pytest.mark.parametrize("problem", ["gamma1_N32", "f2_R3"])
     def test_one_svd_per_component_per_fg(self, monkeypatch, problem):
-        # each exact evaluation decomposes every component's block once, with
-        # its singular vectors; no SVD takes values alone
+        # each exact evaluation, and the point bound at the reported point,
+        # decomposes every component's block once, with its singular vectors;
+        # no SVD takes values alone
         if problem == "gamma1_N32":
             (tau, cond), spec = timefreq_problem(*gamma1_schedule([32])[0]), NormSpec.schatten(1)
         else:
@@ -191,7 +194,7 @@ class TestSolveCondenser:
         calls = _count_svds_and_fgs(monkeypatch)
         solve_condenser(tau, cond, spec, SolveOptions(max_iters=20, restarts=2, refine=False))
         assert calls["fg"] > 0
-        assert calls["full"] == tau.n * calls["fg"]
+        assert calls["full"] == tau.n * (calls["fg"] + 1)
         assert calls["values"] == 0
 
     @pytest.mark.parametrize("specs", [NormSpec.schatten(2), [NormSpec.schatten(2), NormSpec.schatten(3)]],
@@ -199,15 +202,16 @@ class TestSolveCondenser:
     def test_smooth_route_svds_per_restart(self, monkeypatch, specs):
         # with every norm Schatten p > 1, a restart decomposes each component
         # once per smoothed evaluation, once at its start (value and Huber
-        # scales) and once for its closing exact value; the exact kernel is
-        # never evaluated, and no SVD takes values alone
+        # scales) and once for its closing exact value, and the point bound
+        # once at the reported point; the exact kernel is never evaluated,
+        # and no SVD takes values alone
         rng = np.random.default_rng(5)
         tau = OperatorTuple.of([rand_hermitian(rng, 5), rand_hermitian(rng, 5)])
         calls = _count_svds_and_fgs(monkeypatch)
         solve_condenser(tau, make_condenser([0], [4], dim=5), specs,
                         SolveOptions(max_iters=50, restarts=2, seed=3))
         assert calls["smooth"] > 0 and calls["fg"] == 0
-        assert calls["full"] == tau.n * (calls["smooth"] + 2 * 2)
+        assert calls["full"] == tau.n * (calls["smooth"] + 2 * 2 + 1)
         assert calls["values"] == 0
 
     def test_feasibility_residuals(self, tridiag_example):
@@ -339,6 +343,38 @@ class TestWindowBound:
         assert bounds and all(np.isfinite(bounds))
         assert max(bounds) <= oracle_value * (1 + 1e-12)
         assert max(bounds) <= rep.lower * (1 + 1e-12) and rep.lower <= rep.value
+
+
+class TestPointBound:
+    """The point bound at the reported point (``_solvers.point_bound``), which
+    ``SolveReport.lower`` keeps where it beats the window bound."""
+
+    @pytest.mark.parametrize("spec", [NormSpec.schatten(1), NormSpec.schatten(2), NormSpec.schatten(3),
+                                      NormSpec.lorentz(2), NormSpec.macaev()],
+                             ids=["s1", "s2", "s3", "l21", "macaev"])
+    @pytest.mark.parametrize("refine", [True, False], ids=["refine", "norefine"])
+    def test_lower_is_below_the_grid_oracle(self, tridiag_example, spec, refine):
+        tau, cond = tridiag_example
+        rep = solve_condenser(tau, cond, spec, dataclasses.replace(OPTS, refine=refine))
+        oracle_value, _ = tridiag_oracle(spec, grid=4001)
+        assert 0.0 < rep.lower <= min(rep.value, oracle_value)
+        assert rep.value - rep.lower <= 1e-6 * rep.value
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_index_problems(), st.integers(0, 2 ** 16))
+    def test_bound_holds_at_perturbed_points(self, problem, seed):
+        # the point bound at any feasible block lies below the objective at
+        # every other feasible block
+        tau, cond, spec, _ = problem
+        specs = spec_list(spec, tau.n)
+        spectra, pull = _spectra(tau, cond)
+        rng = np.random.default_rng(seed)
+        draw = lambda: project_middle(cond, rand_hermitian(rng, cond.m0) + 0.5 * np.eye(cond.m0))
+        B = draw()
+        value, bound = _solvers.point_bound(spectra(B), specs, pull, _middle_linear_min, B, 1e-6)
+        assert bound <= value * (1 + 1e-12)
+        for _ in range(4):
+            assert bound <= objective(tau, cond.embed_middle(draw()), specs) * (1 + 1e-12)
 
 
 class TestSolveOptions:

@@ -297,9 +297,10 @@ class TestMultistart:
         assert rep.history[-1] == (12, rep.value, 0.0)
 
     def test_ladder_chains_fref_and_records_once(self, monkeypatch):
-        # one Schatten-2 component whose spectrum at x is the vector [120 - 4 x]:
-        # the smooth route logs the start value 120, the stages chain fref from
-        # it, and the stages' last point x = 4 closes the restart at 104
+        # one Schatten-2 component whose spectrum at x in [0, 10] is the vector
+        # [120 - 4 x]: the smooth route logs the start value 120, the stages
+        # chain fref from it, and the stages' last point x = 4 closes the
+        # restart at 104, where the point bound's cut reads the minimum 80
         calls, smoothings = [], []
         monkeypatch.setattr(_solvers, "smooth_max_norm_fg",
                             lambda spectra, specs, mus, eps, fref, pull: smoothings.append(
@@ -309,10 +310,10 @@ class TestMultistart:
             calls.append((k, smoothings[fg][1:], x, f0))
             return x + 1, 10.0 - k, k == 3
 
-        rep = _solvers.solve_max_norm(lambda x: [(np.array([120.0 - 4.0 * x]), None)],
-                                      [NormSpec.schatten(2)], None, None, [0],
-                                      lambda x: (x, {"r": 0.0}, -np.inf), SolveOptions(), stage,
-                                      linear_min=None)  # the smooth route runs no subgradient phase
+        rep = _solvers.solve_max_norm(lambda x: [(np.array([120.0 - 4.0 * x]), lambda w: -4.0 * w)],
+                                      [NormSpec.schatten(2)], lambda g: g, None, [0],
+                                      lambda x: (x, {"r": 0.0}), SolveOptions(), stage,
+                                      linear_min=lambda g: float(np.minimum(10.0 * g, 0.0).sum()))
         assert calls == [(k, (eps, fref), k, 120.0) for k, (eps, fref) in
                          enumerate(zip(_solvers.SMOOTHING_LADDER, [120.0, 10.0, 9.0, 8.0]))]
         # the Huber scale of each stage is its eps times the start's max |v|
@@ -321,6 +322,8 @@ class TestMultistart:
         # closing row of the best value offered
         assert rep.history == [(0, 120.0, 0.0), (1, 104.0, 0.0), (2, 104.0, 0.0)]
         assert rep.extra["restart_values"] == [104.0] and rep.converged
+        # 104 + 16 - 40, less 8 ulps of 104 + 16 + 40
+        assert rep.lower == 80.0 - 8 * np.finfo(float).eps * 160.0
 
 
 def test_huber_gradient_is_zero_where_mu_underflows():

@@ -189,6 +189,21 @@ class TestMinimize:
         assert col_norm <= float(np.sqrt(np.sum(per ** 2))) + 1e-10
         assert rep.value == pytest.approx(col_norm ** p, rel=1e-10)
 
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_lower_is_the_gradient_cut(self, p):
+        # the report's lower bound, the gradient cut at the minimizer less its
+        # rounding allowance, is positive, below the value and below I at
+        # random feasible middle blocks; the bracket closes to 1e-6 relative
+        prob = _random_problem(13, d=8, p=p)
+        rep = minimize_smooth(prob, SolveOptions(seed=1))
+        assert 0.0 < rep.lower <= rep.value
+        assert rep.value - rep.lower <= 1e-6 * rep.value
+        rng = np.random.default_rng(0)
+        cond = prob.condenser
+        for _ in range(5):
+            B = project_middle(cond, rng.uniform(-0.5, 1.5) * rand_hermitian(rng, cond.m0))
+            assert rep.lower <= smooth_objective(prob, cond.embed_middle(B))
+
     def test_restart_consistency(self):
         prob = _random_problem(12, d=6, p=2.0)
         rep = minimize_smooth(prob, SolveOptions(max_iters=20000, tol=1e-12, seed=3, restarts=3))

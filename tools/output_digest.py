@@ -110,6 +110,10 @@ def runs():
         ("graphcap_z2_R6_s1", "graphcap", {"group": z(2), "R": 6, "x1": "origin", "norm": s1}),
         ("graphcap_z2_R6_s1_norefine", "graphcap",
          {"group": z(2), "R": 6, "x1": "origin", "norm": s1, "options": {"refine": False}}),
+        # SolveOptions() itself, where the graph's point bound once read an ulp above the capacity 2
+        ("graphcap_z2_R6_s1_default", "graphcap",
+         {"group": z(2), "R": 6, "x1": "origin", "norm": s1,
+          "options": {"tol": 1e-7, "max_iters": 2000, "restarts": 2}}),
         ("graphcap_z2_R6_s3", "graphcap", {"group": z(2), "R": 6, "x1": "origin", "norm": s3}),
         ("graphcap_f2_R3_lorentz", "graphcap",
          {"group": f2, "R": 3, "x1": "origin", "x2": {"sphere": 3}, "norm": lorentz}),
