@@ -118,12 +118,17 @@ def runs():
         ("graphcap_f2_R3_lorentz", "graphcap",
          {"group": f2, "R": 3, "x1": "origin", "x2": {"sphere": 3}, "norm": lorentz}),
         ("graphcap_z2_R4_weights", "graphcap", {"group": z(2), "R": 4, "x1": "origin", "norm": weights}),
+        # an explicit vertex list, resolved through the ball's vertex index
+        ("graphcap_z2_R4_x1_list", "graphcap",
+         {"group": z(2), "R": 4, "x1": [[0, 0], [1, 0], [0, -1]], "norm": s2}),
         ("graphcap_z2_scan", "graphcap", {"group": z(2), "R_list": [3, 4, 5, 6], "p": 2}),
         ("transfer_f2_R3_lorentz", "transfer",
          {"group": f2, "R": 3, "x1": "origin", "x2": {"sphere": 3}, "norm": lorentz,
           "options": {"restarts": 1}}),
         ("transfer_f2_R3_s1", "transfer",
          {"group": f2, "R": 3, "x1": "origin", "x2": {"sphere": 3}, "norm": s1}),
+        ("transfer_f2_R6_s2", "transfer",
+         {"group": f2, "R": 6, "x1": "origin", "x2": {"sphere": 6}, "norm": s2}),
         ("transfer_z_R8", "transfer",
          {"group": z(1), "R": 8, "x1": "origin", "x2": {"radius_at_least": 6}, "norms": [s2, s1]}),
         ("plaplace_p3", "plaplace", dict(plates, tuple=two, p=3)),
