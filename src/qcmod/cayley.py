@@ -1,9 +1,13 @@
 """Nonlinear condenser capacities on Cayley-graph balls and the transfer check.
 
 A ball of radius R carries, per generator g_j, the partial map h -> g_j h
-(left multiplication). Potentials u live on the ball with value 0 outside
-(finite support realized at the chosen scale), so the difference function
-u(g_j .) - u(.) also has entries on edges crossing the boundary sphere.
+(left multiplication). The balls of Z^d and F_k come from one breadth-first
+search over int rows (coordinates, or reduced words padded with zeros), one
+vectorized map per letter and one sorted level per word length, so the
+vertices are ordered by (word length, key) as tuples compare. Potentials u
+live on the ball with value 0 outside (finite support realized at the chosen
+scale), so the difference function u(g_j .) - u(.) also has entries on edges
+crossing the boundary sphere.
 
 The capacity
 
@@ -35,7 +39,6 @@ convergence and are sensitive to roundoff.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -156,41 +159,61 @@ class CayleyBall:
         return IncidenceOperator.of(self)
 
 
-def _word_ball(identity, generators, inverses, mult, R):
-    """The radius-R ball by one breadth-first search from the identity, each
-    step a left multiplication by a generator or an inverse.
+def _row_codes(rows):
+    """One int64 per row of an int array, ordered as the rows are
+    lexicographically (so equal exactly for equal rows): the columns are
+    folded in as mixed-radix digits, and the code is rank-compressed by
+    ``np.unique`` before a digit that could overflow (a single code fails
+    already for Z^30 at R = 2, whose images span 7^30 > 2^63 codes)."""
+    code, top = np.zeros(len(rows), dtype=np.int64), 0
+    for col in rows.T:
+        col = col - col.min()
+        span = int(col.max()) + 1
+        if (top + 1) * span > 1 << 62:
+            code = np.unique(code, return_inverse=True)[1]
+            top = int(code.max())
+        code, top = code * span + col, top * span + span - 1
+    return code
 
-    Returns the vertices ordered by (word length, key), their word lengths,
-    and per generator the index of g_j v (-1 outside the ball).
+
+def _word_ball(identity, letters, n_generators, R):
+    """The radius-R ball by one breadth-first search over int rows.
+
+    ``letters`` are the left multiplications by the generators, then by
+    their inverses, each a vectorized map of a row array. Level r holds the
+    rows the letters map level r - 1 to that lie in neither level r - 1 nor
+    level r - 2, sorted as ``_row_codes`` sorts them, so the vertices come in
+    (word length, key) order. Returns the rows, their word lengths and per
+    generator the index of g_j v (-1 outside the ball).
     """
-    letters = generators + inverses
-    length = {identity: 0}
-    frontier = [identity]
-    for r in range(1, R + 1):
-        nxt = []
-        for v in frontier:
-            for a in letters:
-                w = mult(a, v)
-                if w not in length:
-                    length[w] = r
-                    nxt.append(w)
-        frontier = nxt
-    verts = sorted(length, key=lambda v: (length[v], v))
-    index = {v: i for i, v in enumerate(verts)}
-    word_lengths = np.array([length[v] for v in verts], dtype=int)
-    sigma = [np.array([index.get(mult(a, v), -1) for v in verts], dtype=int) for a in generators]
-    return verts, index, word_lengths, sigma
+    levels = [identity[None, :]]
+    for _ in range(R):
+        n_near = sum(map(len, levels[-2:]))
+        rows = np.concatenate(levels[-2:] + [a(levels[-1]) for a in letters])
+        # a row's first occurrence is new exactly when no row of the near levels equals it
+        first = np.unique(_row_codes(rows), return_index=True)[1]
+        levels.append(rows[first[first >= n_near]])
+    rows = np.concatenate(levels)
+    word_lengths = np.repeat(np.arange(R + 1), [len(level) for level in levels])
+    # rank every vertex and generator image together; a rank no vertex has is outside
+    ranks = np.unique(_row_codes(np.concatenate([rows] + [a(rows) for a in letters[:n_generators]])),
+                      return_inverse=True)[1]
+    where = np.full(ranks.max() + 1, -1)
+    where[ranks[:len(rows)]] = np.arange(len(rows))
+    return rows, word_lengths, list(where[ranks[len(rows):].reshape(n_generators, -1)])
 
 
-def _free_left_mult(letter, word):
-    """letter * word for a reduced word: a tuple of nonzero ints, +j the
-    generator j and -j its inverse."""
-    if word and word[0] == -letter:
-        return word[1:]
-    return (letter,) + word
+def _free_letter(a):
+    """Left multiplication by the letter a (+j the generator j, -j its
+    inverse) of reduced words stored as rows padded with zeros: a cancelling
+    first letter is dropped, else the word shifts right behind a."""
+    def mult(W):
+        pad = np.zeros((len(W), 1), dtype=W.dtype)
+        return np.where(W[:, :1] == -a, np.hstack([W[:, 1:], pad]), np.hstack([pad + a, W[:, :-1]]))
+    return mult
 
 
-def _resolve_plate(descr, group, verts, index, word_lengths):
+def _resolve_plate(descr, group, verts, word_lengths):
     """Vertex-set descriptor -> sorted index array.
 
     Accepted forms: None/[] (empty), "origin"/"identity", an explicit list of
@@ -201,8 +224,7 @@ def _resolve_plate(descr, group, verts, index, word_lengths):
         return np.array([], dtype=int)
     if isinstance(descr, str):
         if descr in ("origin", "identity", "e"):
-            origin = (0,) * group.d if group.kind == "zd" else (() if group.kind == "free" else 0)
-            return np.array([index[origin]], dtype=int)
+            return np.array([0], dtype=int)  # the identity, or a custom group's vertex 0
         raise ValidationError(f"unknown plate descriptor {descr!r}")
     if isinstance(descr, dict):
         if "sphere" in descr:
@@ -212,6 +234,7 @@ def _resolve_plate(descr, group, verts, index, word_lengths):
             r = as_int(descr["radius_at_least"], "radius_at_least")
             return np.flatnonzero(word_lengths >= r).astype(int)
         raise ValidationError(f"unknown plate descriptor {descr!r}")
+    index = {v: i for i, v in enumerate(verts)}
     idx = []
     for key in descr:
         if group.kind == "custom":
@@ -229,17 +252,19 @@ def build_ball(group, R, X1=None, X2=None):
     if R < 0:
         raise ValidationError("R must be >= 0")
     if group.kind == "zd":
-        units = [tuple(int(i == j) for i in range(group.d)) for j in range(group.d)]
-        verts, index, word_lengths, sigma = _word_ball(
-            (0,) * group.d, units, [tuple(-x for x in e) for e in units],
-            lambda a, v: tuple(map(operator.add, a, v)), R)
+        units = np.eye(group.d, dtype=np.int64)
+        rows, word_lengths, sigma = _word_ball(
+            np.zeros(group.d, dtype=np.int64), [lambda W, e=e: W + e for e in [*units, *-units]],
+            group.d, R)
+        verts = list(map(tuple, rows.tolist()))
     elif group.kind == "free":
-        letters = list(range(1, group.k + 1))
-        verts, index, word_lengths, sigma = _word_ball(
-            (), letters, [-j for j in letters], _free_left_mult, R)
+        # R + 1 letters hold every word of the ball and every generator image of one
+        letters = [*range(1, group.k + 1), *range(-1, -group.k - 1, -1)]
+        rows, word_lengths, sigma = _word_ball(
+            np.zeros(R + 1, dtype=np.int64), [_free_letter(a) for a in letters], group.k, R)
+        verts = [tuple(v[:r]) for v, r in zip(rows.tolist(), word_lengths.tolist())]
     else:
         verts = list(range(len(group.tables[0])))
-        index = {v: i for i, v in enumerate(verts)}
         word_lengths = np.zeros(len(verts), dtype=int)
         sigma = [np.asarray(t, dtype=int) for t in group.tables]
 
@@ -247,17 +272,17 @@ def build_ball(group, R, X1=None, X2=None):
     if len(verts) != expected:
         raise ValidationError(f"ball growth mismatch: {len(verts)} vertices, expected {expected}")
 
-    x1 = _resolve_plate(X1, group, verts, index, word_lengths)
-    x2 = _resolve_plate(X2, group, verts, index, word_lengths)
+    x1 = _resolve_plate(X1, group, verts, word_lengths)
+    x2 = _resolve_plate(X2, group, verts, word_lengths)
     if np.intersect1d(x1, x2).size:
         raise ValidationError("X1 and X2 must be disjoint")
     sigma_inv = []
     for j, fwd in enumerate(sigma):
         inside = np.flatnonzero(fwd >= 0)
-        if len(np.unique(fwd[inside])) != inside.size:
-            raise ValidationError(f"generator map {j} is not injective where defined")
         inv = np.full(len(verts), -1, dtype=int)
         inv[fwd[inside]] = inside
+        if np.count_nonzero(inv >= 0) != inside.size:
+            raise ValidationError(f"generator map {j} is not injective where defined")
         sigma_inv.append(inv)
 
     return CayleyBall(
@@ -520,8 +545,8 @@ def verify_transfer(ball, spec, opts=None):
     built first, as the size guard, and only the matrix solve reads it.
 
     When the bracket [that bound, k_upper] is within opts.tol * max(1, k_upper),
-    that point is the k report (one history row, converged) and no matrix
-    solve runs. Otherwise the matrix solve starts its first restart at
+    that point is the k report (one history row, converged, its residuals
+    read off u*) and no matrix solve runs. Otherwise the matrix solve starts its first restart at
     diag(u*), and every restart keeps its best point, so the inequality
     holds for the reported upper bounds as well. ``k_lower`` is the larger
     of the point bound and the k report's ``lower``, capped at k.
@@ -531,13 +556,16 @@ def verify_transfer(ball, spec, opts=None):
     cap_report = graph_capacity(ball, spec, opts)
     u = np.asarray(cap_report.minimizer, dtype=float)
     cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
-    start = cond.compress_middle(np.diag(u))
+    # diag(u*)'s middle block, bit for bit its 0/1 compression (+ 0.0 clears -0.0)
+    mid = u[ball.incidence.free] + 0.0
+    start = np.diag(mid)
     k_upper, k_lower = _diagonal_bracket(ball, spec, u, opts.tol)
     k_lower = max(k_lower, 0.0)
-    var = ContractionVariable(cond, start)
     matrix_solve = k_upper - k_lower > opts.tol * max(1.0, k_upper)
+    # on an index condenser AP - P and AQ vanish exactly, and B0's spectrum is mid
     k_report = (solve_condenser(tau, cond, spec, opts, start=start) if matrix_solve else
-                SolveReport.closed_form(k_upper, var, var.feasibility_residuals(), k_lower, m0=cond.m0))
+                SolveReport.closed_form(k_upper, ContractionVariable(cond, start),
+                                        ContractionVariable.residuals(0.0, 0.0, mid), k_lower, m0=cond.m0))
     return {
         "cap": cap_report.value,
         "cap_lower": cap_report.lower,

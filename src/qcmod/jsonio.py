@@ -43,6 +43,8 @@ def _emit(obj, out):
             out.append(":")
             _emit(v, out)
         out.append("}")
+    elif isinstance(obj, (list, tuple)) and obj and all(type(v) is float for v in obj):
+        out.append("[" + ",".join(map(format_float, obj)) + "]")  # e.g. a minimizer, in one join
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):

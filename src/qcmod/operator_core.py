@@ -293,8 +293,14 @@ class ContractionVariable:
         """Frobenius norms of AP - P and AQ for A = embed(self) (the plate
         constraints) and how far the spectrum of B0 leaves [0, 1]."""
         P, Q, A = self.condenser.P, self.condenser.Q, embed(self)
-        w = np.linalg.eigvalsh(_herm(self.middle))
-        return {"AP_minus_P": float(np.linalg.norm(A @ P - P)), "AQ": float(np.linalg.norm(A @ Q)),
+        return self.residuals(np.linalg.norm(A @ P - P), np.linalg.norm(A @ Q),
+                              np.linalg.eigvalsh(_herm(self.middle)))
+
+    @staticmethod
+    def residuals(ap_minus_p, aq, w):
+        """The ``feasibility_residuals`` dict of the plate residuals and the
+        spectrum w of B0."""
+        return {"AP_minus_P": float(ap_minus_p), "AQ": float(aq),
                 "eig_below_0": float(max(0.0, -w.min(initial=0.0))),
                 "eig_above_1": float(max(0.0, w.max(initial=1.0) - 1.0))}
 

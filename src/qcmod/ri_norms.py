@@ -179,14 +179,15 @@ def matrix_norm(M, spec):
 
 
 def _tie_averaged(values_sorted, w):
-    """Average weights over groups of exactly equal sorted values."""
+    """Average weights over groups of exactly equal sorted values, each by
+    ``ndarray.mean``'s own pairwise sum and division, without its overhead."""
     out = np.array(w, dtype=float)
     v = np.asarray(values_sorted)
     # group boundaries: 0, every index where the value changes, n
     bounds = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1], [True])))
-    for i in np.flatnonzero(np.diff(bounds) > 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        out[lo:hi] = out[lo:hi].mean()
+    tied = np.flatnonzero(np.diff(bounds) > 1)
+    for lo, hi in zip(bounds[tied].tolist(), bounds[tied + 1].tolist()):
+        out[lo:hi] = np.add.reduce(out[lo:hi]) / (hi - lo)
     return out
 
 

@@ -76,21 +76,34 @@ class TestBuildBall:
                 inside = fwd[fwd >= 0]
                 assert len(np.unique(inside)) == len(inside)
 
-    @pytest.mark.parametrize("grp, R", [(Z3, 4), (F2, 3), (GroupSpec("free", k=3), 2)],
-                             ids=["Z3", "F2", "F3"])
+    @pytest.mark.parametrize("grp, R", [
+        (Z3, 4), (F2, 3), (GroupSpec("free", k=3), 2), (Z, 0), (Z, 8), (Z2, 6), (Z3, 14),
+        (GroupSpec("zd", d=30), 2), (GroupSpec("free", k=1), 5), (F2, 0), (F2, 6),
+        (GroupSpec("free", k=3), 4)],
+        ids=["Z3", "F2", "F3", "Z-R0", "Z-R8", "Z2-R6", "Z3-R14", "Z30-R2", "F1-R5", "F2-R0",
+             "F2-R6", "F3-R4"])
     def test_canonical_order_lengths_and_maps(self, grp, R):
-        # vertices sorted by (word length, key); sigma[j] maps v to g_j v
+        # vertices sorted by (word length, key), tuples of Python ints;
+        # sigma[j] maps v to g_j v and sigma_inv[j] inverts it
         b = build_ball(grp, R)
+        assert b.n_vertices == ball_size(grp, R)
+        assert isinstance(b.vertices, tuple)
+        assert all(type(v) is tuple and all(type(x) is int for x in v) for v in b.vertices)
         lengths = [sum(map(abs, v)) if grp.kind == "zd" else len(v) for v in b.vertices]
         assert b.word_lengths.tolist() == lengths
         assert list(zip(lengths, b.vertices)) == sorted(zip(lengths, b.vertices))
-        for j, fwd in enumerate(b.sigma):
+        index = {v: i for i, v in enumerate(b.vertices)}
+        assert len(index) == b.n_vertices
+        for j, (fwd, bwd) in enumerate(zip(b.sigma, b.sigma_inv)):
             for v, image in zip(b.vertices, fwd):
                 if grp.kind == "zd":
                     w = tuple(x + (k == j) for k, x in enumerate(v))
                 else:
                     w = v[1:] if v and v[0] == -(j + 1) else (j + 1,) + v
-                assert image == (b.vertices.index(w) if w in b.vertices else -1)
+                assert image == index.get(w, -1)
+            inside = np.flatnonzero(fwd >= 0)
+            assert np.array_equal(bwd[fwd[inside]], inside)
+            assert np.count_nonzero(bwd >= 0) == inside.size
 
     def test_custom_group(self):
         tables = [[1, 2, 0], [2, 0, 1]]
@@ -683,6 +696,34 @@ class TestTransfer:
         k = out["k_report"]
         assert out["matrix_solve"] and k.converged and k.iters <= 1000
         assert out["k"] - out["k_lower"] <= 1e-9 * out["k"]
+
+    @pytest.mark.parametrize("grp, R, X2", [(Z, 6, {"radius_at_least": 4}), (Z2, 3, {"sphere": 3}),
+                                            (F2, 3, {"sphere": 3}), (F2, 2, None)],
+                             ids=["Z", "Z2", "F2", "F2-no-outer-plate"])
+    def test_closed_form_residuals_are_the_dense_ones(self, grp, R, X2):
+        # the residuals verify_transfer reads off u* equal the dense
+        # feasibility_residuals of diag(u*), also with entries at exactly 0 and 1
+        ball = build_ball(grp, R, X1="origin", X2=X2)
+        cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
+        free = ball.incidence.free
+        u = graph_capacity(ball, NormSpec.schatten(2), OPTS).minimizer
+        rng = np.random.default_rng(0)
+        clipped = u.copy()
+        clipped[free] = rng.choice([0.0, 1.0, 0.5, -1e-11, 1 + 1e-11], size=free.size)
+        for v in (u, clipped):
+            var = ContractionVariable(cond, cond.compress_middle(np.diag(v)))
+            assert np.array_equal(var.middle, np.diag(v[free]))
+            assert (ContractionVariable.residuals(0.0, 0.0, v[free] + 0.0)
+                    == var.feasibility_residuals())
+
+    def test_certified_transfer_reports_the_closed_form_residuals(self):
+        ball = build_ball(F2, 3, X1="origin", X2={"sphere": 3})
+        out = verify_transfer(ball, NormSpec.lorentz(2), SolveOptions(max_iters=3000, tol=1e-9, restarts=1))
+        k = out["k_report"]
+        assert not out["matrix_solve"]
+        assert k.feasibility_residuals == k.minimizer.feasibility_residuals()
+        u = out["cap_report"].minimizer
+        assert np.array_equal(k.minimizer.middle, np.diag(u[ball.incidence.free]))
 
     def test_empty_inner_plate_both_zero(self):
         ball = build_ball(Z, 4, X2={"sphere": 4})

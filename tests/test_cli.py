@@ -6,7 +6,7 @@ import pytest
 
 from qcmod.cli import dispatch, main, parse_config
 from qcmod.errors import ValidationError
-from qcmod.jsonio import write_csv
+from qcmod.jsonio import dumps, write_csv
 
 
 def run(tmp_path, argv):
@@ -344,3 +344,26 @@ def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     assert code == 2
     assert f"payload.{field}" in err
     assert "Traceback" not in err
+
+
+class TestDumps:
+    @staticmethod
+    def _per_element(items):
+        return "[" + ",".join(dumps(x)[:-1] for x in items) + "]\n"
+
+    @pytest.mark.parametrize("items", [
+        [-0.0, 5e-324, 1e308, 0.1, 1 / 3], [0.0], (2.5, -1.0),
+        [1, 0.5, np.float64(0.1), -0.0], [np.float64(1 / 3), 2.0], [True, 1.5], [None, 0.25]],
+        ids=["floats", "one", "tuple", "mixed", "np-first", "bool", "null"])
+    def test_float_lists_match_the_per_element_path(self, items):
+        assert dumps(items) == self._per_element(items)
+        assert json.loads(dumps({"x": items}))["x"] == [None if x is None else float(x) for x in items]
+
+    def test_empty_and_nested_lists(self):
+        assert dumps([]) == "[]\n"
+        assert dumps([[0.5, 1.0], []]) == "[[0.5,1],[]]\n"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_floats_raise(self, bad):
+        with pytest.raises(ValidationError):
+            dumps([0.5, bad, 1.0])

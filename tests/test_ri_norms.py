@@ -231,14 +231,19 @@ class TestSubgradientFastPaths:
         return out
 
     def test_tie_groups_match_the_elementwise_loop(self):
+        # numpy's pairwise sum changes its blocking above 8 and above 128
+        # entries, so the draws reach tie groups of both lengths
         rng = np.random.default_rng(42)
+        longest = []
         for _ in range(300):
-            n = int(rng.integers(1, 60))
-            s = np.sort(rng.integers(0, 6, size=n).astype(float))[::-1]
+            n = int(rng.integers(1, 401))
+            s = np.sort(rng.integers(0, int(rng.integers(1, 12)), size=n).astype(float))[::-1]
             w = np.sort(rng.uniform(0, 1, n))[::-1]
             np.testing.assert_array_equal(
                 _tie_averaged(s, w).view(np.uint64), self._loop_tie_averaged(s, w).view(np.uint64)
             )
+            longest.append(np.unique(s, return_counts=True)[1].max())
+        assert any(8 < m <= 128 for m in longest) and max(longest) > 128
 
     def test_weights_cached_read_only(self):
         spec = NormSpec.lorentz(2)
