@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import ValidationError
 from .jsonio import as_bool, as_int, matrix_to_json
@@ -235,6 +236,96 @@ def projected_descent(fg, project, x0, *, max_iters, residual_tol, history):
     return best_x, best_f, k, converged, -np.inf
 
 
+#: The number of (s, y) pairs ``lbfgs`` keeps.
+_LBFGS_MEMORY = 10
+
+
+def lbfgs(fg, x0, *, max_iters, history):
+    """Unconstrained limited-memory BFGS (Liu & Nocedal 1989) with Armijo
+    backtracking, for smooth objectives of a vector x.
+
+    The direction is -H g, with H the compact representation of the last
+    ``_LBFGS_MEMORY`` pairs (s, y) (Byrd, Nocedal & Schnabel 1994) scaled by
+    γ = s·y / y·y of the newest: three products with the stacked pairs per
+    iteration. A pair with s·y <= eps y·y is skipped, so H stays positive
+    definite. Without pairs, or if -H g is not a descent direction, the
+    direction is -g and the pairs are dropped. The line search starts at
+    t = 1 and accepts f(x + t d) <= f + 1e-4 t slope; otherwise it moves t
+    to the minimizer of the quadratic through f, the slope and f(x + t d),
+    kept within [0.1 t, 0.5 t].
+
+    Converged exits: max|g| <= 1e-14, a relative decrease
+    (f_old - f) / max(|f_old|, |f|, 1) <= 1e-17, or the rounding floor (the
+    next backtracking trial's whole first-order decrease t * slope no longer
+    changes f, as in ``projected_descent``). Stopping after ``max_iters``
+    iterations is not converged. One row (i, f, 0.0) is logged per accepted
+    iteration, and f never increases, so the last point is the best.
+
+    Returns (x, f, iterations, converged, -inf): the run certifies no lower
+    bound.
+    """
+    m = _LBFGS_MEMORY
+    x = np.array(x0, dtype=float)
+    f, g = fg(x)
+    f = float(f)
+    # slot i of W holds a pair: s in row i, y in row m + i; slots are reused
+    # oldest first. ``perm`` lists the s rows of the pairs in use, oldest
+    # first, then their y rows. In that order R[i, j] = s_i·y_j (i <= j) and
+    # YY[i, j] = y_i·y_j.
+    W = np.zeros((2 * m, x.size))
+    R, YY = np.zeros((m, m)), np.zeros((m, m))
+    slots, gamma = [], 1.0
+    k = 0
+    converged = float(np.abs(g).max(initial=0.0)) <= 1e-14
+    while not converged and k < max_iters:
+        n = len(slots)
+        slope = 0.0
+        if n:
+            ab = (W @ g)[perm]
+            u = dtrtrs(R[:n, :n], ab[:n])[0]
+            rhs = np.diagonal(R)[:n] * u + gamma * (YY[:n, :n] @ u - ab[n:])
+            v = dtrtrs(R[:n, :n], rhs, trans=1)[0]
+            c = np.zeros(2 * m)
+            c[perm] = np.concatenate((-v, gamma * u))
+            d = W.T @ c
+            d -= gamma * g
+            slope = _inner(d, g)
+        if not slope < 0.0:  # no pairs, or -H g is no descent direction
+            slots = []
+            d = -g
+            slope = -_inner(g, g)
+        t = 1.0
+        while True:
+            xn = x + t * d
+            fn, gn = fg(xn)
+            fn = float(fn)
+            if fn <= f + 1e-4 * t * slope:
+                break
+            t = min(0.5 * t, max(0.1 * t, -slope * t * t / (2.0 * (fn - f - slope * t))))
+            if f + t * slope >= f:  # the rounding floor
+                return x, f, k, True, -np.inf
+        s, y = xn - x, gn - g
+        sy, yy = _inner(s, y), _inner(y, y)
+        if sy > np.finfo(float).eps * yy:
+            if len(slots) == m:
+                R[:-1, :-1], YY[:-1, :-1] = R[1:, 1:], YY[1:, 1:]
+                slots = slots[1:] + slots[:1]
+            else:
+                slots.append(len(slots))
+            W[slots[-1]], W[m + slots[-1]] = s, y
+            perm = np.array(slots + [m + i for i in slots])
+            w = (W @ y)[perm]
+            n = len(slots)
+            R[:n, n - 1], YY[:n, n - 1], YY[n - 1, :n] = w[:n], w[n:], w[n:]
+            gamma = sy / yy
+        converged = (f - fn <= 1e-17 * max(abs(f), abs(fn), 1.0)
+                     or float(np.abs(gn).max(initial=0.0)) <= 1e-14)
+        x, f, g = xn, fn, gn
+        history.append((len(history), f, 0.0))
+        k += 1
+    return x, f, k, converged, -np.inf
+
+
 # -- multistart driver ---------------------------------------------------------------
 
 #: Smoothing parameters of the refinement stages, coarse to fine (relative to
@@ -387,9 +478,13 @@ def _huber(x, mu):
 def _smooth_schatten(x, p, mu):
     """Smoothed Schatten-p gauge of a real vector and its gradient: ``_huber``
     at p = 1; otherwise the exact p-norm, with gradient sign(x) (|x| / |x|_p)^(p - 1)
-    (0 at x = 0), smooth wherever x != 0; ``mu`` is read at p = 1 only."""
+    (0 at x = 0; x / |x|_2 at p = 2), smooth wherever x != 0; ``mu`` is read
+    at p = 1 only."""
     if p == 1:
         return _huber(x, mu)
+    if p == 2:
+        f = float(np.sqrt(np.dot(x, x)))
+        return f, x / f if f > 0 else np.zeros_like(x)
     a = np.abs(x)
     f = float(np.sum(a ** p) ** (1.0 / p))
     return f, np.copysign((a / f) ** (p - 1.0), x) if f > 0 else np.zeros_like(a)

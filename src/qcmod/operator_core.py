@@ -187,8 +187,7 @@ def _as_basis(source, dim, dtype):
         if idx and (idx[0] < 0 or idx[-1] >= dim):
             raise ValidationError(f"basis index out of range for dimension {dim}")
         V = np.zeros((dim, len(idx)), dtype=dtype)
-        for col, i in enumerate(idx):
-            V[i, col] = 1.0
+        V[idx, np.arange(len(idx))] = 1.0
         return V, set(idx)
     if isinstance(source, tuple) and len(source) == 2 and source[0] == "basis":
         V = np.asarray(source[1])
@@ -245,8 +244,7 @@ def make_condenser(P_source, Q_source, *, dim=None, middle_basis=None):
             raise CondenserError(f"index projections overlap: {sorted(p_idx & q_idx)}")
         mid_idx = sorted(set(range(dim)) - p_idx - q_idx)
         Vm = np.zeros((dim, len(mid_idx)), dtype=dtype)
-        for col, i in enumerate(mid_idx):
-            Vm[i, col] = 1.0
+        Vm[mid_idx, np.arange(len(mid_idx))] = 1.0
         return Condenser(dim, Vp, Vq, Vm)
 
     overlap = np.linalg.norm(Vp.conj().T @ Vq, 2) if Vp.size and Vq.size else 0.0
@@ -285,8 +283,11 @@ class ContractionVariable:
         if m0:
             if not _is_hermitian(self.middle, rtol=1e-10):
                 raise ValidationError("middle block must be selfadjoint")
-            w = np.linalg.eigvalsh(_herm(self.middle))
-            if w.size and (w.min() < -1e-10 or w.max() > 1 + 1e-10):
+            # a diagonal block's eigenvalues are its diagonal
+            d = np.diagonal(self.middle)
+            diagonal = np.count_nonzero(self.middle) == np.count_nonzero(d)
+            w = d.real if diagonal else np.linalg.eigvalsh(_herm(self.middle))
+            if w.min() < -1e-10 or w.max() > 1 + 1e-10:
                 raise ValidationError("middle block spectrum leaves [0, 1]")
 
     def feasibility_residuals(self):

@@ -1,6 +1,8 @@
 """Acceptance gate: every criterion at its stated tolerance, one line per result.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
+Criteria 9 and 10 carry the `slow` marker: `pytest -m "not slow"` skips them
+for a quick loop, and a plain `pytest` runs everything.
 Criterion 10 is a SOFT diagnostic: its report must be produced and archived,
 but an out-of-band ratio does not fail the build.
 """
@@ -275,6 +277,7 @@ def test_criterion_8_uniqueness_mod_commutant(random_minimizer_suite):
 # ----------------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_9_invariant_suites():
     t0 = time.perf_counter()
     fast = SolveOptions(max_iters=150, tol=1e-6, seed=1, restarts=1)
@@ -360,6 +363,7 @@ def test_criterion_9_invariant_suites():
 # ----------------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_10_gamma1_report_archived(tmp_path):
     t0 = time.perf_counter()
     opts = SolveOptions(max_iters=500, tol=1e-7, seed=0, restarts=1)

@@ -8,7 +8,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from qcmod import _solvers
+from qcmod import _solvers, cayley
 from qcmod.cayley import (
     CayleyBall,
     GroupSpec,
@@ -427,7 +427,7 @@ class TestGraphCapacity:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(_CLIP_BALLS), st.sampled_from([1, 2, 3]), st.integers(0, 2 ** 32 - 1))
     def test_clipping_never_raises_the_objective(self, ball, p, seed):
-        # the lemma behind the unbounded L-BFGS-B stages: clipping the free
+        # the lemma behind the unbounded lbfgs stages: clipping the free
         # vertices to [0, 1] is 1-Lipschitz and fixes the pins, so no entry of
         # any d_j(u) grows in magnitude, and the exact and the smoothed
         # objectives are nondecreasing in every one. In floating point the
@@ -453,7 +453,7 @@ class TestGraphCapacity:
             assert fg(clipped)[0] <= fg(x)[0] * (1 + 4 * np.finfo(float).eps)
 
     def test_minimizer_feasible(self):
-        # the L-BFGS-B stages run without bounds, and their iterates leave
+        # the lbfgs stages run without bounds, and their iterates leave
         # [0, 1] on these balls; each stage returns its point clipped, so the
         # minimizer is in the box and on the pins exactly. Inside a ring plate
         # the minimizer is 1, and unclipped stages end up to 1e-5 above it.
@@ -469,6 +469,24 @@ class TestGraphCapacity:
             assert rep.feasibility_residuals == {"box": 0.0, "pins": 0.0}
             assert u.min() >= 0.0 and u.max() <= 1.0
             assert np.all(u[ball.X1] == 1.0) and np.all(u[ball.X2] == 0.0)
+
+    def test_ring_plate_iterates_leave_the_box(self, monkeypatch):
+        # inside a ring plate the minimizer is 1; a stage's last accepted
+        # lbfgs iterate lies above it, and the clipped result keeps the
+        # report exactly feasible
+        engine = cayley.lbfgs
+        ends = []
+
+        def recorded(*args, **kwargs):
+            out = engine(*args, **kwargs)
+            ends.append((out[0].min(), out[0].max()))
+            return out
+
+        monkeypatch.setattr(cayley, "lbfgs", recorded)
+        ball = build_ball(Z2, 4, X1={"sphere": 2})
+        rep = graph_capacity(ball, NormSpec.schatten(3), dataclasses.replace(OPTS, seed=1))
+        assert any(hi > 1.0 for _, hi in ends)
+        assert rep.feasibility_residuals == {"box": 0.0, "pins": 0.0}
 
 
 # small balls, the first three with X2 holding the boundary sphere (so every

@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
-import scipy.optimize
 
-from qcmod import _solvers, plaplace
-from qcmod._solvers import Multistart, _huber, _smooth_max, _smooth_schatten, projected_descent
+from qcmod import _solvers, cayley, plaplace
+from qcmod._solvers import Multistart, _huber, _smooth_max, _smooth_schatten, lbfgs, projected_descent
 from qcmod.cayley import (GroupSpec, build_ball, graph_capacity, harmonic_capacity_oracle,
                           truncated_regular_rep)
 from qcmod.condenser_solver import SolveOptions, solve_condenser
@@ -23,7 +22,7 @@ OPTS3 = SolveOptions(max_iters=300, tol=1e-8, seed=7, restarts=3)
 def _check_bookkeeping(rep):
     vals = rep.extra["restart_values"]
     assert len(vals) == 3
-    # every row is numbered by its position, L-BFGS-B iterations included
+    # every row is numbered by its position, lbfgs iterations included
     assert [h[0] for h in rep.history] == list(range(rep.iters))
     # the report is the best value a restart offered, bracketed from below
     assert rep.value == min(vals)
@@ -86,21 +85,108 @@ def test_closed_form_reports_one_row(name):
 
 
 def test_lbfgsb_stage_stopped_by_its_limit_is_not_converged(monkeypatch):
-    # every L-BFGS-B stage of a Z^2 S2 solve capped at one iteration ends with
-    # status 1 (iteration limit), which is not a converged exit
-    minimize = scipy.optimize.minimize
+    # every lbfgs stage of a Z^2 S2 solve capped at one iteration stops at
+    # its iteration limit, which is not a converged exit
+    engine = cayley.lbfgs
 
-    def capped(*args, options, **kwargs):
-        return minimize(*args, options=dict(options, maxiter=1), **kwargs)
+    def capped(*args, max_iters, **kwargs):
+        return engine(*args, max_iters=1, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", capped)
+    monkeypatch.setattr(cayley, "lbfgs", capped)
     ball = build_ball(GroupSpec("zd", d=2), 3, X1="origin", X2={"sphere": 3})
     rep = graph_capacity(ball, NormSpec.schatten(2), SolveOptions(restarts=1))
     assert not rep.converged
-    # one row for the start, one per L-BFGS-B iteration of the four stages,
+    # one row for the start, one per lbfgs iteration of the four stages,
     # one for the ladder's exact value and one for the solve's
     assert rep.iters == 1 + len(_solvers.SMOOTHING_LADDER) + 2
     assert [h[0] for h in rep.history] == list(range(rep.iters))
+
+
+class TestLbfgs:
+    """``_solvers.lbfgs``, the engine of the graph ε stages: its stops, its
+    history rows and its determinism."""
+
+    def test_convex_quadratic(self):
+        # an ill-conditioned quadratic with minimum 0: the run stops
+        # converged once f no longer moves, far inside 1e-12 of its start
+        rng = np.random.default_rng(5)
+        Q = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+        A = (Q * np.geomspace(1.0, 100.0, 40)) @ Q.T
+        c = rng.standard_normal(40)
+        fg = lambda x: (0.5 * (x - c) @ A @ (x - c), A @ (x - c))
+        x, f, k, converged, lower = lbfgs(fg, np.zeros(40), max_iters=3000, history=[])
+        assert converged and lower == -np.inf and 0 < k < 3000
+        assert f <= 1e-12 * fg(np.zeros(40))[0] and f == fg(x)[0]
+        assert np.abs(x - c).max() <= 1e-6
+
+    def test_gradient_stop(self):
+        # a zero gradient at the start stops before any iteration; on x^2
+        # from 3 the unit step along -g overshoots to -3, and the quadratic
+        # through f, the slope and f(-3) puts the next trial on 0 exactly
+        fg = lambda x: (float(x @ x), 2.0 * x)
+        history = []
+        x, f, k, converged, _ = lbfgs(fg, np.zeros(3), max_iters=10, history=history)
+        assert (k, converged, history) == (0, True, []) and f == 0.0
+        x, f, k, converged, _ = lbfgs(fg, np.array([3.0]), max_iters=10, history=history)
+        assert (k, converged, f, history) == (1, True, 0.0, [(0, 0.0, 0.0)]) and x[0] == 0.0
+
+    def test_rounding_floor_stop(self):
+        # f = 1e16 + 10 (x - 0.9)^2 from 1: the unit trial along -g = -2
+        # rises by 36, and the next trial's whole decrease, 0.1 * 4, is below
+        # half an ulp of f (ulps are 2 there)
+        calls = []
+
+        def fg(x):
+            calls.append(x.copy())
+            return 1e16 + 10.0 * float((x[0] - 0.9) ** 2), 20.0 * (x - 0.9)
+
+        history = []
+        x, f, k, converged, _ = lbfgs(fg, np.array([1.0]), max_iters=10, history=history)
+        assert (k, converged, history) == (0, True, []) and x[0] == 1.0
+        assert len(calls) == 2
+
+    def test_relative_decrease_stop(self):
+        # a flat value with a nonzero gradient: backtracking reaches a trial
+        # whose sufficient decrease rounds away, accepts it with f unchanged
+        # and stops on the relative decrease
+        fg = lambda x: (1.0, np.ones_like(x))
+        history = []
+        x, f, k, converged, _ = lbfgs(fg, np.zeros(3), max_iters=10, history=history)
+        assert (k, converged, f) == (1, True, 1.0) and history == [(0, 1.0, 0.0)]
+        assert np.all(x < 0.0)
+
+    def test_iteration_limit_is_not_converged(self):
+        # a linear objective decreases without end
+        fg = lambda x: (float(x.sum()), np.ones_like(x))
+        history = []
+        x, f, k, converged, _ = lbfgs(fg, np.zeros(4), max_iters=5, history=history)
+        assert (k, converged) == (5, False) and len(history) == 5
+
+    def test_one_row_per_accepted_iteration(self):
+        # rows continue the history they are given, one per iteration, each
+        # the value of an evaluated point, in order; the values never increase
+        rng = np.random.default_rng(6)
+        w, c = np.geomspace(1.0, 1e3, 30), rng.standard_normal(30)
+        evaluated = []
+
+        def fg(x):
+            evaluated.append(1.0 + 0.5 * float(w @ (x - c) ** 2))
+            return evaluated[-1], w * (x - c)
+
+        history = [(0, 9.0, 0.5), (1, 8.0, 0.5)]
+        x, f, k, converged, _ = lbfgs(fg, np.zeros(30), max_iters=3000, history=history)
+        rows = history[2:]
+        assert len(rows) == k and [r[0] for r in rows] == list(range(2, 2 + k))
+        assert all(r[2] == 0.0 for r in rows) and rows[-1][1] == f
+        values = iter(evaluated[1:])
+        assert all(any(v == r[1] for v in values) for r in rows)
+        assert all(b[1] <= a[1] for a, b in zip(rows, rows[1:]))
+
+    def test_runs_are_bit_identical(self):
+        ball = build_ball(GroupSpec("zd", d=2), 6, X1="origin")
+        a, b = (graph_capacity(ball, NormSpec.schatten(3), OPTS3) for _ in range(2))
+        assert a.history == b.history and a.value == b.value
+        assert np.array_equal(a.minimizer, b.minimizer)
 
 
 def _count_fg(monkeypatch, module):

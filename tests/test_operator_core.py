@@ -82,6 +82,26 @@ class TestCondenser:
             c = make_condenser(list(idx[:rp]), list(idx[rp : rp + rq]), dim=d)
             assert c.rank_p + c.rank_q + c.m0 == d
 
+    def test_index_bases_match_the_loop(self):
+        # column k of an index basis is the k-th basis vector of the sorted
+        # indices, as a loop over them writes it
+        def loop_basis(idx, d):
+            V = np.zeros((d, len(idx)))
+            for col, i in enumerate(idx):
+                V[i, col] = 1.0
+            return V
+
+        rng = np.random.default_rng(4)
+        for d in (1, 2, 7, 30):
+            idx = rng.permutation(d)
+            rp = int(rng.integers(0, d + 1))
+            rq = int(rng.integers(0, d - rp + 1))
+            P, Q = sorted(idx[:rp].tolist()), sorted(idx[rp:rp + rq].tolist())
+            c = make_condenser(P, Q, dim=d)
+            mid = sorted(set(range(d)) - set(P) - set(Q))
+            for V, ref in ((c.basis_p, P), (c.basis_q, Q), (c.basis_mid, mid)):
+                assert np.array_equal(V, loop_basis(ref, d))
+
 
 class TestCachedProjections:
     def test_P_and_Q_cached_read_only(self):
@@ -110,6 +130,19 @@ def _project(c, A):
 
 
 class TestEmbedProject:
+    def test_diagonal_and_rotated_blocks_checked_alike(self):
+        # a diagonal middle block is checked by its diagonal, any other by
+        # its eigenvalues: a rotation of the same spectrum gets the same verdict
+        c = make_condenser([0], [3], dim=4)
+        R = rand_unitary(np.random.default_rng(5), 2)
+        for w, ok in (([0.0, 1.0 + 5e-11], True), ([-1e-9, 0.5], False), ([0.5, 1.0 + 1e-9], False)):
+            for B in (np.diag(w), R @ np.diag(w) @ R.T):
+                if ok:
+                    ContractionVariable(c, B)
+                else:
+                    with pytest.raises(ValidationError, match="spectrum"):
+                        ContractionVariable(c, B)
+
     def test_projection_case(self):
         c = make_condenser([0], [2], dim=3)
         var = ContractionVariable(c, np.eye(1))
