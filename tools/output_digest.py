@@ -131,7 +131,9 @@ def runs():
          {"group": f2, "R": 6, "x1": "origin", "x2": {"sphere": 6}, "norm": s2}),
         ("transfer_z_R8", "transfer",
          {"group": z(1), "R": 8, "x1": "origin", "x2": {"radius_at_least": 6}, "norms": [s2, s1]}),
+        ("plaplace_p2", "plaplace", dict(plates, tuple=two, p=2)),
         ("plaplace_p3", "plaplace", dict(plates, tuple=two, p=3)),
+        ("plaplace_p4", "plaplace", dict(plates, tuple=two, p=4)),
         ("plaplace_closed_form", "plaplace",
          {"tuple": two, "P": {"basis_indices": []}, "Q": {"basis_indices": [d - 1]}, "p": 3}),
         ("experiment_gamma1", "experiment", {"experiment": "gamma1", "schedule": {"N_list": [32, 48, 64]}}),
