@@ -200,6 +200,9 @@ def _condenser(config, tau, cond, specs):
 def _read_graphcap(r):
     if "R_list" not in r.payload:
         return _graphcap, {"ball": _read_ball(r), "spec": r("norm", NormSpec.from_json)}
+    for key in ("R", "x2"):
+        if key in r.payload:
+            r.errors.append(f"payload.{key}: a capacity scan over R_list has neither R nor x2")
     group, R_list = r("group", GroupSpec.from_json), r("R_list", lambda v: scan_radii(_ints(v)))
     p = r("p" if "p" in r.payload else "norm", _schatten_p)
     x1 = r("x1", default="origin")

@@ -237,6 +237,8 @@ class MultiplicityModel:
     def __post_init__(self):
         if self.kind not in ("box_step", "cantor_product"):
             raise ValidationError(f"unknown model kind {self.kind!r}")
+        if self.position_variant not in ("sawtooth", "triangle"):
+            raise ValidationError(f"unknown position variant {self.position_variant!r}")
         if any(int(m) != m or m < 0 for m in self.multiplicity) or not any(self.multiplicity):
             raise ValidationError("multiplicities must be nonnegative integers, not all 0")
         if not all(0 < x < np.inf for x in (*self.cell_lengths, self.scale)):
@@ -287,14 +289,12 @@ class MultiplicityModel:
 
     @staticmethod
     def from_json(obj):
-        kw = {
-            k: obj[k]
-            for k in ("kind", "n", "ratio", "pieces", "depth", "scale", "label", "position_variant")
-            if k in obj
-        }
+        kw = {k: obj[k] for k in ("kind", "ratio", "scale", "label", "position_variant") if k in obj}
+        kw.update({k: as_int(obj[k], k) for k in ("n", "pieces", "depth") if k in obj})
         if "multiplicity" in obj:
             m = obj["multiplicity"]
-            kw["multiplicity"] = tuple(m) if isinstance(m, (list, tuple)) else (int(m),)
+            kw["multiplicity"] = tuple(as_int(x, "multiplicity")
+                                       for x in (m if isinstance(m, (list, tuple)) else [m]))
         if "cell_lengths" in obj:
             kw["cell_lengths"] = tuple(float(x) for x in obj["cell_lengths"])
         elif "multiplicity" in kw and len(kw["multiplicity"]) > 1:

@@ -1,16 +1,19 @@
 """Smooth condenser variational problem for Schatten p-classes, 2 <= p < infinity.
 
-For a tuple of selfadjoint matrices the smooth objective is
+For a tuple of selfadjoint matrices and a selfadjoint A the smooth objective is
 
-    I(A) = trace(S(A)^(p/2)),    S(A) = -sum_j [A, T_j]^2  (PSD),
+    I(A) = trace(S(A)^(p/2)),    S(A) = -sum_j [A, T_j]^2 = sum_j C_j^* C_j  (PSD),
 
-the p-th power of the Schatten-p norm of the stacked commutator column. Its
-Euclidean gradient is -(p/2) * Theta(A) with
+with C_j = [A, T_j], the p-th power of the Schatten-p norm of the stacked
+commutator column. Its Euclidean gradient is -(p/2) * Theta(A) with
 
-    Theta = sum_k [T_k, [A,T_k] G + G [A,T_k]],   G = S^(p/2 - 1),
+    Theta = sum_k [T_k, C_k G + G C_k],   G = S^(p/2 - 1),
 
 the matrix analogue of div(|grad u|^(p-2) grad u) with the multiplication
-replaced by a Jordan-type symmetrization. Minimizers over the condenser's
+replaced by a Jordan-type symmetrization. One kernel, ``_energy``, returns
+both I and Theta from one set of commutators and at most one eigendecomposition
+of S; the objective, Theta, the solver's gradient and the certificates below
+all read it. Minimizers over the condenser's
 feasible set satisfy sign conditions on compressions of the gradient
 direction -Theta by enlarged level-set projections (P1, Q1); those are
 checked numerically here, and the proportionality constant -p/2 is validated
@@ -72,23 +75,16 @@ def _as_matrix(A):
     return embed(A) if isinstance(A, ContractionVariable) else np.asarray(A)
 
 
-def _S_of(prob, A):
-    S = np.zeros((prob.tau.dim, prob.tau.dim), dtype=A.dtype)
+def _energy(prob, A):
+    """(I(A), Theta(A)) at a selfadjoint matrix A. At p = 2, G is the identity
+    and I = sum_k ||C_k||_F^2, so S is never decomposed; otherwise one eigh of
+    S = -sum_k C_k^2 gives I = sum w^(p/2) and G = V w^(p/2 - 1) V^*."""
     Cs = commutators(prob.tau, A)
-    for C in Cs:
-        S = S - C @ C
-    return _herm(S), Cs
-
-
-def _objective_of(prob, S):
-    w = np.clip(np.linalg.eigvalsh(S), 0.0, None)
-    return float(np.sum(w ** (prob.p / 2.0)))
-
-
-def _theta_of(prob, S, Cs):
     if prob.p == 2.0:
-        G = np.eye(prob.tau.dim, dtype=S.dtype)
+        f = float(sum(np.vdot(C, C).real for C in Cs))
+        Ms = [C + C for C in Cs]
     else:
+        S = _herm(sum(-(C @ C) for C in Cs))
         try:
             w, V = np.linalg.eigh(S)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
@@ -97,24 +93,22 @@ def _theta_of(prob, S, Cs):
                 f"norm(S)={np.linalg.norm(S):.3e}, dim={S.shape[0]}"
             ) from exc
         w = np.clip(w, 0.0, None)
+        f = float(np.sum(w ** (prob.p / 2.0)))
         G = (V * w ** (prob.p / 2.0 - 1.0)) @ V.conj().T
-    Th = np.zeros_like(S)
-    for T, C in zip(prob.tau.components, Cs):
-        M = C @ G + G @ C
-        Th = Th + (T @ M - M @ T)
-    return _herm(Th)
+        Ms = [C @ G + G @ C for C in Cs]
+    return f, _herm(sum(T @ M - M @ T for T, M in zip(prob.tau.components, Ms)))
 
 
 def smooth_objective(prob, A):
-    """I(A) = trace(S^(p/2)); zero exactly when A commutes with every component."""
-    S, _ = _S_of(prob, _as_matrix(A))
-    return _objective_of(prob, S)
+    """I(A) = trace(S^(p/2)) at a selfadjoint A, read from the energy kernel;
+    zero exactly when A commutes with every component."""
+    return _energy(prob, _as_matrix(A))[0]
 
 
 def theta(prob, X):
-    """The Theta operator at X (selfadjoint); gradient of I is -(p/2) Theta."""
-    S, Cs = _S_of(prob, _as_matrix(X))
-    return ThetaReport(Theta=_theta_of(prob, S, Cs))
+    """The Theta operator at a selfadjoint X, read from the energy kernel; the
+    gradient of I is -(p/2) Theta."""
+    return ThetaReport(Theta=_energy(prob, _as_matrix(X))[1])
 
 
 def _middle_fg(prob):
@@ -122,10 +116,8 @@ def _middle_fg(prob):
     half_p = prob.p / 2.0
 
     def fg(B):
-        S, Cs = _S_of(prob, prob.condenser.embed_middle(B))
-        f = _objective_of(prob, S)
-        g = _herm(Vm.conj().T @ (-half_p * _theta_of(prob, S, Cs)) @ Vm)
-        return f, g
+        f, Th = _energy(prob, prob.condenser.embed_middle(B))
+        return f, _herm(Vm.conj().T @ (-half_p * Th) @ Vm)
 
     return fg
 
@@ -147,9 +139,8 @@ def minimize_smooth(prob, opts=None):
     proj = lambda B: project_middle(cond, B)
 
     def restart(ms, B0):
-        f0 = smooth_objective(prob, cond.embed_middle(B0))
         ms.run(projected_descent, fg, proj, B0, max_iters=opts.max_iters,
-               residual_tol=opts.residual_tol(f0))
+               residual_tol=opts.residual_tol(fg(B0)[0]))
 
     def finish(B):
         var = ContractionVariable(cond, B)

@@ -311,6 +311,17 @@ def _ratio_second(model):
                        norm=_S2), "tuple"),
     ("condenser", dict(_PLATES, tuple=_TRIDIAG, norm=_S2,
                        P={"re": [[1, 0, 0], [0, 0, 0], [0, 0, 0]], "dim": 3.0}), "P"),
+    ("experiment", _ratio_second({"kind": "box_step", "multiplicity": 2.5}), "models"),
+    ("experiment", _ratio_second({"kind": "box_step", "multiplicity": "2"}), "models"),
+    ("experiment", _ratio_second({"kind": "box_step", "multiplicity": True}), "models"),
+    ("experiment", _ratio_second({"kind": "box_step", "multiplicity": [1, True],
+                                  "cell_lengths": [0.5, 0.5]}), "models"),
+    ("experiment", _ratio_second({"kind": "cantor_product", "n": True}), "models"),
+    ("experiment", _ratio_second({"kind": "cantor_product", "n": 2, "depth": 1.0}), "models"),
+    ("experiment", _ratio_second({"kind": "cantor_product", "n": 2, "pieces": 2.0}), "models"),
+    ("experiment", _ratio_second({"kind": "box_step", "position_variant": "triangel"}), "models"),
+    ("graphcap", {"group": _Z1, "R_list": [3, 4, 5], "p": 2, "x2": {"sphere": 5}}, "x2"),
+    ("graphcap", {"group": _Z1, "R_list": [3, 4, 5], "p": 2, "R": 9}, "R"),
 ], ids=["tuple-components", "options-max-iters", "P-re", "group-d", "R", "x1-sphere",
         "scan-macaev", "scan-lorentz", "s", "norm-p", "ratio-models", "hybrid-exponents",
         "gamma1-N-list", "options-seed", "s-scalar", "options-refine", "transfer-no-norms",
@@ -322,7 +333,10 @@ def _ratio_second(model):
         "R-float", "R-bool", "scan-float-radius", "group-d-float", "group-k-float",
         "custom-table-float", "x2-sphere-float", "x2-radius-at-least-float", "x1-key-float",
         "hybrid-grid-float", "ratio-n-scales-float", "gamma1-N-float", "hybrid-swap-string",
-        "P-index-bool", "tuple-dim-string", "P-dim-float"])
+        "P-index-bool", "tuple-dim-string", "P-dim-float", "ratio-multiplicity-float",
+        "ratio-multiplicity-string", "ratio-multiplicity-bool", "ratio-multiplicity-entry-bool",
+        "ratio-n-bool", "ratio-depth-float", "ratio-pieces-float", "ratio-variant-typo",
+        "scan-x2", "scan-R"])
 def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # each of these used to end in a traceback (exit 1) or in a run that
     # misread the field: a Schatten-2 scan for the Lorentz norm, a refined
@@ -338,7 +352,9 @@ def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # gamma1 schedule with no N used to fail with an IndexError; an integer
     # field given as a fraction or a bool, or swap given as a string, used to
     # solve another problem (R 2.5 as 2, true as 1, "false" as a swap, a
-    # basis index true as the index 1, a matrix "dim" "3" or 3.0 as 3)
+    # basis index true as the index 1, a matrix "dim" "3" or 3.0 as 3, a ratio
+    # multiplicity 2.5 or "2" as 2 and true as 1, a misspelt position variant
+    # as sawtooth, and a scan's x2 or R as absent)
     code = run(tmp_path, [command, "--inline", json.dumps(payload), "--out", "OUT"])
     err = capsys.readouterr().err
     assert code == 2

@@ -165,6 +165,30 @@ class TestRatioExperiment:
             MultiplicityModel("cantor_product", n=1, ratio=1 / 3, pieces=2)
 
 
+class TestModelFromJson:
+    @pytest.mark.parametrize("fields", [
+        {"multiplicity": 2.5}, {"multiplicity": "2"}, {"multiplicity": True},
+        {"multiplicity": [1, True]}, {"n": True}, {"depth": 1.0}, {"pieces": "2"}],
+        ids=["multiplicity-float", "multiplicity-string", "multiplicity-bool",
+             "multiplicity-entry-bool", "n-bool", "depth-float", "pieces-string"])
+    def test_integer_fields_are_checked_not_coerced(self, fields):
+        with pytest.raises(ValidationError, match=f"{next(iter(fields))} must be an integer"):
+            MultiplicityModel.from_json({"kind": "cantor_product", "n": 2, **fields})
+
+    def test_integer_fields_are_read(self):
+        model = MultiplicityModel.from_json(
+            {"kind": "cantor_product", "n": 2, "pieces": 2, "depth": 3, "multiplicity": 2})
+        assert (model.n, model.pieces, model.depth, model.multiplicity) == (2, 2, 3, (2,))
+        steps = MultiplicityModel.from_json({"kind": "box_step", "multiplicity": [1, 2]})
+        assert steps.multiplicity == (1, 2) and steps.cell_lengths == (0.5, 0.5)
+
+    def test_unknown_position_variant_rejected(self):
+        with pytest.raises(ValidationError, match="triangel"):
+            MultiplicityModel.from_json({"kind": "box_step", "position_variant": "triangel"})
+        for variant in ("sawtooth", "triangle"):
+            assert MultiplicityModel("box_step", position_variant=variant).position_variant == variant
+
+
 class TestHybridScan:
     def test_constraint_validation(self):
         with pytest.raises(ValidationError):

@@ -84,7 +84,7 @@ def test_closed_form_reports_one_row(name):
     assert rep.lower == rep.value
 
 
-def test_lbfgsb_stage_stopped_by_its_limit_is_not_converged(monkeypatch):
+def test_lbfgs_stage_stopped_by_its_limit_is_not_converged(monkeypatch):
     # every lbfgs stage of a Z^2 S2 solve capped at one iteration stops at
     # its iteration limit, which is not a converged exit
     engine = cayley.lbfgs

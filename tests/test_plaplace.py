@@ -13,6 +13,7 @@ from qcmod.operator_core import (
 )
 from qcmod.plaplace import (
     SmoothProblem,
+    _middle_fg,
     euler_lagrange_report,
     minimize_smooth,
     smooth_objective,
@@ -142,6 +143,28 @@ class TestTheta:
             fd = (smooth_objective(prob, X + h * Hf) - smooth_objective(prob, X - h * Hf)) / (2 * h)
             an = -(p / 2.0) * float(np.real(np.trace(theta(prob, X).Theta @ Hf)))
             assert fd == pytest.approx(an, rel=1e-5)
+
+
+class TestEnergyKernel:
+    @pytest.mark.parametrize("p, calls", [(2.0, []), (3.0, ["eigh"]), (4.0, ["eigh"])])
+    def test_one_fg_decomposes_at_most_once(self, monkeypatch, p, calls):
+        prob = _random_problem(11, d=8, p=p)
+        fg = _middle_fg(prob)
+        B = 0.5 * np.eye(prob.condenser.m0)
+        seen = []
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+            kernel = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _k=kernel, _n=name, **kw: seen.append(_n) or _k(*a, **kw))
+        fg(B)
+        assert seen == calls
+
+    def test_p2_value_is_the_commutator_frobenius_sum(self):
+        rng = np.random.default_rng(12)
+        prob = _random_problem(13, d=8, p=2.0)
+        for A in (rand_hermitian(rng, 8), np.diag(rng.uniform(0.0, 1.0, 8))):
+            expected = sum(np.linalg.norm(C, "fro") ** 2 for C in commutators(prob.tau, A))
+            assert smooth_objective(prob, A) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 class TestMinimize:
