@@ -60,24 +60,28 @@ def safe_cut(c, G, x, linear_min, c_abs=None):
     return cut, float(cut - _CUT_ULPS * np.finfo(float).eps * terms)
 
 
-def point_bound(comps, specs, pull, linear_min, x, tol):
-    """(value, bound) of ``max_norm_fg``'s objective at a feasible x whose
-    ``spectra`` are ``comps``: the value max_j f_j, f_j = vector_norm(v_j),
-    and the safe value of the Frank-Wolfe cut (Jaggi 2013). λ is uniform over
-    the f_j within tol * max(1, max f) of the max, and each subgradient y_j
-    at v_j is divided by max(1, dual_norm(y_j)) into its dual unit ball as
-    evaluated in floating point. The cut's c = Σ_j λ_j <y_j, v_j> is
-    computed, not taken as Σ_j λ_j f_j, and G = pull(Σ_j λ_j lift_j(y_j))."""
-    fs = np.array([vector_norm(v, sp) for (v, _), sp in zip(comps, specs)])
+def point_dual(vs, specs, tol):
+    """(value, ys, ws) at spectra vs: max_j f_j, f_j = vector_norm(v_j), weights
+    ws 1 on the f_j within tol * max(1, max f) of it (else 0, ys[j] None), and
+    ys[j] the subgradient at v_j divided by max(1, dual_norm) (as evaluated in
+    floating point) and by the number of those f_j."""
+    fs = np.array([vector_norm(v, sp) for v, sp in zip(vs, specs)])
     active = np.flatnonzero(fs >= fs.max() - tol * max(1.0, fs.max()))
-    c, W = 0.0, 0.0
+    ys, ws = [None] * len(vs), [0.0] * len(vs)
     for j in active:
-        v, lift = comps[j]
-        y = _vector_subgradient(v, specs[j], fs[j])
-        y = y / (max(1.0, dual_norm(y, specs[j])) * active.size)
-        c += _inner(y, v)
-        W = W + lift(y)
-    return float(fs.max()), safe_cut(c, pull(W), x, linear_min)[1]
+        y = _vector_subgradient(vs[j], specs[j], fs[j])
+        ys[j], ws[j] = y / (max(1.0, dual_norm(y, specs[j])) * active.size), 1.0
+    return float(fs.max()), ys, ws
+
+
+def point_bound(comps, specs, linear_min, x, tol):
+    """(value, bound) at a feasible x whose ``spectra`` are ``comps``: the safe
+    value of the Frank-Wolfe cut (Jaggi 2013) of the ``point_dual``, with
+    c = Σ_j <y_j, v_j> computed, not taken as the value, and G = lift(ys, ws)."""
+    vs, lift = comps
+    f, ys, ws = point_dual(vs, specs, tol)
+    c = sum(_inner(y, v) for v, y in zip(vs, ys) if y is not None)
+    return f, safe_cut(c, lift(ys, ws), x, linear_min)[1]
 
 
 def projected_subgradient(fg, project, x0, *, max_iters, tol, history, linear_min):
@@ -490,65 +494,61 @@ def _smooth_schatten(x, p, mu):
     return f, np.copysign((a / f) ** (p - 1.0), x) if f > 0 else np.zeros_like(a)
 
 
-def _smooth_max(fs, grads, eps, scale):
+def _smooth_max(fs, eps, scale):
     """Log-sum-exp smoothing of max(fs) at temperature eps * scale / log(n + 1),
-    with the matching convex combination of grads; one term passes through."""
+    and its gradient's convex weights; one term passes through with weight 1."""
     if len(fs) == 1:
-        return fs[0], grads[0]
+        return fs[0], [1.0]
     nu = eps * scale / np.log(len(fs) + 1.0)
     fmax = max(fs)
     ws = np.exp((np.asarray(fs) - fmax) / nu)
     total = ws.sum()
     f = float(fmax + nu * np.log(total))
     ws /= total
-    return f, sum(w * g for w, g in zip(ws, grads))
+    return f, ws
 
 
 # -- the max-of-norms objective ------------------------------------------------------
 
 
-def max_norm_fg(spectra, specs, pull):
-    """Exact fg of max_j |K_j x|_{J_j}. ``spectra(x)`` lists per component a
-    real vector v_j, whose magnitudes are the spectral values of K_j x, and a
-    ``lift`` that maps a vector in those coordinates back through K_j^*;
-    ``pull`` maps a lifted gradient to the variable. The value is
-    ``vector_norm`` of the first maximizing v_j, the subgradient
-    pull(lift(g)) with g the ``vector_norm`` subgradient at v_j."""
+def max_norm_fg(spectra, specs):
+    """Exact fg of max_j |K_j x|_{J_j}. ``spectra(x)`` gives real vectors v_j,
+    whose magnitudes are the spectral values of K_j x, and ``lift(ys, ws)``,
+    which maps vectors y_j in those coordinates to Σ_j ws[j] K_j^* y_j on the
+    variable (terms of weight 0 are skipped; their y_j may be None). The value
+    is ``vector_norm`` of the first maximizing v_j, the subgradient the lift of
+    its ``vector_norm`` subgradient alone."""
 
     def fg(x):
-        comps = spectra(x)
-        vals = [vector_norm(v, sp) for (v, _), sp in zip(comps, specs)]
+        vs, lift = spectra(x)
+        vals = [vector_norm(v, sp) for v, sp in zip(vs, specs)]
         j = int(np.argmax(vals))
-        v, lift = comps[j]
-        return vals[j], pull(lift(_vector_subgradient(v, specs[j], vals[j])))
+        g = _vector_subgradient(vs[j], specs[j], vals[j])
+        return vals[j], lift([g] * len(vs), [float(i == j) for i in range(len(vs))])
 
     return fg
 
 
-def smooth_max_norm_fg(spectra, specs, mus, eps, fref, pull):
+def smooth_max_norm_fg(spectra, specs, mus, eps, fref):
     """Smoothed fg of the ``max_norm_fg`` objective: ``_smooth_schatten`` of
     each v_j (Huber at mus[j] for p = 1), log-sum-exp across components at
-    temperature scale ``fref`` (``_smooth_max``). Upper-bounds the exact one."""
+    temperature scale ``fref`` (``_smooth_max``, its weights lifted at once)."""
 
     def fg(x):
-        fs, grads = [], []
-        for (v, lift), sp, mu in zip(spectra(x), specs, mus):
-            f, dv = _smooth_schatten(v, sp.p, mu)
-            fs.append(f)
-            grads.append(lift(dv))
-        f, g = _smooth_max(fs, grads, eps, max(fref, 1e-300))
-        return f, pull(g)
+        vs, lift = spectra(x)
+        fs, dvs = zip(*(_smooth_schatten(v, sp.p, mu) for v, sp, mu in zip(vs, specs, mus)))
+        f, ws = _smooth_max(fs, eps, max(fref, 1e-300))
+        return f, lift(dvs, ws)
 
     return fg
 
 
-def solve_max_norm(spectra, specs, pull, project, starts, finish, opts, stage, *, linear_min, **extra):
-    """Minimize max_j |K_j x|_{J_j} over a convex set: the multistart solve
-    (``Multistart.solve``) of the condenser and the graph capacity. ``spectra``,
-    ``specs`` and ``pull`` are those of ``max_norm_fg``, ``project`` maps onto
-    the feasible set, and ``stage(k, fg, x, f0, history)`` runs the k-th ε
-    stage on the smoothed ``fg`` from x (f0: the exact value the stages start
-    from), logs to ``history`` and returns (x, f, converged).
+def solve_max_norm(spectra, specs, project, starts, finish, opts, stage, *, linear_min, **extra):
+    """Minimize max_j |K_j x|_{J_j} (``max_norm_fg``'s ``spectra`` and ``specs``)
+    over a convex set onto which ``project`` maps: the multistart solve of the
+    condenser and the graph capacity. ``stage(k, fg, x, f0, history)`` runs
+    the k-th ε stage on the smoothed ``fg`` from x (f0: the exact value the
+    stages start from), logs to ``history`` and returns (x, f, converged).
 
     A restart from x0 with ``opts.refine`` on and every norm Schatten with
     p > 1 (smooth wherever nonzero) logs its start value and runs the stages
@@ -560,38 +560,42 @@ def solve_max_norm(spectra, specs, pull, project, starts, finish, opts, stage, *
     the exact value of the last point closes them with the last stage's flag.
     ``linear_min``, the minimum of <g, x> over the feasible set, gives the
     window bounds (``projected_subgradient``) and the ``point_bound`` at the
-    reported point; ``finish(x)`` gives its minimizer and feasibility residuals.
+    reported point; ``finish(x)`` gives its minimizer, feasibility residuals
+    and a bound of the solver's own (-inf for none), and the larger counts.
     """
-    fg = max_norm_fg(spectra, specs, pull)
-    value = lambda comps: max(vector_norm(v, sp) for (v, _), sp in zip(comps, specs))
+    fg = max_norm_fg(spectra, specs)
+    value = lambda vs: max(vector_norm(v, sp) for v, sp in zip(vs, specs))
     schatten = all(sp.kind == "schatten" for sp in specs)
 
-    def ladder(ms, x, comps, f0):
-        scales = [max(float(np.abs(v).max(initial=0.0)), 1e-300) for v, _ in comps]
+    def ladder(ms, x, vs, f0):
+        scales = [max(float(np.abs(v).max(initial=0.0)), 1e-300) for v in vs]
         fref, conv = f0, False
         for k, eps in enumerate(SMOOTHING_LADDER):
-            sfg = smooth_max_norm_fg(spectra, specs, [eps * s for s in scales], eps, fref, pull)
+            sfg = smooth_max_norm_fg(spectra, specs, [eps * s for s in scales], eps, fref)
             x, fref, conv = stage(k, sfg, x, f0, ms.history)
-        ms.record(x, value(spectra(x)), conv)
+        ms.record(x, value(spectra(x)[0]), conv)
 
     def restart(ms, x0):
         if opts.refine and schatten and all(sp.p > 1 for sp in specs):
-            comps = spectra(x0)
-            f = value(comps)
+            vs = spectra(x0)[0]
+            f = value(vs)
             ms.record(x0, f)
-            ladder(ms, x0, comps, f)
+            ladder(ms, x0, vs, f)
             return
         x, f = ms.run(projected_subgradient, fg, project, x0, max_iters=opts.max_iters, tol=opts.tol,
                       linear_min=linear_min)
         if not opts.refine:
             return
         if schatten:
-            ladder(ms, x, spectra(x), f)
+            ladder(ms, x, spectra(x)[0], f)
         else:
             ms.run(projected_descent, fg, project, x, max_iters=max(200, opts.max_iters // 2),
                    residual_tol=opts.residual_tol(f))
 
-    bounded = lambda x: (*finish(x), point_bound(spectra(x), specs, pull, linear_min, x, opts.tol)[1])
+    def bounded(x):
+        minimizer, feasibility, own = finish(x)
+        return minimizer, feasibility, max(point_bound(spectra(x), specs, linear_min, x, opts.tol)[1], own)
+
     return Multistart.solve(starts, restart, bounded, **extra)
 
 

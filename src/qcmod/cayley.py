@@ -27,16 +27,10 @@ constrained one, and clipping a stage's result keeps it feasible. Exact
 oracles (LP for the trace-norm case, sparse harmonic solve for the
 Frobenius case) live alongside for tests.
 
-All of them read the difference structure from one sparse incidence
-operator per ball (``CayleyBall.incidence``): the generators' difference
-matrices D_j stacked into one CSR matrix D, so that one product D @ u gives
-every d_j(u), together with each D_j's transpose restricted to the free
-(unpinned) vertices. Every row of D has at most two entries, +1 and -1, and
-every column of a D_j has exactly two, so each entry of D @ u and of
-D_j^T @ w is one exactly rounded sum of two terms: the same number the
-gather / scatter formulation computes. Results are therefore bit-identical
-to that formulation, which matters because the solves are not run to
-convergence and are sensitive to roundoff.
+All of them read one operator per ball (``CayleyBall.incidence``): one
+K x + c gives every d_j, bit for bit the edge-by-edge differences (each
+entry sums at most two terms; the solves are not run to convergence and
+are sensitive to roundoff), and one K^T product lifts every dual.
 """
 
 import math
@@ -48,12 +42,13 @@ import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ._solvers import SolveOptions, SolveReport, _starts, fit_loglog, lbfgs, point_bound, solve_max_norm
+from ._solvers import (SolveOptions, SolveReport, _inner, _starts, fit_loglog, lbfgs, point_bound, point_dual,
+                       safe_cut, solve_max_norm)
 from .condenser_solver import solve_condenser
 from .errors import ValidationError
 from .jsonio import as_int
 from .operator_core import ContractionVariable, OperatorTuple, make_condenser
-from .ri_norms import NormSpec, vector_norm
+from .ri_norms import NormSpec, dual_norm, vector_norm
 
 #: Largest dense regular representation ``truncated_regular_rep`` builds, in
 #: bytes (n_generators * n_vertices^2 doubles); F2 balls up to R = 6 fit.
@@ -301,25 +296,25 @@ def build_ball(group, R, X1=None, X2=None):
 # -- difference structure -------------------------------------------------------------
 
 
+#: ``flow_bound``'s CG relative residual, and its dual's tie window: the flow
+#: removes the divergence of uniform weights over generators this close to the max.
+_FLOW_RTOL, _FLOW_TIES = 1e-8, 1e-6
+
+
 @dataclass(frozen=True)
 class IncidenceOperator:
-    """The group difference function of a ball as one sparse matrix.
+    """The group difference function of a ball. Rows ``offsets[j]:offsets[j + 1]``
+    are generator j's differences: row h < n_vertices gives u(g_j h) - u(h)
+    (0 for g_j h outside the ball), and one row per vertex v whose
+    g_j-preimage lies outside gives u(v) - 0. ``K`` holds their columns at the
+    unpinned vertices ``free``, ``Kt`` is its transpose and ``c`` the
+    differences of the pins (1 on X1, else 0), so d(u) = K u[free] + c."""
 
-    Block j of ``D`` (rows ``offsets[j]:offsets[j + 1]``) is the generator's
-    difference matrix D_j: row h < n_vertices gives u(g_j h) - u(h) (the first
-    term is 0 when g_j h lies outside the ball), and one further row per
-    vertex v whose g_j-preimage lies outside gives u(v) - 0. Together these
-    are exactly the nonzero entries of the difference function of a
-    potential supported in the ball. ``free`` lists the unpinned vertices
-    (outside X1 and X2), ``D_free`` is D restricted to their columns and
-    ``Dt_free[j]`` is D_j^T restricted to them.
-    """
-
-    D: scipy.sparse.csr_array
+    K: scipy.sparse.csr_array
+    Kt: scipy.sparse.csr_array
+    c: np.ndarray
     offsets: tuple
     free: np.ndarray
-    D_free: scipy.sparse.csr_array
-    Dt_free: tuple
 
     @staticmethod
     def of(ball):
@@ -327,55 +322,82 @@ class IncidenceOperator:
         h = np.arange(nv)
         rows, cols, vals, offsets = [], [], [], [0]
         for fwd, bwd in zip(ball.sigma, ball.sigma_inv):
-            r0 = offsets[-1]
-            inside = np.flatnonzero(fwd >= 0)
-            entering = np.flatnonzero(bwd < 0)
+            r0, inside, entering = offsets[-1], np.flatnonzero(fwd >= 0), np.flatnonzero(bwd < 0)
             rows += [r0 + inside, r0 + h, r0 + nv + np.arange(entering.size)]
             cols += [fwd[inside], h, entering]
             vals += [np.ones(inside.size), -np.ones(nv), np.ones(entering.size)]
             offsets.append(r0 + nv + entering.size)
-        D = scipy.sparse.csr_array(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(offsets[-1], nv),
-        )
-        pinned = np.zeros(nv, dtype=bool)
-        pinned[ball.X1] = True
-        pinned[ball.X2] = True
-        free = np.flatnonzero(~pinned)
-        D_free = D[:, free]
-        Dt_free = tuple(D_free[a:b].T.tocsr() for a, b in zip(offsets[:-1], offsets[1:]))
-        return IncidenceOperator(D, tuple(offsets), free, D_free, Dt_free)
+        D = scipy.sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                                   shape=(offsets[-1], nv))
+        free = np.setdiff1d(h, np.concatenate([ball.X1, ball.X2]))
+        K = D[:, free]
+        return IncidenceOperator(K, K.T.tocsr(), D @ np.isin(h, ball.X1).astype(float), tuple(offsets), free)
 
-    def diffs(self, u):
-        """Per generator the difference function d_j(u), from one product D @ u."""
-        d = self.D @ u
+    def split(self, d):
+        """The per-generator blocks of a stacked vector."""
         return [d[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
 
-    def max_norm(self, u, spec):
-        """max_j |d_j(u)|_J, the capacity objective at the full potential u."""
-        return max(vector_norm(d, spec) for d in self.diffs(u))
+    def spectra(self, x):
+        """``max_norm_fg``'s (vs, lift) at the free values x: vs the blocks of K x + c."""
+        return self.split(self.K @ x + self.c), self.lift
 
+    def stack(self, ys, ws):
+        """The stacked vector of blocks ws[j] * ys[j] (0 for weight 0)."""
+        return np.concatenate([w * y if w else np.zeros(b - a)
+                               for y, w, a, b in zip(ys, ws, self.offsets[:-1], self.offsets[1:])])
+
+    def lift(self, ys, ws):
+        """Σ_j ws[j] D_j^T ys[j] on the free vertices, one K^T product."""
+        return self.Kt @ self.stack(ys, ws)
+
+    @cached_property
     def laplacian(self):
-        """sum_j D_j^T D_j on the free vertices (the Dirichlet energy's matrix)."""
-        return (self.D_free.T @ self.D_free).tocsr()
+        """K^T K = Σ_j D_j^T D_j, the Dirichlet energy's matrix on the free vertices."""
+        return (self.Kt @ self.K).tocsr()
+
+    def flow_bound(self, vs, spec, x, tol, keep=None):
+        """The safe cut at the free values x, differences vs, of the flow dual
+        (Thomson's principle; Lyons & Peres, *Probability on Trees and
+        Networks*): the stacked ``point_dual`` y (ties within ``_FLOW_TIES``)
+        less K φ, with L φ = K^T y solved by Jacobi-preconditioned CG, zeroed off
+        the rows ``keep`` (a bool mask) and divided by max(1, Σ_j dual_norm).
+        Any φ gives a valid cut; the solve sets only how tight it is."""
+        y = self.stack(*point_dual(vs, [spec] * len(vs), max(tol, _FLOW_TIES))[1:])
+        L, r = self.laplacian, self.Kt @ y
+        inv = 1.0 / np.maximum(L.diagonal(), 1.0)
+        phi, z = np.zeros_like(r), r * inv
+        p, rz, stop = z, r @ z, _FLOW_RTOL ** 2 * (r @ r)
+        for _ in range(r.size):
+            if r @ r <= stop:
+                break
+            q = L @ p
+            a = rz / (p @ q)
+            phi, r, rz_old = phi + a * p, r - a * q, rz
+            z = r * inv
+            rz = r @ z
+            p = z + rz / rz_old * p
+        y -= self.K @ phi
+        if keep is not None:
+            y[~keep] = 0.0
+        y /= max(1.0, sum(dual_norm(b, spec) for b in self.split(y)))
+        v = np.concatenate(vs)
+        return safe_cut(_inner(y, v), self.Kt @ y, x, _box_linear_min, _inner(np.abs(y), np.abs(v)))[1]
 
 
 def graph_capacity(ball, spec, opts=None):
     """Condenser capacity of (X1, X2) on the ball for one RI norm.
 
     The box constraint and pins are kept exactly at every offered point.
-    The solve is ``solve_max_norm`` on the free coordinates, as in the
-    condenser solve, with one component per generator (its difference
-    function) and one unconstrained ``lbfgs`` run per ε stage, whose result
-    is clipped to the box (the module docstring's clip lemma). The box's
-    linear minimum, Σ_i min(g_i, 0), lets the subgradient phase aim at and
-    stop on its window lower bound (``projected_subgradient``) and gives the
-    point bound at the minimizer (``point_bound``); the report's ``lower``
-    is the larger, floored at 0 and capped at the value.
+    The solve is ``solve_max_norm`` on the free coordinates with one
+    component per generator (``IncidenceOperator.spectra``) and one
+    unconstrained ``lbfgs`` run per ε stage, whose result is clipped to the
+    box (the module docstring's clip lemma). The box's linear minimum,
+    Σ_i min(g_i, 0), gives the subgradient phase its window lower bound
+    (``projected_subgradient``), and the point and flow bounds at the
+    minimizer; ``lower`` is the largest, floored at 0 and capped at the value.
     """
     opts = opts or SolveOptions()
-    nv = ball.n_vertices
-    op = ball.incidence
+    nv, op = ball.n_vertices, ball.incidence
     u = np.zeros(nv)
     u[ball.X1] = 1.0
     free = op.free
@@ -386,18 +408,10 @@ def graph_capacity(ball, spec, opts=None):
                                        empty_inner_plate=True, n_vertices=nv)
     if free.size == 0:
         # every vertex pinned: the single feasible potential is the pin pattern
-        value = op.max_norm(u, spec)
+        value = max(vector_norm(d, spec) for d in op.spectra(u[free])[0])
         return SolveReport.closed_form(value, u, {"box": 0.0, "pins": 0.0},
                                        n_vertices=nv, fully_pinned=True)
 
-    def assemble(x):
-        full = u.copy()
-        full[free] = x
-        return full
-
-    # the spectra of max_norm_fg: each d_j(u) itself, lifted by D_j^T on the free vertices
-    lifts = [Dt.__matmul__ for Dt in op.Dt_free]
-    spectra = lambda x: list(zip(op.diffs(assemble(x)), lifts))
     proj = lambda x: np.clip(x, 0.0, 1.0)
 
     def stage(k, fg, x, f0, history):
@@ -410,16 +424,17 @@ def graph_capacity(ball, spec, opts=None):
         return proj(x), f, converged
 
     def finish(x):
-        full = assemble(x)
+        full = u.copy()
+        full[free] = x
         feasibility = {
             "box": float(max(0.0, full.max() - 1.0, -full.min())),
             "pins": float(max(np.abs(full[ball.X1] - 1.0).max(initial=0.0),
                               np.abs(full[ball.X2]).max(initial=0.0))),
         }
-        return full, feasibility
+        return full, feasibility, op.flow_bound(op.spectra(x)[0], spec, x, opts.tol)
 
     draw = lambda rng: rng.uniform(0.0, 1.0, size=free.size)
-    return solve_max_norm(spectra, [spec] * len(lifts), lambda g: g, proj,
+    return solve_max_norm(op.spectra, [spec] * ball.n_generators, proj,
                           _starts(np.full(free.size, 0.5), draw, opts), finish, opts, stage,
                           linear_min=_box_linear_min, n_vertices=nv)
 
@@ -435,32 +450,27 @@ def total_variation_capacity_lp(ball):
     """Exact trace-norm capacity via linear programming (HiGHS).
 
     min z  s.t.  z >= sum_e t_{j,e},  t_{j,e} >= +/- d_{j,e}(u),  u in [0,1],
-    pins on X1/X2 substituted. Used as an independent oracle for p = 1.
-    With c = D u_pins the pinned part of every difference, each row e of D
-    gives the pair [D_free, -I] (u, t) <= -c_e and [-D_free, -I] (u, t) <= c_e.
+    pins on X1/X2 substituted. Used as an independent oracle for p = 1. Each
+    row e of K gives [K, -I] (u, t) <= -c_e and [-K, -I] (u, t) <= c_e.
     """
     op = ball.incidence
-    u_pins = np.zeros(ball.n_vertices)
-    u_pins[ball.X1] = 1.0
-    const = op.D @ u_pins
-    nfree, nt, n = op.free.size, op.D.shape[0], len(op.Dt_free)
+    nfree, nt, n = op.free.size, op.K.shape[0], ball.n_generators
     # variable layout: [u_free (nfree), t (nt), z (1)]
-    nvar = nfree + nt + 1
-    c = np.zeros(nvar)
+    c = np.zeros(nfree + nt + 1)
     c[-1] = 1.0
 
     sp = scipy.sparse
     minus_I = -sp.eye_array(nt, format="csr")
     no_z = sp.csr_array((nt, 1))
-    pm = sp.vstack([sp.hstack([op.D_free, minus_I, no_z]),
-                    sp.hstack([-op.D_free, minus_I, no_z])], format="csr")
+    pm = sp.vstack([sp.hstack([op.K, minus_I, no_z]),
+                    sp.hstack([-op.K, minus_I, no_z])], format="csr")
     # the two rows of one difference stay adjacent: +d_e, -d_e, +d_(e+1), ...
     pm = pm[np.arange(2 * nt).reshape(2, nt).T.ravel()]
     # one row per generator: the sum of its t's minus z
     per_gen = sp.block_diag([np.ones((1, b - a)) for a, b in zip(op.offsets[:-1], op.offsets[1:])])
     sums = sp.hstack([sp.csr_array((n, nfree)), per_gen, sp.csr_array(-np.ones((n, 1)))])
     A_ub = sp.vstack([pm, sums], format="csc")
-    b_ub = np.concatenate([np.column_stack([-const, const]).ravel(), np.zeros(n)])
+    b_ub = np.concatenate([np.column_stack([-op.c, op.c]).ravel(), np.zeros(n)])
     bounds = [(0.0, 1.0)] * nfree + [(0.0, None)] * nt + [(0.0, None)]
     res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
@@ -474,22 +484,16 @@ def harmonic_capacity_oracle(ball):
     Minimizes the Dirichlet energy E(u) = sum_j ||d_j(u)||_2^2 subject to the
     pins, then reports (energy, u*, max_j ||d_j(u*)||_2). On instances whose
     symmetry group permutes the generators, that last quantity equals the
-    capacity inf max_j ||d_j(u)||_2 (= sqrt(E/n) there). The system matrix
-    is the Laplacian sum_j D_j^T D_j on the free vertices.
-    """
+    capacity inf max_j ||d_j(u)||_2 (= sqrt(E/n) there). It solves
+    K^T K u_free = -K^T c."""
     op = ball.incidence
     u = np.full(ball.n_vertices, 0.0)
     u[ball.X1] = 1.0
     if op.free.size:
-        rhs = op.D_free.T @ -(op.D @ u)
-        u[op.free] = scipy.sparse.linalg.spsolve(op.laplacian(), rhs)
-    energy = 0.0
-    per_gen = []
-    for d in op.diffs(u):
-        e = float(np.sum(d * d))
-        energy += e
-        per_gen.append(np.sqrt(e))
-    return {"energy": energy, "u": u, "capacity": float(max(per_gen)), "per_generator": per_gen}
+        u[op.free] = scipy.sparse.linalg.spsolve(op.laplacian, op.Kt @ -op.c)
+    energies = [float(np.sum(d * d)) for d in op.spectra(u[op.free])[0]]
+    per_gen = [np.sqrt(e) for e in energies]
+    return {"energy": sum(energies), "u": u, "capacity": float(max(per_gen)), "per_generator": per_gen}
 
 
 # -- transfer to the operator picture -------------------------------------------------
@@ -518,16 +522,19 @@ def truncated_regular_rep(ball):
 
 
 def _diagonal_bracket(ball, spec, u, tol):
-    """``point_bound`` of k at A = diag(u), u feasible, on the tuple of
-    ``truncated_regular_rep``: (k_upper, bound). [diag(u), T_j] is a weighted
-    partial permutation with entries u(g_j h) - u(h), the rows h < n_vertices
-    of D_j with g_j h in the ball (others read 0), lifted by D_j^T. A dual
-    y_j is Y_j = T_j diag(y_j), with its singular values, and Σ_j [Y_j, T_j^*]
-    = diag(Σ_j D_j^T y_j) has the box's linear minimum on the middle blocks."""
+    """(k_upper, bound) of k at A = diag(u), u feasible, on the tuple of
+    ``truncated_regular_rep``. [diag(u), T_j] has the entries u(g_j h) - u(h)
+    of block j's commutator rows, h < n_vertices with g_j h in the ball. A
+    dual y_j on them is Y_j = T_j diag(y_j), with its singular values, and
+    Σ_j [Y_j, T_j^*] = diag(Σ_j D_j^T y_j) has the box's linear minimum on
+    the middle blocks: the larger of the point and flow bounds there."""
     op, nv = ball.incidence, ball.n_vertices
-    comps = [(np.where(fwd >= 0, d[:nv], 0.0), Dt[:, :nv].__matmul__)
-             for d, fwd, Dt in zip(op.diffs(u), ball.sigma, op.Dt_free)]
-    return point_bound(comps, [spec] * len(comps), lambda g: g, _box_linear_min, u[op.free], tol)
+    keep = np.concatenate([np.pad(fwd >= 0, (0, b - a - nv))
+                           for fwd, a, b in zip(ball.sigma, op.offsets[:-1], op.offsets[1:])])
+    x = u[op.free]
+    vs = op.split(np.where(keep, op.K @ x + op.c, 0.0))
+    k_upper, point = point_bound((vs, op.lift), [spec] * len(vs), _box_linear_min, x, tol)
+    return k_upper, max(point, op.flow_bound(vs, spec, x, tol, keep))
 
 
 def verify_transfer(ball, spec, opts=None):
@@ -542,10 +549,11 @@ def verify_transfer(ball, spec, opts=None):
 
     When the bracket [that bound, k_upper] is within opts.tol * max(1, k_upper),
     that point is the k report (one history row, converged, its residuals
-    read off u*) and no matrix solve runs. Otherwise the matrix solve starts its first restart at
-    diag(u*), and every restart keeps its best point, so the inequality
-    holds for the reported upper bounds as well. ``k_lower`` is the larger
-    of the point bound and the k report's ``lower``, capped at k.
+    read off u*) and no matrix solve runs. Otherwise the matrix solve starts
+    its first restart at diag(u*), and every restart keeps its best point,
+    so the inequality holds for the reported upper bounds as well.
+    ``k_lower`` is the larger of that bound and the k report's ``lower``,
+    capped at k.
     """
     opts = opts or SolveOptions()
     tau = truncated_regular_rep(ball)

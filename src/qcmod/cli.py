@@ -62,15 +62,17 @@ class RunConfig:
 
 
 class _Reader:
-    """Reads a payload's fields, collecting every missing or malformed one as
-    ``payload.<key>: ...``; a field in error reads as None."""
+    """Reads a payload's fields (``used``: the keys asked for), collecting every
+    missing or malformed one as ``payload.<key>: ...``; a field in error reads as None."""
 
     def __init__(self, payload):
         self.payload = payload
         self.errors = []
+        self.used = set()
 
     def __call__(self, key, read=lambda v: v, default=_REQUIRED):
         """``read(payload[key])``, else ``default``; a required key has none."""
+        self.used.add(key)
         if key in self.payload:
             return self.build(key, read, self.payload[key])
         if default is _REQUIRED:
@@ -168,17 +170,16 @@ def _read_tuple_condenser(r):
 
 def _read_ball(r):
     group, R = r("group", GroupSpec.from_json), r("R", lambda v: as_int(v, "R"))
+    X1, X2 = r("x1", default=None), r("x2", default=None)
     if group is not None and R is not None:
-        return r.build("R/x1/x2", build_ball, group, R,
-                       X1=r("x1", default=None), X2=r("x2", default=None))
+        return r.build("R/x1/x2", build_ball, group, R, X1=X1, X2=X2)
 
 
 def _read_norm(r):
     if "s" not in r.payload and "matrix" not in r.payload:
         r.errors.append('payload needs "s" (sequence) or "matrix"')
-    return _norm, {"spec": r("norm", NormSpec.from_json),
-                   "s": r("s", _sequence, None),
-                   "matrix": r("matrix", matrix_from_json, None)}
+    return _norm, {"spec": r("norm", NormSpec.from_json), "s": r("s", _sequence, None),
+                   "matrix": None if "s" in r.payload else r("matrix", matrix_from_json, None)}
 
 
 def _norm(config, spec, s, matrix):
@@ -200,9 +201,6 @@ def _condenser(config, tau, cond, specs):
 def _read_graphcap(r):
     if "R_list" not in r.payload:
         return _graphcap, {"ball": _read_ball(r), "spec": r("norm", NormSpec.from_json)}
-    for key in ("R", "x2"):
-        if key in r.payload:
-            r.errors.append(f"payload.{key}: a capacity scan over R_list has neither R nor x2")
     group, R_list = r("group", GroupSpec.from_json), r("R_list", lambda v: scan_radii(_ints(v)))
     p = r("p" if "p" in r.payload else "norm", _schatten_p)
     x1 = r("x1", default="origin")
@@ -345,7 +343,7 @@ COMMANDS = {
 
 def parse_config(command, payload, out_dir=".", seed=0, tol=None, max_iters=None, strict=False):
     """Read the payload once into the command's inputs, collecting every
-    missing or malformed field rather than the first."""
+    missing, malformed or unread top-level field rather than the first."""
     if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}; allowed: {', '.join(COMMANDS)}")
     r = _Reader(payload if isinstance(payload, dict) else {})
@@ -353,6 +351,8 @@ def parse_config(command, payload, out_dir=".", seed=0, tol=None, max_iters=None
         r.errors.append("payload must be a JSON object")
     run, inputs = COMMANDS[command](r)
     options = {"seed": int(seed), **(r("options", _object, {}) or {})}
+    r.errors += [f"payload.{key}: not read by {command} (unknown, or an alternative to a key given)"
+                 for key in r.payload if key not in r.used]
     if tol is not None:
         options["tol"] = tol
     if max_iters is not None:

@@ -72,35 +72,34 @@ def _block_commutator(T, t, S, blk, d):
 
 
 def _spectra(tau, cond):
-    """(``spectra``, ``pull``) of the condenser objective for ``max_norm_fg``.
+    """The ``spectra`` of the condenser objective for ``max_norm_fg``.
     ``spectra(B)`` forms A_S = P_SS + Vm_S B Vm_S^*, the block of
     A = P (+) B (+) 0 on the support S (``_support``; everything for a dense
     basis, where this is ``embed_middle``'s arithmetic). Per component it
     takes one full SVD U s V* of the ``commutator_blocks`` block of [A, T_j],
     built from A_S (``_block_commutator``), and gives s padded with the
     d - r structural zeros (the block has the commutator's nonzero singular
-    values) and the lift w -> the S x S block of [G, T_j^*], G = U diag(w[:r])
-    V* placed in the block. ``pull`` maps that lift W to herm(Vm_S^* W Vm_S).
-    On partial permutations and diagonals each product entry has one nonzero
-    term, and on a dense basis the arithmetic is the d x d formula's, so the
-    values are its bits."""
+    values). Its lift maps Σ_j w_j times the S x S block of [G_j, T_j^*],
+    G_j = U diag(y_j[:r]) V* placed in the block, to herm(Vm_S^* W Vm_S). On
+    partial permutations and diagonals each product entry has one nonzero
+    term, and on a dense basis the arithmetic is the d x d formula's."""
     d, S = cond.dim, _support(cond)
     P_S, Vm = cond.P[np.ix_(S, S)], cond.basis_mid[S]
     parts = [_block_commutator(T, t, S, blk, d)
              for T, t, blk in zip(tau.components, tau.diagonals, commutator_blocks(tau, cond))]
 
-    def lifted(U, Vh, lift):
-        return lambda w: lift((U * w[:Vh.shape[0]]) @ Vh)
-
     def spectra(B):
         A_S = P_S + Vm @ B @ Vm.conj().T
-        out = []
-        for form, lift in parts:
-            U, s, Vh = np.linalg.svd(form(A_S), full_matrices=False)
-            out.append((_padded(s, d), lifted(U, Vh, lift)))
-        return out
+        svds = [np.linalg.svd(form(A_S), full_matrices=False) for form, _ in parts]
 
-    return spectra, lambda W: _herm(Vm.conj().T @ W @ Vm)
+        def lift(ys, ws):
+            W = sum(w * back((U * y[:Vh.shape[0]]) @ Vh)
+                    for (_, back), (U, _, Vh), y, w in zip(parts, svds, ys, ws) if w)
+            return _herm(Vm.conj().T @ W @ Vm)
+
+        return [_padded(s, d) for _, s, _ in svds], lift
+
+    return spectra
 
 
 def solve_condenser(tau, cond, specs, opts=None, *, start=None):
@@ -135,12 +134,11 @@ def solve_condenser(tau, cond, specs, opts=None, *, start=None):
 
     def finish(B):
         var = ContractionVariable(cond, B)
-        return var, var.feasibility_residuals()
+        return var, var.feasibility_residuals(), -np.inf
 
-    spectra, pull = _spectra(tau, cond)
     center, draw = _middle_starts(cond, np.sqrt(max(cond.m0, 1)))
     starts = _starts(center if start is None else proj(start), draw, opts)
-    return solve_max_norm(spectra, specs, pull, proj, starts, finish, opts, stage,
+    return solve_max_norm(_spectra(tau, cond), specs, proj, starts, finish, opts, stage,
                           linear_min=_middle_linear_min, m0=cond.m0)
 
 

@@ -199,33 +199,49 @@ def _pinned_balls():
     ]
 
 
+def _scatter(ball, j, w):
+    """D_j^T w on the free vertices by ``np.add.at`` over the edge rows."""
+    head, tail = (np.asarray(e) for e in _edge_rows(ball)[j])
+    grad = np.zeros(ball.n_vertices)
+    np.add.at(grad, head[head >= 0], w[head >= 0])
+    np.add.at(grad, tail[tail >= 0], -w[tail >= 0])
+    return grad[ball.incidence.free]
+
+
 class TestIncidenceOperator:
     @pytest.mark.parametrize("ball", _pinned_balls(), ids=["Z", "Z2", "Z3", "F2", "custom"])
     def test_matvec_is_the_edge_by_edge_difference(self, ball):
+        # K x + c, split into blocks, is every d_j bit for bit
         rng = np.random.default_rng(ball.n_vertices)
         op = ball.incidence
         u = rng.uniform(0.0, 1.0, ball.n_vertices)
         u[ball.X1], u[ball.X2] = 1.0, 0.0
-        for d, (head, tail) in zip(op.diffs(u), _edge_rows(ball)):
-            expected = [(u[h] if h >= 0 else 0.0) - (u[t] if t >= 0 else 0.0)
-                        for h, t in zip(head, tail)]
-            np.testing.assert_array_equal(d, expected)
+        vs, _ = op.spectra(u[op.free])
+        assert len(vs) == ball.n_generators
+        for d, (head, tail) in zip(vs, _edge_rows(ball)):
+            expected = np.array([(u[h] if h >= 0 else 0.0) - (u[t] if t >= 0 else 0.0)
+                                 for h, t in zip(head, tail)])
+            np.testing.assert_array_equal(d.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("ball", _pinned_balls(), ids=["Z", "Z2", "Z3", "F2", "custom"])
     def test_transpose_is_the_adjoint_and_the_scatter(self, ball):
+        # the one-hot lift of block j is the np.add.at scatter bit for bit,
+        # and the weighted lift is K's adjoint
         rng = np.random.default_rng(ball.n_vertices + 1)
         op = ball.incidence
-        u = rng.standard_normal(ball.n_vertices)
-        w = rng.standard_normal(op.D.shape[0])
-        assert float(np.dot(op.D @ u, w)) == pytest.approx(float(np.dot(u, op.D.T @ w)), rel=1e-12)
-        for j, (head, tail) in enumerate(_edge_rows(ball)):
-            wj = w[op.offsets[j]:op.offsets[j + 1]]
-            head, tail = np.asarray(head), np.asarray(tail)
-            grad = np.zeros(ball.n_vertices)
-            np.add.at(grad, head[head >= 0], wj[head >= 0])
-            np.add.at(grad, tail[tail >= 0], -wj[tail >= 0])
-            np.testing.assert_array_equal((op.Dt_free[j] @ wj).view(np.uint64),
-                                          grad[op.free].view(np.uint64))
+        n = ball.n_generators
+        x = rng.standard_normal(op.free.size)
+        ws = rng.uniform(0.5, 2.0, n)
+        ys = np.split(rng.standard_normal(op.K.shape[0]), op.offsets[1:-1])
+        np.testing.assert_array_equal(op.Kt.toarray(), op.K.T.toarray())
+        lhs = sum(w * float(np.dot(d, y)) for w, d, y in zip(ws, op.spectra(x)[0], ys))
+        lhs -= sum(w * float(np.dot(c, y)) for w, c, y in zip(ws, np.split(op.c, op.offsets[1:-1]), ys))
+        assert lhs == pytest.approx(float(np.dot(x, op.lift(ys, ws))), rel=1e-12, abs=1e-12)
+        for j in range(n):
+            one_hot = [None] * n
+            one_hot[j] = ys[j]
+            np.testing.assert_array_equal(op.lift(one_hot, np.eye(n)[j]).view(np.uint64),
+                                          _scatter(ball, j, ys[j]).view(np.uint64))
 
     def test_laplacian_matches_loop_built_one(self):
         ball = build_ball(Z2, 3, X1="origin", X2={"sphere": 3})
@@ -250,7 +266,8 @@ class TestIncidenceOperator:
                     rhs[i] -= si * const
         op = ball.incidence
         np.testing.assert_array_equal(op.free, free)
-        np.testing.assert_array_equal(op.laplacian().toarray(), L)
+        np.testing.assert_array_equal(op.laplacian.toarray(), L)
+        np.testing.assert_array_equal(op.Kt @ -op.c, rhs)
         orc = harmonic_capacity_oracle(ball)
         np.testing.assert_allclose(orc["u"][free], np.linalg.solve(L, rhs), rtol=1e-12, atol=1e-14)
 
@@ -379,7 +396,8 @@ class TestGraphCapacity:
         rep = graph_capacity(b, spec, opts)
         u0 = np.full(b.n_vertices, 0.5)
         u0[b.X1], u0[b.X2] = 1.0, 0.0
-        assert rep.history[0][:2] == (0, b.incidence.max_norm(u0, spec))
+        start = max(vector_norm(d, spec) for d in b.incidence.spectra(u0[b.incidence.free])[0])
+        assert rep.history[0][:2] == (0, start)
         assert (rep.history[0][2] == 0.0) == smooth
 
     @pytest.mark.parametrize("spec", [
@@ -389,7 +407,8 @@ class TestGraphCapacity:
     def test_kernel_is_the_norm_and_its_subgradient(self, monkeypatch, spec):
         # the exact fg graph_capacity's solve_max_norm builds: at the center
         # (tied generators) and at random potentials, vector_norm of the
-        # maximizing d_j and D_j^T of its ``_vector_subgradient``, bit for bit
+        # maximizing d_j and the scatter D_j^T of its ``_vector_subgradient``,
+        # bit for bit
         b = build_ball(Z2, 3, X1="origin", X2={"sphere": 3})
         op = b.incidence
         captured = []
@@ -403,15 +422,12 @@ class TestGraphCapacity:
         graph_capacity(b, spec, SolveOptions(restarts=1, max_iters=1, refine=False))
         rng = np.random.default_rng(11)
         for x in [np.full(op.free.size, 0.5)] + [rng.uniform(0, 1, op.free.size) for _ in range(5)]:
-            u = np.zeros(b.n_vertices)
-            u[b.X1] = 1.0
-            u[op.free] = x
-            diffs = op.diffs(u)
+            diffs = op.spectra(x)[0]
             j = int(np.argmax([vector_norm(d, spec) for d in diffs]))
             f, g = captured[0](x)
             assert f == vector_norm(diffs[j], spec)
             np.testing.assert_array_equal(
-                g.view(np.uint64), (op.Dt_free[j] @ _vector_subgradient(diffs[j], spec)).view(np.uint64))
+                g.view(np.uint64), _scatter(b, j, _vector_subgradient(diffs[j], spec)).view(np.uint64))
 
     def test_monotone_in_X1(self):
         spec = NormSpec.schatten(2)
@@ -436,20 +452,14 @@ class TestGraphCapacity:
         # need not be monotone where the largest term moves (9,000 draws of
         # these balls all held it exactly).
         op = ball.incidence
-        specs = [NormSpec.schatten(p)] * len(op.Dt_free)
-
-        def spectra(x):
-            u = np.zeros(ball.n_vertices)
-            u[ball.X1] = 1.0
-            u[op.free] = x
-            return list(zip(op.diffs(u), [Dt.__matmul__ for Dt in op.Dt_free]))
+        specs = [NormSpec.schatten(p)] * ball.n_generators
 
         x = np.random.default_rng(seed).uniform(-1.0, 2.0, op.free.size)
         clipped = np.clip(x, 0.0, 1.0)
-        exact = _solvers.max_norm_fg(spectra, specs, lambda g: g)
+        exact = _solvers.max_norm_fg(op.spectra, specs)
         assert exact(clipped)[0] <= exact(x)[0]
         for mu, eps in ((1e-2, 1e-2), (1e-6, 1e-4), (1e-9, 1e-9)):
-            fg = _solvers.smooth_max_norm_fg(spectra, specs, [mu] * len(specs), eps, exact(x)[0], lambda g: g)
+            fg = _solvers.smooth_max_norm_fg(op.spectra, specs, [mu] * len(specs), eps, exact(x)[0])
             assert fg(clipped)[0] <= fg(x)[0] * (1 + 4 * np.finfo(float).eps)
 
     def test_minimizer_feasible(self):
@@ -531,14 +541,26 @@ def dual_points(draw, n_balls=len(_DUAL_BALLS)):
 
 def capacity_point_bound(ball, spec, u, tol, duals=None):
     """``_solvers.point_bound`` of the capacity at a feasible potential u,
-    the bound ``graph_capacity`` takes at its minimizer; the weighted duals
-    λ_j y_j it lifts are appended to ``duals``."""
+    one of the bounds ``graph_capacity`` takes at its minimizer; the weighted
+    duals λ_j y_j it lifts are appended to ``duals``."""
     op = ball.incidence
     seen = [] if duals is None else duals
-    lift = lambda Dt: lambda y: (seen.append(y), Dt @ y)[1]
-    comps = [(d, lift(Dt)) for d, Dt in zip(op.diffs(u), op.Dt_free)]
+
+    def lift(ys, ws):
+        seen.extend(y for y, w in zip(ys, ws) if w)
+        return op.lift(ys, ws)
+
+    vs = op.spectra(u[op.free])[0]
     box = lambda g: float(np.minimum(g, 0.0).sum())
-    return _solvers.point_bound(comps, [spec] * len(comps), lambda g: g, box, u[op.free], tol)[1]
+    return _solvers.point_bound((vs, lift), [spec] * len(vs), box, u[op.free], tol)[1]
+
+
+def capacity_bound(ball, spec, u, tol):
+    """The bound ``graph_capacity`` reports at u: the larger of the point
+    bound and the flow bound."""
+    op = ball.incidence
+    flow = op.flow_bound(op.spectra(u[op.free])[0], spec, u[op.free], tol)
+    return max(capacity_point_bound(ball, spec, u, tol), flow)
 
 
 class TestGraphDual:
@@ -554,6 +576,8 @@ class TestGraphDual:
         assert 0.0 <= rep.lower <= rep.value
         assert bound <= rep.value * (1 + 1e-12)
         assert duals and sum(dual_norm(y, spec) for y in duals) <= 1.0 + 1e-12
+        # the flow bound is a valid cut at every potential too
+        assert capacity_bound(ball, spec, u, tol) <= rep.value * (1 + 1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(dual_points())
@@ -572,14 +596,15 @@ class TestGraphDual:
     @given(dual_points(n_balls=3))
     def test_lift_is_the_graph_bound_when_x2_holds_the_boundary(self, point):
         (ball, spec, _, _, _), u, tol, _ = point
-        bound = capacity_point_bound(ball, spec, u, tol)
+        bound = capacity_bound(ball, spec, u, tol)
         assert _diagonal_bracket(ball, spec, u, tol)[1] == pytest.approx(bound, rel=1e-12, abs=1e-12)
 
     def test_capacity_reports_its_point_bound(self):
         ball = build_ball(F2, 3, X1="origin", X2={"sphere": 3})
         spec = NormSpec.schatten(2)
         rep = graph_capacity(ball, spec, OPTS)
-        assert rep.lower == capacity_point_bound(ball, spec, rep.minimizer, OPTS.tol)
+        point = capacity_point_bound(ball, spec, rep.minimizer, OPTS.tol)
+        assert point <= rep.lower == capacity_bound(ball, spec, rep.minimizer, OPTS.tol)
         assert rep.value - 1e-7 <= rep.lower <= rep.value
 
     def test_point_bound_stays_below_the_capacity(self):
@@ -589,8 +614,25 @@ class TestGraphDual:
         ball = build_ball(Z2, 6, X1="origin")
         rep = graph_capacity(ball, NormSpec.schatten(1), SolveOptions())
         assert rep.lower <= 2.0 <= rep.value
-        assert rep.lower == capacity_point_bound(ball, NormSpec.schatten(1), rep.minimizer, 1e-7)
+        assert rep.lower == capacity_bound(ball, NormSpec.schatten(1), rep.minimizer, 1e-7)
         assert rep.value - rep.lower <= 1e-7
+
+    def test_flow_dual_brackets_k_at_a_perturbed_minimizer(self):
+        # F2 R = 6 S2 at the CLI transfer options: 1e-9 noise on the graph
+        # minimizer (clipped to the box) parts the generators' values by about
+        # tol and drops the point bound's cut by 3e-7 k to 3.3 k; the flow
+        # dual's cut moves only at second order
+        ball = build_ball(F2, 6, X1="origin", X2={"sphere": 6})
+        spec, opts = NormSpec.schatten(2), SolveOptions(max_iters=3000, tol=1e-9, restarts=2)
+        u0 = graph_capacity(ball, spec, opts).minimizer
+        k = _diagonal_bracket(ball, spec, u0, opts.tol)[0]
+        free = ball.incidence.free
+        for seed in range(4):
+            u = u0.copy()
+            u[free] = np.clip(u[free] + 1e-9 * np.random.default_rng(seed).standard_normal(free.size), 0.0, 1.0)
+            k_upper, k_lower = _diagonal_bracket(ball, spec, u, opts.tol)
+            assert k_lower <= k <= k_upper
+            assert k - k_lower <= 1e-12 * k
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([(Z, 2, 6), (Z2, 1, 3), (F2, 1, 2)]), st.data(),
@@ -691,29 +733,32 @@ class TestTransfer:
         assert out["cap_report"].iters <= 400
 
     def test_z_lorentz_loose_bracket_falls_back_to_the_matrix_solve(self, monkeypatch):
-        # the point bound on Z R = 8 is about 0.6 below k, so the matrix solve
-        # runs from the diagonal of the graph minimizer: k is that solve's
-        # value, bit for bit, and k_lower at least the solve's own bound
+        # X2 = {5} leaves the boundary free, so diag(u*) is far from optimal
+        # for k: the bracket at u* is about 0.3 wide, and the matrix solve
+        # runs from there. k is that solve's value, bit for bit, and k_lower
+        # at least the solve's own bound
         steps = self._matrix_steps(monkeypatch)
-        ball = build_ball(Z, 8, X1="origin", X2={"radius_at_least": 6})
+        ball = build_ball(Z, 8, X1="origin", X2=[(5,)])
         spec, opts = NormSpec.lorentz(2), SolveOptions(max_iters=3000, tol=1e-9, restarts=1)
         out = verify_transfer(ball, spec, opts)
         assert out["matrix_solve"] and len(steps) == 1 and steps[0] > 0
-        point = _diagonal_bracket(ball, spec, out["cap_report"].minimizer, opts.tol)[1]
-        assert point < out["k"] - 0.5
+        k_upper, point = _diagonal_bracket(ball, spec, out["cap_report"].minimizer, opts.tol)
+        assert point < k_upper - 0.25 and k_upper == out["k_report"].history[0][1]
         assert max(point, out["k_report"].lower) <= out["k_lower"] <= out["k"]
-        assert out["k"] == 0.9351973966346734
+        assert out["k"] == 0.6463341297341758
 
     def test_f2_trace_norm_fallback_certifies_its_own_bound(self):
-        # criterion 5's options: the point bound lifts below 0, so the matrix
+        # X1 a neighbour of the origin: the generators do not tie at the graph
+        # minimizer, so its lifted duals leave the bracket open and the matrix
         # solve runs; its subgradient phase stops on its window bound, which
         # k_lower reports
-        ball = build_ball(F2, 3, X1="origin", X2={"sphere": 3})
-        opts = SolveOptions(max_iters=3000, tol=1e-9, seed=5, restarts=2)
+        ball = build_ball(F2, 3, X1=[(1,)], X2={"sphere": 3})
+        opts = SolveOptions(max_iters=3000, tol=1e-9, seed=5, restarts=1)
         out = verify_transfer(ball, NormSpec.schatten(1), opts)
         k = out["k_report"]
         assert out["matrix_solve"] and k.converged and k.iters <= 1000
         assert out["k"] - out["k_lower"] <= 1e-9 * out["k"]
+        assert out["k_lower"] == k.lower
 
     @pytest.mark.parametrize("grp, R, X2", [(Z, 6, {"radius_at_least": 4}), (Z2, 3, {"sphere": 3}),
                                             (F2, 3, {"sphere": 3}), (F2, 2, None)],

@@ -322,6 +322,11 @@ def _ratio_second(model):
     ("experiment", _ratio_second({"kind": "box_step", "position_variant": "triangel"}), "models"),
     ("graphcap", {"group": _Z1, "R_list": [3, 4, 5], "p": 2, "x2": {"sphere": 5}}, "x2"),
     ("graphcap", {"group": _Z1, "R_list": [3, 4, 5], "p": 2, "R": 9}, "R"),
+    ("graphcap", {"group": _Z1, "R_list": [3, 4, 5], "p": 2, "norm": {"kind": "lorentz_p1", "p": 2}},
+     "norm"),
+    ("transfer", {"group": _Z1, "R": 4, "x1": "origin", "x2": {"sphere": 4}, "norms": [_S2],
+                  "norm": {"kind": "macaev"}}, "norm"),
+    ("graphcap", {"group": _Z1, "R": 4, "R_lst": [3, 4, 5], "x1": "origin", "norm": _S2}, "R_lst"),
 ], ids=["tuple-components", "options-max-iters", "P-re", "group-d", "R", "x1-sphere",
         "scan-macaev", "scan-lorentz", "s", "norm-p", "ratio-models", "hybrid-exponents",
         "gamma1-N-list", "options-seed", "s-scalar", "options-refine", "transfer-no-norms",
@@ -336,7 +341,7 @@ def _ratio_second(model):
         "P-index-bool", "tuple-dim-string", "P-dim-float", "ratio-multiplicity-float",
         "ratio-multiplicity-string", "ratio-multiplicity-bool", "ratio-multiplicity-entry-bool",
         "ratio-n-bool", "ratio-depth-float", "ratio-pieces-float", "ratio-variant-typo",
-        "scan-x2", "scan-R"])
+        "scan-x2", "scan-R", "scan-p-and-norm", "transfer-norms-and-norm", "misspelt-key"])
 def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # each of these used to end in a traceback (exit 1) or in a run that
     # misread the field: a Schatten-2 scan for the Lorentz norm, a refined
@@ -354,7 +359,9 @@ def test_malformed_payload_exit_2(tmp_path, capsys, command, payload, field):
     # solve another problem (R 2.5 as 2, true as 1, "false" as a swap, a
     # basis index true as the index 1, a matrix "dim" "3" or 3.0 as 3, a ratio
     # multiplicity 2.5 or "2" as 2 and true as 1, a misspelt position variant
-    # as sawtooth, and a scan's x2 or R as absent)
+    # as sawtooth, and a scan's x2 or R as absent); a key that no reader
+    # reads (a scan's "norm" next to "p", a transfer's "norm" next to
+    # "norms", a misspelt "R_lst") used to be dropped without a word
     code = run(tmp_path, [command, "--inline", json.dumps(payload), "--out", "OUT"])
     err = capsys.readouterr().err
     assert code == 2

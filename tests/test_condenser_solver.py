@@ -367,11 +367,11 @@ class TestPointBound:
         # every other feasible block
         tau, cond, spec, _ = problem
         specs = spec_list(spec, tau.n)
-        spectra, pull = _spectra(tau, cond)
+        spectra = _spectra(tau, cond)
         rng = np.random.default_rng(seed)
         draw = lambda: project_middle(cond, rand_hermitian(rng, cond.m0) + 0.5 * np.eye(cond.m0))
         B = draw()
-        value, bound = _solvers.point_bound(spectra(B), specs, pull, _middle_linear_min, B, 1e-6)
+        value, bound = _solvers.point_bound(spectra(B), specs, _middle_linear_min, B, 1e-6)
         assert bound <= value * (1 + 1e-12)
         for _ in range(4):
             assert bound <= objective(tau, cond.embed_middle(draw()), specs) * (1 + 1e-12)
@@ -408,36 +408,39 @@ def _scatter(G, blk, d):
 def _whole_matrix_spectra(tau, cond):
     """The d x d form of ``_spectra``, the reference for its block form:
     A = embed_middle(B), the whole commutator [A, T_j] cut to its
-    ``commutator_blocks`` block, and the lift [G, T_j^*] of the scattered G
-    as a d x d matrix."""
+    ``commutator_blocks`` block, and the lift: the weighted sum of the
+    d x d matrices [G_j, T_j^*] of the scattered G_j, compressed to the
+    middle block."""
     blocks, d, Vm = commutator_blocks(tau, cond), cond.dim, cond.basis_mid
 
     def spectra(B):
         A = cond.embed_middle(B)
-        out = []
-        for T, t, blk in zip(tau.components, tau.diagonals, blocks):
-            U, s, Vh = np.linalg.svd(_block(commutator(A, T, t), blk), full_matrices=False)
-            lift = lambda w, U=U, Vh=Vh, Tc=T.conj().T, t=t, blk=blk: commutator(
-                _scatter((U * w[:Vh.shape[0]]) @ Vh, blk, d), Tc, t)
-            out.append((_padded(s, d), lift))
-        return out
+        svds = [np.linalg.svd(_block(commutator(A, T, t), blk), full_matrices=False)
+                for T, t, blk in zip(tau.components, tau.diagonals, blocks)]
 
-    return spectra, lambda W: _herm(Vm.conj().T @ W @ Vm)
+        def lift(ys, ws):
+            W = sum(w * commutator(_scatter((U * y[:Vh.shape[0]]) @ Vh, blk, d), T.conj().T, t)
+                    for (U, _, Vh), T, t, blk, y, w in zip(svds, tau.components, tau.diagonals, blocks, ys, ws)
+                    if w)
+            return _herm(Vm.conj().T @ W @ Vm)
+
+        return [_padded(s, d) for _, s, _ in svds], lift
+
+    return spectra
 
 
 def _range_spectra(spectra):
-    """``spectra`` with each lift blind to the weights of numerically zero
+    """``spectra`` with its lift blind to the weights of numerically zero
     singular values (``np.linalg.matrix_rank``'s tolerance). Their singular
     vectors are each fixed only up to a phase, which the SVD picks from the
     signs of zero entries, so u v^* there, and the subgradient term it
     carries, differ between two roundings of one commutator."""
 
     def out(x):
-        res = []
-        for s, lift in spectra(x):
-            keep = s > s.size * np.finfo(float).eps * s.max()
-            res.append((s, lambda w, lift=lift, keep=keep: lift(np.where(keep, w, 0.0))))
-        return res
+        vs, lift = spectra(x)
+        keeps = [s > s.size * np.finfo(float).eps * s.max() for s in vs]
+        return vs, lambda ys, ws: lift([None if y is None else np.where(k, y, 0.0)
+                                        for y, k in zip(ys, keeps)], ws)
 
     return out
 
@@ -561,16 +564,16 @@ class TestCommutatorBlocks:
         # the full one; the bits of the whole one on fixed problems are
         # test_block_kernel_is_the_whole_matrix_formula's
         tau, cond, B, _, _, rng = problem
-        spectra, pull = _spectra(tau, cond)
-        whole, whole_pull = _whole_matrix_spectra(tau, cond)
+        spectra = _spectra(tau, cond)
+        whole = _whole_matrix_spectra(tau, cond)
         for sp in BLOCK_SPECS:
             specs = [sp] * tau.n
-            f, g = max_norm_fg(spectra, specs, pull)(B)
+            f, g = max_norm_fg(spectra, specs)(B)
             assert abs(f - objective(tau, cond.embed_middle(B), specs)) <= 1e-12 * max(1.0, f)
-            f_whole, g_whole = max_norm_fg(whole, specs, whole_pull)(B)
+            f_whole, g_whole = max_norm_fg(whole, specs)(B)
             assert abs(f - f_whole) <= 1e-12 * max(1.0, f)
-            g_range = max_norm_fg(_range_spectra(spectra), specs, pull)(B)[1]
-            g_whole_range = max_norm_fg(_range_spectra(whole), specs, whole_pull)(B)[1]
+            g_range = max_norm_fg(_range_spectra(spectra), specs)(B)[1]
+            g_whole_range = max_norm_fg(_range_spectra(whole), specs)(B)[1]
             assert np.abs(g_range - g_whole_range).max() <= 1e-12 * max(1.0, np.abs(g_whole_range).max())
             for _ in range(3):
                 B2 = project_middle(cond, rand_hermitian(rng, cond.m0))
@@ -594,10 +597,10 @@ class TestCommutatorBlocks:
             B = project_middle(cond, 0.5 * np.eye(cond.m0) + 0.3 * rand_hermitian(rng, cond.m0))
             for sp in BLOCK_SPECS:
                 specs = [sp] * tau.n
-                fgs = [max_norm_fg(spectra, specs, pull)(B) for spectra, pull in (block, whole)]
+                fgs = [max_norm_fg(spectra, specs)(B) for spectra in (block, whole)]
                 if sp.kind == "schatten":
-                    fgs += [smooth_max_norm_fg(spectra, specs, [1e-3] * tau.n, 1e-2, fgs[0][0], pull)(B)
-                            for spectra, pull in (block, whole)]
+                    fgs += [smooth_max_norm_fg(spectra, specs, [1e-3] * tau.n, 1e-2, fgs[0][0])(B)
+                            for spectra in (block, whole)]
                 for (f, g), (f_whole, g_whole) in zip(fgs[::2], fgs[1::2]):
                     if tol == 0.0:
                         assert f == f_whole
@@ -613,8 +616,7 @@ class TestCommutatorBlocks:
         calls = []
         embed_middle = Condenser.embed_middle
         monkeypatch.setattr(Condenser, "embed_middle", lambda self, B: calls.append(1) or embed_middle(self, B))
-        spectra, pull = _spectra(tau, cond)
-        fg = max_norm_fg(spectra, [NormSpec.schatten(1)] * tau.n, pull)
+        fg = max_norm_fg(_spectra(tau, cond), [NormSpec.schatten(1)] * tau.n)
         for _ in range(3):
             fg(0.5 * np.eye(cond.m0))
         assert not calls

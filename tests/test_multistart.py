@@ -389,16 +389,17 @@ class TestMultistart:
         # restart at 104, where the point bound's cut reads the minimum 80
         calls, smoothings = [], []
         monkeypatch.setattr(_solvers, "smooth_max_norm_fg",
-                            lambda spectra, specs, mus, eps, fref, pull: smoothings.append(
+                            lambda spectra, specs, mus, eps, fref: smoothings.append(
                                 (mus, eps, fref)) or len(smoothings) - 1)
 
         def stage(k, fg, x, f0, history):
             calls.append((k, smoothings[fg][1:], x, f0))
             return x + 1, 10.0 - k, k == 3
 
-        rep = _solvers.solve_max_norm(lambda x: [(np.array([120.0 - 4.0 * x]), lambda w: -4.0 * w)],
-                                      [NormSpec.schatten(2)], lambda g: g, None, [0],
-                                      lambda x: (x, {"r": 0.0}), SolveOptions(), stage,
+        lift = lambda ys, ws: ws[0] * -4.0 * ys[0]
+        rep = _solvers.solve_max_norm(lambda x: ([np.array([120.0 - 4.0 * x])], lift),
+                                      [NormSpec.schatten(2)], None, [0],
+                                      lambda x: (x, {"r": 0.0}, -np.inf), SolveOptions(), stage,
                                       linear_min=lambda g: float(np.minimum(10.0 * g, 0.0).sum()))
         assert calls == [(k, (eps, fref), k, 120.0) for k, (eps, fref) in
                          enumerate(zip(_solvers.SMOOTHING_LADDER, [120.0, 10.0, 9.0, 8.0]))]
@@ -454,11 +455,12 @@ def test_graph_capacity_z3_matches_the_harmonic_oracle():
 
 
 def test_smooth_max_single_term_passes_through():
-    g = np.ones(3)
-    assert _smooth_max([2.0], [g], 1e-2, 2.0) == (2.0, g)
-    f, w = _smooth_max([1.0, 1.0], [g, 3 * g], 1e-2, 1.0)
+    # one term keeps its value with weight 1; two equal terms share the
+    # gradient's convex combination equally
+    assert _smooth_max([2.0], 1e-2, 2.0) == (2.0, [1.0])
+    f, ws = _smooth_max([1.0, 1.0], 1e-2, 1.0)
     assert f == pytest.approx(1.0 + 1e-2 / np.log(3.0) * np.log(2.0))
-    np.testing.assert_allclose(w, 2 * g)
+    np.testing.assert_allclose(ws, [0.5, 0.5])
 
 
 class TestOptionsJson:

@@ -127,6 +127,10 @@ def runs():
           "options": {"restarts": 1}}),
         ("transfer_f2_R3_s1", "transfer",
          {"group": f2, "R": 3, "x1": "origin", "x2": {"sphere": 3}, "norm": s1}),
+        # X1 off the origin: the graph duals leave k's bracket open, so the
+        # matrix solve runs
+        ("transfer_f2_R3_s1_fallback", "transfer",
+         {"group": f2, "R": 3, "x1": [[1]], "x2": {"sphere": 3}, "norm": s1}),
         ("transfer_f2_R6_s2", "transfer",
          {"group": f2, "R": 6, "x1": "origin", "x2": {"sphere": 6}, "norm": s2}),
         ("transfer_z_R8", "transfer",
