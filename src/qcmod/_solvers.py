@@ -555,7 +555,10 @@ def solve_max_norm(spectra, specs, project, starts, finish, opts, stage, *, line
     from x0. Otherwise it runs the projected subgradient phase and then, with
     ``opts.refine`` on, the stages (all-Schatten norms) or projected descent on
     the exact objective (weighted norms: valid once the tie pattern of the
-    sorted magnitudes stabilizes). The stages' Huber scales are eps * max|v_j|
+    sorted magnitudes stabilizes). The descent runs only while the bracket is
+    open: while the phase's best value exceeds the largest window bound by
+    more than tol * max(1, value); once it has closed, the phase's best point
+    is the restart's result. The stages' Huber scales are eps * max|v_j|
     at their start point, their log-sum-exp scale f0 and then each stage's f;
     the exact value of the last point closes them with the last stage's flag.
     ``linear_min``, the minimum of <g, x> over the feasible set, gives the
@@ -588,7 +591,7 @@ def solve_max_norm(spectra, specs, project, starts, finish, opts, stage, *, line
             return
         if schatten:
             ladder(ms, x, spectra(x)[0], f)
-        else:
+        elif f - ms.lower > opts.tol * max(1.0, f):
             ms.run(projected_descent, fg, project, x, max_iters=max(200, opts.max_iters // 2),
                    residual_tol=opts.residual_tol(f))
 

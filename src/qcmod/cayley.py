@@ -343,8 +343,11 @@ class IncidenceOperator:
 
     def stack(self, ys, ws):
         """The stacked vector of blocks ws[j] * ys[j] (0 for weight 0)."""
-        return np.concatenate([w * y if w else np.zeros(b - a)
-                               for y, w, a, b in zip(ys, ws, self.offsets[:-1], self.offsets[1:])])
+        out = np.zeros(self.offsets[-1])
+        for y, w, a, b in zip(ys, ws, self.offsets[:-1], self.offsets[1:]):
+            if w:
+                np.multiply(w, y, out=out[a:b])
+        return out
 
     def lift(self, ys, ws):
         """Σ_j ws[j] D_j^T ys[j] on the free vertices, one K^T product."""

@@ -115,11 +115,12 @@ def induced_weights(spec, n):
 @lru_cache(maxsize=64)
 def _eval_weights(spec, n):
     """Weights for a length-n sorted sequence (an explicit sequence shorter
-    than n is padded with zeros); cached, read-only."""
+    than n is padded with zeros, and a weight -0.0 reads +0.0); cached,
+    read-only."""
     m = min(n, len(spec.weights)) if spec.kind == "weights" else n
     w = np.zeros(n)
     if m > 0:
-        w[:m] = induced_weights(spec, m)
+        w[:m] += induced_weights(spec, m)
     w.flags.writeable = False
     return w
 
@@ -179,16 +180,20 @@ def matrix_norm(M, spec):
 
 
 def _tie_averaged(values_sorted, w):
-    """Average weights over groups of exactly equal sorted values, each by
-    ``ndarray.mean``'s own pairwise sum and division, without its overhead."""
-    out = np.array(w, dtype=float)
+    """Average weights over groups of exactly equal sorted values, bit for bit
+    as ``ndarray.mean`` does: ``np.add.reduce`` of the group (the pairwise sum
+    from +0.0), then one division by its length. ``np.add.reduceat`` sums
+    every group at once as w_0 + pairwise(rest), which is the same sum on
+    groups of one or two entries (no weight is -0.0, see ``_eval_weights``),
+    so only the longer groups are summed one by one."""
+    w = np.asarray(w, dtype=float)
     v = np.asarray(values_sorted)
-    # group boundaries: 0, every index where the value changes, n
     bounds = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1], [True])))
-    tied = np.flatnonzero(np.diff(bounds) > 1)
-    for lo, hi in zip(bounds[tied].tolist(), bounds[tied + 1].tolist()):
-        out[lo:hi] = np.add.reduce(out[lo:hi]) / (hi - lo)
-    return out
+    counts = bounds[1:] - bounds[:-1]
+    sums = np.add.reduceat(w, bounds[:-1])
+    for i in np.flatnonzero(counts > 2).tolist():
+        sums[i] = np.add.reduce(w[bounds[i]:bounds[i + 1]])
+    return np.repeat(sums / counts, counts)
 
 
 def norm_subgradient(M, spec):
@@ -232,6 +237,9 @@ def _vector_subgradient(v, spec, norm=None):
             # the power p - 1 > 1 magnifies the rounding of the norm and can put
             # d several ulps outside the dual unit ball: rescale d onto it
             d /= dual_norm(d, spec)
+    if not np.iscomplexobj(v):
+        # the phase of a real entry is its sign (np.sign is +0.0 at ±0.0)
+        return d * np.sign(v)
     with np.errstate(invalid="ignore", divide="ignore"):
         phase = np.where(a > 0, v / np.where(a > 0, a, 1.0), 0.0)
     return d * phase

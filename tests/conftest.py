@@ -35,6 +35,20 @@ def window_bounds(monkeypatch):
     return bounds
 
 
+def subgradient_runs(monkeypatch):
+    """(fg, project, result) of every ``projected_subgradient`` run, filled in
+    as the solves run."""
+    runs = []
+    engine = _solvers.projected_subgradient
+
+    def recorded(fg, project, *args, **kwargs):
+        runs.append((fg, project, engine(fg, project, *args, **kwargs)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(_solvers, "projected_subgradient", recorded)
+    return runs
+
+
 @pytest.fixture
 def tridiag_example():
     """The 3-dim path-graph example: T = tridiag ones, P = e1, Q = e3.

@@ -6,13 +6,13 @@ import pytest
 from qcmod import _solvers, cayley, plaplace
 from qcmod._solvers import Multistart, _huber, _smooth_max, _smooth_schatten, lbfgs, projected_descent
 from qcmod.cayley import (GroupSpec, build_ball, graph_capacity, harmonic_capacity_oracle,
-                          truncated_regular_rep)
+                          truncated_regular_rep, verify_transfer)
 from qcmod.condenser_solver import SolveOptions, solve_condenser
 from qcmod.operator_core import OperatorTuple, make_condenser
 from qcmod.plaplace import SmoothProblem, minimize_smooth
 from qcmod.ri_norms import NormSpec, vector_norm
 
-from conftest import rand_hermitian
+from conftest import rand_hermitian, subgradient_runs
 
 SPECS = [NormSpec.schatten(1), NormSpec.schatten(2), NormSpec.lorentz(2)]
 SPEC_IDS = ["s1", "s2", "l21"]
@@ -252,13 +252,63 @@ class TestRoundingFloor:
     def test_f2_lorentz_condenser_refine(self, monkeypatch):
         ball = build_ball(GroupSpec("free", k=2), 3, X1="origin", X2={"sphere": 3})
         cond = make_condenser(list(ball.X1), list(ball.X2), dim=ball.n_vertices)
+        opts = SolveOptions(seed=7, restarts=1)
+        phases = subgradient_runs(monkeypatch)
         counts = _count_fg(monkeypatch, _solvers)
-        rep = solve_condenser(truncated_regular_rep(ball), cond, NormSpec.lorentz(2),
-                              SolveOptions(seed=7, restarts=1))
-        assert len(counts) == 1 and counts[0] <= 200
+        rep = solve_condenser(truncated_regular_rep(ball), cond, NormSpec.lorentz(2), opts)
+        # the window bound closes the bracket, so the exact descent does not run
+        assert counts == []
         # the certified bracket holds the capacity 1 + 1/sqrt(2) within tol
         assert rep.lower <= 1 + 1 / np.sqrt(2) <= rep.value
         assert rep.value - rep.lower <= 1e-7 * rep.value
+        # run from the phase's best point, the descent still stops early
+        (fg, project, (x, f, *_)), = phases
+        calls = []
+        projected_descent(lambda x: calls.append(1) or fg(x), project, x,
+                          max_iters=max(200, opts.max_iters // 2), residual_tol=opts.residual_tol(f),
+                          history=[])
+        assert len(calls) <= 200
+
+
+class TestBracketStop:
+    """``solve_max_norm`` runs the exact descent of a weighted norm only while
+    the subgradient phase's bracket is open."""
+
+    def test_closed_bracket_skips_the_descent(self, monkeypatch):
+        ball = build_ball(GroupSpec("free", k=2), 3, X1="origin", X2={"sphere": 3})
+        phases = subgradient_runs(monkeypatch)
+        counts = _count_fg(monkeypatch, _solvers)
+        rep = graph_capacity(ball, NormSpec.lorentz(2), SolveOptions(max_iters=3000, tol=1e-9, restarts=1))
+        (_, _, (_, f, iters, converged, lower)), = phases
+        assert counts == [] and converged
+        # the phase's rows and the closing row, no descent rows
+        assert rep.iters == iters + 1
+        assert rep.value == f and rep.lower == lower
+        assert f - lower <= 1e-9 * f
+
+    def test_f2_lorentz_transfer_runs_no_descent(self, monkeypatch):
+        # the CLI transfer's options with one restart: certified on the graph
+        # side, without a matrix solve or an exact descent
+        ball = build_ball(GroupSpec("free", k=2), 3, X1="origin", X2={"sphere": 3})
+        counts = _count_fg(monkeypatch, _solvers)
+        out = verify_transfer(ball, NormSpec.lorentz(2), SolveOptions(max_iters=3000, tol=1e-9, restarts=1))
+        assert counts == [] and not out["matrix_solve"]
+        assert out["k"] - out["k_lower"] <= 1e-10
+        assert abs(out["cap"] - (1 + 1 / np.sqrt(2))) <= 1e-6
+
+    def test_open_bracket_runs_the_descent(self, monkeypatch):
+        # the digest's condenser_lorentz input: the window bounds stay about
+        # 0.5 below the value, and the descent lowers it from each phase's best
+        d = 6
+        path = np.diag(np.ones(d - 1), 1) + np.diag(np.ones(d - 1), -1)
+        phases = subgradient_runs(monkeypatch)
+        counts = _count_fg(monkeypatch, _solvers)
+        opts = SolveOptions(max_iters=400, restarts=2)
+        rep = solve_condenser(OperatorTuple.of([path]), make_condenser([0], [d - 1], dim=d),
+                              NormSpec.lorentz(2), opts)
+        assert len(phases) == 2 and len(counts) == 2
+        assert all(f - lower > opts.tol * max(1.0, f) for _, _, (_, f, _, _, lower) in phases)
+        assert rep.value < min(f for _, _, (_, f, *_) in phases)
 
 
 class TestCollapsedStep:

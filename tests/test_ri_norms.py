@@ -161,16 +161,16 @@ class TestSubgradient:
 class TestSubgradientFastPaths:
     """The argsort-free and loop-free paths reproduce the sorted ones bit for bit."""
 
-    @staticmethod
-    def _argsort_path(v, spec):
+    @classmethod
+    def _argsort_path(cls, v, spec):
         """The gauge subgradient taken at the sorted magnitudes s and scattered
-        back: tie-averaged weights, or (s / |s|_p)^(p - 1) for Schatten,
-        rescaled to dual norm 1 for p > 2."""
+        back: weights tie-averaged by ``ndarray.mean``, or (s / |s|_p)^(p - 1)
+        for Schatten, rescaled to dual norm 1 for p > 2."""
         a = np.abs(v)
         order = np.argsort(-a, kind="stable")
         s = a[order]
         if spec.kind != "schatten":
-            gauge = _tie_averaged(s, _eval_weights(spec, s.size))
+            gauge = cls._loop_tie_averaged(s, _eval_weights(spec, s.size))
         elif spec.p == 1:
             gauge = np.ones(s.size)
         else:
@@ -244,6 +244,41 @@ class TestSubgradientFastPaths:
             )
             longest.append(np.unique(s, return_counts=True)[1].max())
         assert any(8 < m <= 128 for m in longest) and max(longest) > 128
+
+    # tie groups of exactly 2 (summed by reduceat) next to the lengths at which
+    # numpy's reduce changes its blocking (3, 8, 9 and above 128)
+    GROUPS = [2, 1, 2, 3, 2, 8, 2, 9, 1, 2, 130, 2, 2]
+
+    def test_pairs_next_to_longer_groups_match_the_loop(self):
+        rng = np.random.default_rng(44)
+        for _ in range(50):
+            sizes = rng.permutation(self.GROUPS)
+            s = np.repeat(np.sort(rng.uniform(0.1, 5.0, len(sizes)))[::-1], sizes)
+            w = np.sort(rng.uniform(0, 1, s.size))[::-1]
+            np.testing.assert_array_equal(
+                _tie_averaged(s, w).view(np.uint64), self._loop_tie_averaged(s, w).view(np.uint64)
+            )
+
+    @pytest.mark.parametrize("spec", [NormSpec.lorentz(2), NormSpec.macaev(),
+                                      NormSpec.from_weights([1.0, 0.5, 0.5, 0.1, -0.0, -0.0])],
+                             ids=["lorentz", "macaev", "signed-zero-weights"])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_signed_zeros_and_tie_groups_bitwise(self, spec, complex_):
+        # magnitudes repeated in the GROUPS pattern, random signs or phases, and
+        # entries of +0.0 and -0.0 (phase 0, weight not averaged)
+        rng = np.random.default_rng(45)
+        for _ in range(40):
+            sizes = rng.permutation(self.GROUPS)
+            v = np.repeat(rng.uniform(0.1, 5.0, len(sizes)), sizes)
+            v = rng.permutation(v * rng.choice([-1.0, 1.0], size=v.size))
+            if complex_:
+                v = v * np.exp(1j * rng.uniform(0, 2 * np.pi, size=v.size))
+            zeros = rng.choice(v.size, size=int(rng.integers(1, 12)), replace=False)
+            v[zeros] = rng.choice([0.0, -0.0], size=zeros.size)
+            got = _vector_subgradient(v, spec)
+            want = self._argsort_path(v, spec)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert not np.signbit(got[zeros].view(float)).any()
 
     def test_weights_cached_read_only(self):
         spec = NormSpec.lorentz(2)
